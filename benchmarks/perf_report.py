@@ -410,8 +410,8 @@ def bench_heat_memory(page_count: int) -> int:
     from repro.bufmgr.heat import GlobalHeatRegistry, HeatTracker
 
     tracemalloc.start()
-    tracker = HeatTracker(k=2)
-    registry = GlobalHeatRegistry(k=2)
+    tracker = HeatTracker()
+    registry = GlobalHeatRegistry()
     for page in range(page_count):
         tracker.record(page, 1.0)
         tracker.record(page, 2.0)

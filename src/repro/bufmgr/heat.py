@@ -2,34 +2,33 @@
 
 *Heat* is the access frequency of a page (accesses per time unit),
 locally per node and globally across the cluster (§6).  Following the
-paper, heat is approximated with the LRU-K statistic: with the last K
-access times recorded, ``heat = K / (now - t_K)`` where ``t_K`` is the
-K-th most recent access.
+paper, heat is approximated with the LRU-2 statistic: with the last two
+access times recorded, ``heat = 2 / (now - t_2)`` where ``t_2`` is the
+second most recent access (``1 / (now - t_1)`` while only one access is
+on record).
 
 Bookkeeping is created and deleted on demand: a (class, page) entry
 only exists once an operation of that class touched the page, exactly
 as §6 prescribes to bound the overhead.
 
-The default ``k = 2`` — what every pool in the system uses — is
-specialized with a *columnar* layout: instead of one boxed history
-object per key (a tuple or deque), the tracker keeps two parallel
+The tracker uses a *columnar* layout: instead of one boxed history
+object per key (a tuple or deque), it keeps two parallel
 ``array('d')`` columns holding the previous and the latest access time,
 plus one slot dict mapping keys to column indices.  A slot freed by
 ``forget`` goes onto a free-list and is reused by the next new key, so
 the columns stay bounded by the *peak* number of concurrently tracked
 keys no matter how much churn a long run generates.  The arithmetic is
-unchanged (``n / (now - oldest)``), so every computed heat value is
-bit-identical to the boxed layouts; what changes is the per-key
-footprint (16 bytes of column data instead of a GC-tracked container)
-and the garbage-collector pressure at millions of tracked pages.
-General ``k`` keeps a per-key deque via the ``_DequeHeatTracker``
-fallback, chosen transparently in ``__new__``.
+that of a per-key deque of the last two access times
+(``n / (now - oldest)``), and every heat value is bit-identical to such
+a deque's (the parity oracle in ``tests/test_bufmgr_heat.py``); what
+the layout saves is the per-key footprint (16 bytes of column data
+instead of a GC-tracked container) and the garbage-collector pressure
+at millions of tracked pages.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import deque
 from typing import Callable, Dict, Hashable, List, Optional
 
 #: Column sentinel: a key whose ``_t0`` column holds NaN has exactly one
@@ -39,27 +38,15 @@ _ONE_ACCESS = float("nan")
 
 
 class HeatTracker:
-    """LRU-K-style heat estimates for a set of keys.
+    """LRU-2 heat estimates for a set of keys.
 
     Keys are arbitrary hashables — a page id for accumulated heat, a
     ``(class_id, page_id)`` pair for class-specific heat.
-
-    Instantiating with the default ``k=2`` yields the columnar
-    tracker; any other ``k`` transparently constructs the deque-backed
-    :class:`_DequeHeatTracker` fallback.
     """
 
-    __slots__ = ("k", "_slots", "_t0", "_t1", "_free")
+    __slots__ = ("_slots", "_t0", "_t1", "_free")
 
-    def __new__(cls, k: int = 2):
-        if cls is HeatTracker and k != 2:
-            return object.__new__(_DequeHeatTracker)
-        return object.__new__(cls)
-
-    def __init__(self, k: int = 2):
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        self.k = k
+    def __init__(self):
         self._slots: Dict[Hashable, int] = {}
         self._t0 = array("d")  # previous access time (NaN: only one)
         self._t1 = array("d")  # latest access time
@@ -164,70 +151,6 @@ class HeatTracker:
         return len(self._slots)
 
 
-class _DequeHeatTracker(HeatTracker):
-    """General-``k`` fallback keeping the last K access times per key.
-
-    Keeps the boxed layout (one deque per key in ``_history``) and
-    overrides every column-touching method of :class:`HeatTracker`;
-    only the public API is shared.
-    """
-
-    __slots__ = ("_history",)
-
-    def __init__(self, k: int = 2):
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        self.k = k
-        self._history: Dict[Hashable, deque] = {}
-
-    def record(self, key: Hashable, now: float) -> None:
-        """Register one access to ``key`` at time ``now``."""
-        history = self._history.get(key)
-        if history is None:
-            history = deque(maxlen=self.k)
-            self._history[key] = history
-        history.append(now)
-
-    def record_slot(self, key: Hashable, now: float) -> int:
-        """:meth:`record`; deques have no column slots, returns -1."""
-        self.record(key, now)
-        return -1
-
-    def heat(self, key: Hashable, now: float) -> float:
-        """Estimated accesses per time unit for ``key`` (0.0 if unknown)."""
-        history = self._history.get(key)
-        if history is None:
-            return 0.0
-        span = now - history[0]
-        if span <= 0.0:
-            return float(len(history))
-        return len(history) / span
-
-    def forget(self, key: Hashable) -> None:
-        """Delete the bookkeeping for ``key`` (on-demand deletion, §6)."""
-        self._history.pop(key, None)
-
-    def slot_of(self, key: Hashable) -> Optional[int]:
-        """Deques have no column slots; always None."""
-        return None
-
-    def clear(self) -> None:
-        """Drop all bookkeeping (node restart)."""
-        self._history.clear()
-
-    def tracked(self, key: Hashable) -> bool:
-        """True if any access to ``key`` is on record."""
-        return key in self._history
-
-    @property
-    def column_slots(self) -> int:
-        """Boxed layout: one history object per live key."""
-        return len(self._history)
-
-    def __len__(self) -> int:
-        return len(self._history)
-
-
 class GlobalHeatRegistry:
     """Cluster-wide heat, shared by all nodes' cost-based pools.
 
@@ -237,62 +160,43 @@ class GlobalHeatRegistry:
     wires this to HEAT_UPDATE message accounting), so the §7.5 traffic
     accounting reflects the dissemination cost.
 
-    With the default columnar tracker the per-page dissemination
-    counters live in an ``array('i')`` column parallel to the tracker's
-    time columns (slot-for-slot), instead of a dict that holds an entry
-    for nearly every tracked page in steady state.  The deque fallback
-    (``k != 2``) keeps the dict-based counters.
+    The per-page dissemination counters live in an ``array('i')``
+    column parallel to the tracker's time columns (slot-for-slot),
+    instead of a dict that holds an entry for nearly every tracked page
+    in steady state.
     """
 
-    __slots__ = ("_tracker", "_on_update", "_threshold", "_pending",
-                 "_pending_col", "_pending_n")
+    __slots__ = ("_tracker", "_on_update", "_threshold", "_pending_col",
+                 "_pending_n")
 
-    def __init__(self, k: int = 2,
-                 on_update: Optional[Callable[[], None]] = None,
+    def __init__(self, on_update: Optional[Callable[[], None]] = None,
                  update_threshold: int = 8):
-        self._tracker = HeatTracker(k)
+        self._tracker = HeatTracker()
         self._on_update = on_update
         self._threshold = max(1, update_threshold)
-        if type(self._tracker) is HeatTracker:
-            self._pending: Optional[Dict[int, int]] = None
-            self._pending_col: Optional[array] = array("i")
-        else:
-            self._pending = {}
-            self._pending_col = None
+        self._pending_col = array("i")
         self._pending_n = 0
 
     def record(self, page_id: int, now: float) -> None:
         """Register one access to ``page_id`` anywhere in the cluster."""
         slot = self._tracker.record_slot(page_id, now)
         pend = self._pending_col
-        if pend is not None:
-            npend = len(pend)
-            if slot >= npend:
-                # Grow in lockstep with the tracker's columns (newly
-                # allocated slots start at a zero counter).
-                pend.extend(bytes(4 * (slot + 1 - npend)))
-            count = pend[slot] + 1
-            if count >= self._threshold:
-                pend[slot] = 0
-                if count > 1:
-                    self._pending_n -= 1
-                if self._on_update is not None:
-                    self._on_update()
-            else:
-                pend[slot] = count
-                if count == 1:
-                    self._pending_n += 1
-            return
-        pending = self._pending
-        count = pending.get(page_id, 0) + 1
+        npend = len(pend)
+        if slot >= npend:
+            # Grow in lockstep with the tracker's columns (newly
+            # allocated slots start at a zero counter).
+            pend.extend(bytes(4 * (slot + 1 - npend)))
+        count = pend[slot] + 1
         if count >= self._threshold:
-            # Drop the key instead of storing 0 so ``_pending`` only
-            # holds pages part-way to their next dissemination.
-            pending.pop(page_id, None)
+            pend[slot] = 0
+            if count > 1:
+                self._pending_n -= 1
             if self._on_update is not None:
                 self._on_update()
         else:
-            pending[page_id] = count
+            pend[slot] = count
+            if count == 1:
+                self._pending_n += 1
 
     def heat(self, page_id: int, now: float) -> float:
         """Cluster-wide access rate estimate for ``page_id``."""
@@ -311,23 +215,17 @@ class GlobalHeatRegistry:
         is reclaimed through the tracker's free-list.
         """
         pend = self._pending_col
-        if pend is not None:
-            slot = self._tracker.slot_of(page_id)
-            if slot is not None and pend[slot]:
-                pend[slot] = 0
-                self._pending_n -= 1
-        else:
-            self._pending.pop(page_id, None)
+        slot = self._tracker.slot_of(page_id)
+        if slot is not None and pend[slot]:
+            pend[slot] = 0
+            self._pending_n -= 1
         self._tracker.forget(page_id)
 
     def clear(self) -> None:
         """Drop every page's bookkeeping (cluster-wide reset)."""
         self._tracker.clear()
-        if self._pending_col is not None:
-            self._pending_col = array("i")
-            self._pending_n = 0
-        else:
-            self._pending.clear()
+        self._pending_col = array("i")
+        self._pending_n = 0
 
     def tracked(self, page_id: int) -> bool:
         """True if any access to ``page_id`` is on record."""
@@ -344,6 +242,4 @@ class GlobalHeatRegistry:
     @property
     def pending_count(self) -> int:
         """Pages currently part-way to their next update (inspection)."""
-        if self._pending_col is not None:
-            return self._pending_n
-        return len(self._pending)
+        return self._pending_n

@@ -3,10 +3,12 @@
 :class:`Cluster` wires together the simulation environment, the nodes
 (CPU + disk + buffer manager), the shared network, the database home
 mapping, the page-location directory, and the measured access costs.
-Its :meth:`Cluster.access_page` generator implements data-shipping
-(§3): the requested page is copied to the node where the operation was
-initiated, served from — in order of preference — the local cache, a
-remote cache, or the home node's disk.
+Its access path implements data-shipping (§3): the requested page is
+copied to the node where the operation was initiated, served from — in
+order of preference — the local cache, a remote cache, or the home
+node's disk.  Every access runs through one state machine,
+:class:`_FetchChain`; :meth:`Cluster.access_run` drives it over a run
+of pages and :meth:`Cluster.access_page` over a single page.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ class _FetchHop(Event):
 class _FetchChain(Event):
     """One whole page access (§3, §6) as a self-advancing hold chain.
 
-    :meth:`Cluster.access_run` yields one of these per page.  The chain
+    :meth:`Cluster.access_run` yields one of these per page (and
+    :meth:`Cluster.access_page` is a one-page run).  The chain
     walks the access's hold sequence — the buffer-lookup CPU charge,
     then on a miss the fetch hops (request wire, remote CPU, ship wire,
     page handling; or the disk variants) — by re-pushing its single
@@ -55,11 +58,12 @@ class _FetchChain(Event):
     itself an :class:`Event`, fused via ``_fast_proc`` like any other
     yield target).
 
-    Event-for-event parity with the reference ``access_page`` path is
-    the invariant (the batch parity suite pins it): every hold pushes
-    one heap entry with the same time and sequence number the
-    ``occupy``/``acquire_fast`` code would, uncontended grants consume
-    no event, and contended holds fall back to a real
+    Event-for-event parity with a generator loop of
+    :meth:`~repro.sim.resources.Resource.occupy` holds is the invariant
+    (the batch parity suite pins it against such a reference in
+    ``tests/``): every hold pushes one heap entry with the same time and
+    sequence number ``occupy`` would, uncontended grants consume no
+    event, and contended holds fall back to a real
     :class:`~repro.sim.resources.Request` so FIFO order and wait
     accounting are untouched.  All chained resources have capacity 1
     (node CPUs, disk arms, the network medium), which makes the inline
@@ -103,6 +107,7 @@ class _FetchChain(Event):
         self._own_cb: list = []
         self._req = None
         self._res = None
+        self._level = None
         node = cluster.nodes[node_id]
         buffers = node.buffers
         directory = cluster.directory
@@ -163,34 +168,7 @@ class _FetchChain(Event):
         self._t0 = start
         # First hold: the buffer-lookup CPU charge (state 0).
         self._state = 0
-        res = self._cpu_res
-        if not res._waiting and not res.users:
-            env = self.env
-            if res._busy_since is None:
-                res._busy_since = env._now
-            res._grants += 1
-            res.users.append(res)
-            self._res = res
-            hop = self._hop
-            hop.callbacks = self._hop_cb
-            hop._fast_proc = self
-            seq = env._seq
-            env._seq = seq + 1
-            entry = (env._now + self._lookup_ms, NORMAL, seq, hop)
-            calendar = env._calendar
-            if calendar is None:
-                queue = env._queue
-                heapq.heappush(queue, entry)
-                if env._auto_at and len(queue) >= env._auto_at:
-                    env._activate_calendar()
-            else:
-                calendar.push(entry)
-        else:
-            self._res = res
-            self._service = self._lookup_ms
-            req = Request(res)
-            req._fast_proc = self
-            self._req = req
+        self._hold(self._cpu_res, self._lookup_ms)
         return self
 
     # -- state machine ---------------------------------------------
@@ -211,14 +189,15 @@ class _FetchChain(Event):
         # current hold's service interval expired) or with a granted
         # Request (our turn on a contended resource arrived).
         if event is self._req:
-            self._push_hop(self._service)
+            self._hold(None, self._service)
             return
         env = self.env
         res = self._res
         if res is not None:
             req = self._req
             if req is None:
-                # Inline release, mirroring Resource.release_fast.
+                # Inline release of an uncontended grant, mirroring
+                # the tail of Resource.occupy's fast path.
                 users = res.users
                 users.remove(res)
                 if not users and res._busy_since is not None:
@@ -240,14 +219,14 @@ class _FetchChain(Event):
             if dropped:
                 self._unreg(dropped, self._node_id)
             if hit:
+                # A pooled chain still carries the previous access's
+                # level; access_page reports this one's.
+                level = self._level = self._local_level
                 elapsed = env._now - self._t0
-                self._observe(self._local_level, elapsed)
+                self._observe(level, elapsed)
                 on_access = self._on_access
                 if on_access is not None:
-                    on_access(
-                        self._node_id, class_id,
-                        self._local_level, elapsed,
-                    )
+                    on_access(self._node_id, class_id, level, elapsed)
                 self._finish()
                 return
             # Miss: try a remote cached copy, else the home disk.
@@ -341,36 +320,37 @@ class _FetchChain(Event):
                 return
             res, service, state = hold
 
-        # Shared hold tail: acquire ``res`` (inline if idle, queued
-        # Request otherwise) and schedule the hold's end ``service``
-        # from the grant.
         self._state = state
-        if not res._waiting and not res.users:
+        self._hold(res, service)
+
+    def _hold(self, res, service: float) -> None:
+        """Acquire ``res`` and schedule the hold's end ``service`` later.
+
+        An idle resource is granted inline; a busy one gets a queued
+        :class:`~repro.sim.resources.Request` whose grant re-enters
+        :meth:`_resume`, which then calls ``_hold(None, service)``.
+        ``res=None`` schedules a pure delay and leaves the current
+        hold (if any) untouched.
+        """
+        env = self.env
+        if res is not None:
+            self._res = res
+            if res._waiting or res.users:
+                self._service = service
+                req = Request(res)
+                req._fast_proc = self
+                self._req = req
+                return
             if res._busy_since is None:
                 res._busy_since = env._now
             res._grants += 1
             res.users.append(res)
-            self._res = res
-            hop = self._hop
-            hop.callbacks = self._hop_cb
-            hop._fast_proc = self
-            seq = env._seq
-            env._seq = seq + 1
-            entry = (env._now + service, NORMAL, seq, hop)
-            calendar = env._calendar
-            if calendar is None:
-                queue = env._queue
-                heapq.heappush(queue, entry)
-                if env._auto_at and len(queue) >= env._auto_at:
-                    env._activate_calendar()
-            else:
-                calendar.push(entry)
-        else:
-            self._res = res
-            self._service = service
-            req = Request(res)
-            req._fast_proc = self
-            self._req = req
+        hop = self._hop
+        hop.callbacks = self._hop_cb
+        hop._fast_proc = self
+        seq = env._seq
+        env._seq = seq + 1
+        heapq.heappush(env._queue, (env._now + service, NORMAL, seq, hop))
 
     def _start_disk(self):
         """Enter the disk path; returns the next hold or None when a
@@ -388,7 +368,7 @@ class _FetchChain(Event):
             if delay > 0.0:
                 self._state = 5
                 self._res = None  # pure delay: nothing to release
-                self._push_hop(delay)
+                self._hold(None, delay)
                 return None
         return self._disk_go()
 
@@ -408,22 +388,6 @@ class _FetchChain(Event):
         if faults is not None and faults.extra_ms > 0.0:
             wire += faults.extra_ms
         return self._net, wire, 6
-
-    def _push_hop(self, delay: float) -> None:
-        env = self.env
-        hop = self._hop
-        hop.callbacks = self._hop_cb
-        hop._fast_proc = self
-        seq = env._seq
-        env._seq = seq + 1
-        calendar = env._calendar
-        if calendar is None:
-            queue = env._queue
-            heapq.heappush(queue, (env._now + delay, NORMAL, seq, hop))
-            if env._auto_at and len(queue) >= env._auto_at:
-                env._activate_calendar()
-        else:
-            calendar.push((env._now + delay, NORMAL, seq, hop))
 
     def _finish(self) -> None:
         # Resume the owner, exactly as the dispatch loop would for a
@@ -451,10 +415,9 @@ class Cluster:
         config: Optional[SystemConfig] = None,
         seed: int = 0,
         policy: str = "cost",
-        scheduler: str = "auto",
     ):
         self.config = config if config is not None else SystemConfig()
-        self.env = Environment(scheduler=scheduler)
+        self.env = Environment()
         self.rng = RandomStreams(seed)
         self.network = Network(self.env, self.config.network)
         self.database = Database(
@@ -561,129 +524,27 @@ class Cluster:
     def access_page(self, node_id: int, page_id: int, class_id: int):
         """Generator: one data-shipping page access.
 
-        Returns (via StopIteration value, i.e. ``yield from``) the
-        :class:`AccessLevel` the page was served from.
+        A one-page :meth:`access_run`; returns (via StopIteration value,
+        i.e. ``yield from``) the :class:`AccessLevel` the page was
+        served from.
         """
-        node = self.nodes[node_id]
-        env = self.env
-        start = env._now
-
-        faults = self.faults
-        if faults is not None:
-            # A crashed node serves nothing until its restart delay has
-            # elapsed; operations initiated there stall (and their
-            # response times spike — the signal the loop reacts to).
-            delay = faults.down_delay(node_id, start)
-            if delay > 0.0:
-                yield env.timeout(delay)
-        # The buffer-lookup CPU charge, paid on *every* access, is the
-        # hottest resource hold in the simulation.  This is
-        # Resource.occupy's uncontended fast path inlined (same
-        # accounting, same single timeout event) to shed one generator
-        # frame from every event resume on the hit path; any contention
-        # falls back to the shared implementation.
-        cpu = node.cpu
-        res = cpu.resource
-        users = res.users
-        if not res._waiting and not users:
-            if res._busy_since is None:
-                res._busy_since = env._now
-            res._grants += 1
-            users.append(res)
-            try:
-                yield env.timeout(self._instr_lookup / cpu._mips_ms)
-            finally:
-                users.remove(res)
-                if not users and res._busy_since is not None:
-                    res._busy_time += env._now - res._busy_since
-                    res._busy_since = None
-                if res._waiting:
-                    res._grant_next()
-        else:
-            yield from cpu.consume(self._instr_lookup)
-        hit, dropped = node.buffers.probe(page_id, class_id)
-        if dropped:
-            self.directory.unregister_many(dropped, node_id)
-        if hit:
-            elapsed = env._now - start
-            self.costs.observe(AccessLevel.LOCAL, elapsed)
-            telemetry = self.telemetry
-            if telemetry is not None:
-                telemetry.on_access(
-                    node_id, class_id, AccessLevel.LOCAL, elapsed
-                )
-            return AccessLevel.LOCAL
-
-        level = yield from self._fetch(node, page_id)
-
-        dropped = node.buffers.admit(page_id, class_id)
-        if dropped:
-            self.directory.unregister_many(dropped, node_id)
-        if node.buffers.contains(page_id):
-            self.directory.register(page_id, node_id)
-        elapsed = env._now - start
-        self.costs.observe(level, elapsed)
-        telemetry = self.telemetry
-        if telemetry is not None:
-            telemetry.on_access(node_id, class_id, level, elapsed)
-        return level
-
-    def _fetch(self, node: Node, page_id: int):
-        """Generator: bring a page to ``node`` from remote cache or disk."""
-        remote_id = self.directory.remote_holder(page_id, node.node_id)
-        if remote_id is not None:
-            yield from self.network.send_message(MessageKind.PAGE_REQUEST)
-            remote = self.nodes[remote_id]
-            yield from remote.cpu.consume(
-                self._instr_message + self._instr_lookup
-            )
-            # The copy may have been evicted while our request was in
-            # flight; fall back to disk in that case.
-            if remote.buffers.contains(page_id):
-                yield from self.network.send_message(
-                    MessageKind.PAGE_SHIP, self.config.page_size
-                )
-                yield from node.cpu.consume(self._instr_page_handling)
-                return AccessLevel.REMOTE
-
-        home_id = self.database.home(page_id)
-        home = self.nodes[home_id]
-        faults = self.faults
-        if faults is not None and home_id != node.node_id:
-            # The home disk is unreachable while its node restarts.
-            delay = faults.down_delay(home_id, self.env._now)
-            if delay > 0.0:
-                yield self.env.timeout(delay)
-        if home_id == node.node_id:
-            yield from home.disk.read(self.config.page_size)
-            yield from node.cpu.consume(self._instr_page_handling)
-        else:
-            yield from self.network.send_message(MessageKind.PAGE_REQUEST)
-            yield from home.cpu.consume(self._instr_message)
-            yield from home.disk.read(self.config.page_size)
-            yield from self.network.send_message(
-                MessageKind.PAGE_SHIP, self.config.page_size
-            )
-            yield from node.cpu.consume(self._instr_page_handling)
-        return AccessLevel.DISK
+        return (yield from self.access_run(node_id, (page_id,), class_id))
 
     def access_run(self, node_id: int, page_ids, class_id: int):
         """Generator: a run of same-node, same-class page accesses.
 
-        Semantically a loop of :meth:`access_page` calls — the same
-        events in the same order with the same accounting, which the
-        batch-vs-loop parity test and the golden trace pin down — but
-        executed through a pooled :class:`_FetchChain`: each page is
-        one ``yield`` of the node's chain, which performs the whole
-        lookup / probe / fetch / admit sequence as self-advancing
-        events and resumes this generator once per page.  Where the
-        reference path suspends through ``access_page → _fetch →
-        send_message → transfer → occupy`` (every miss-path event
-        resume walks that whole chain of generator frames), here no
-        generator frame is entered between a page's first and last
-        event.  Workload drivers (the open-system generator, the trace
+        Returns the :class:`AccessLevel` of the run's last page (None
+        for an empty run).  Each page is one ``yield`` of the node's
+        pooled :class:`_FetchChain`, which performs the whole lookup /
+        probe / fetch / admit sequence as self-advancing events and
+        resumes this generator once per page, so no generator frame is
+        entered between a page's first and last event.  A crashed
+        origin node stalls each access until its restart delay has
+        elapsed (the response time spike the loop reacts to).
+        Workload drivers (the open-system generator, the trace
         replayer, the closed-loop clients) feed whole operations
-        through here.
+        through here; the transaction manager goes through
+        :meth:`access_page`.
         """
         env = self.env
         # Per-node hold chain and fault binding, cached because
@@ -698,6 +559,7 @@ class Cluster:
             chain_pool.pop() if chain_pool
             else _FetchChain(self, node_id)
         )
+        chain._level = None
         try:
             if faults is None:
                 for page_id in page_ids:
@@ -709,6 +571,7 @@ class Cluster:
                     if delay > 0.0:
                         yield pooled_timeout(env, delay)
                     yield chain._access(page_id, class_id, start)
+            return chain._level
         finally:
             # Return the chain for reuse by the next run — unless this
             # generator was closed mid-access (the chain would still

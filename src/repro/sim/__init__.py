@@ -12,18 +12,17 @@ of it.
 
 Public API
 ----------
-- :class:`Environment` — event loop and simulation clock.
+- :class:`Environment` — event loop and simulation clock (one binary
+  heap of pending events).
 - :class:`Event`, :class:`Timeout`, :class:`Process` — awaitables.
 - :class:`AnyOf`, :class:`AllOf` — event combinators.
 - :class:`Resource`, :class:`PriorityResource` — queued servers.
 - :class:`RandomStreams` — named, reproducible random streams.
-- :class:`CalendarQueue` — the high-density scheduler backend
-  (``Environment(scheduler=...)`` selects it; "auto" adopts it once
-  enough events are pending).
+- :func:`pooled_timeout`, :func:`pooled_timeout_at` — timeouts drawn
+  from the environment's free list, for hot paths.
 - :mod:`repro.sim.stats` — online statistics and time series.
 """
 
-from repro.sim.calendar import CalendarQueue
 from repro.sim.engine import (
     AllOf,
     AnyOf,
@@ -49,7 +48,6 @@ from repro.sim.stats import (
 __all__ = [
     "AllOf",
     "AnyOf",
-    "CalendarQueue",
     "Environment",
     "Event",
     "Interrupt",

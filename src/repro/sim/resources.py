@@ -154,36 +154,6 @@ class Resource:
                 yield req
                 yield pooled_timeout(self.env, service)
 
-    def acquire_fast(self) -> bool:
-        """Take one unit inline if the resource is idle (else False).
-
-        The first half of :meth:`occupy`'s uncontended fast path as a
-        plain call, for flattened hot loops that cannot afford the
-        generator frame ``yield from occupy(...)`` adds to every event
-        resume.  On True the caller holds the resource and **must**
-        schedule its own service timeout and call :meth:`release_fast`
-        (in a ``finally``); on False it must fall back to
-        :meth:`occupy`.  Accounting and grant ordering are identical to
-        ``occupy`` either way.
-        """
-        if not self._waiting and not self.users:
-            if self._busy_since is None:
-                self._busy_since = self.env._now
-            self._grants += 1
-            self.users.append(self)
-            return True
-        return False
-
-    def release_fast(self) -> None:
-        """Release a hold taken with :meth:`acquire_fast`."""
-        users = self.users
-        users.remove(self)
-        if not users and self._busy_since is not None:
-            self._busy_time += self.env._now - self._busy_since
-            self._busy_since = None
-        if self._waiting:
-            self._grant_next()
-
     # -- internals -------------------------------------------------
 
     def _enqueue(self, request: Request) -> None:
@@ -204,14 +174,7 @@ class Resource:
             request._value = 0.0
             seq = env._seq
             env._seq = seq + 1
-            calendar = env._calendar
-            if calendar is None:
-                queue = env._queue
-                heapq.heappush(queue, (now, URGENT, seq, request))
-                if env._auto_at and len(queue) >= env._auto_at:
-                    env._activate_calendar()
-            else:
-                calendar.push((now, URGENT, seq, request))
+            heapq.heappush(env._queue, (now, URGENT, seq, request))
             return
         request._enqueued_at = env._now
         self._waiting.append(request)

@@ -114,35 +114,6 @@ class WorkloadGenerator:
 
     # -- processes ---------------------------------------------------
 
-    def _arrivals(self, node_id: int, class_spec: ClassSpec):
-        """Sequential reference front-end for one (node, class) pair.
-
-        No longer spawned by :meth:`start` — the block-drawn dispatcher
-        replaces it — but kept as the executable specification of the
-        draw-order contract: the equivalence tests replay both paths
-        and require identical arrival traces.
-        """
-        env = self.cluster.env
-        rng = self.cluster.rng
-        class_id = class_spec.class_id
-        arrival_stream = f"arrivals/n{node_id}/c{class_id}"
-        page_stream = f"pages/n{node_id}/c{class_id}"
-        while True:
-            # Re-read the spec every iteration so evolving workloads
-            # (changed arrival rates or page sets, §7.2) take effect
-            # on running streams.
-            spec = self.spec.spec_for(class_id)
-            picker = self._picker_for(spec)
-            delay = rng.exponential(
-                arrival_stream, 1.0 / spec.rate_for(node_id)
-            )
-            yield env.timeout(delay)
-            pages = [
-                picker.pick(rng.stream(page_stream))
-                for _ in range(spec.pages_per_op)
-            ]
-            env.process(self._operation(node_id, spec, pages))
-
     def _operation(self, node_id: int, class_spec: ClassSpec, pages):
         env = self.cluster.env
         started = env.now
@@ -157,8 +128,7 @@ class WorkloadGenerator:
                 node_id, class_spec, pages
             )
         else:
-            # Batched entry point: same events as per-page access_page
-            # calls, one generator frame for the whole operation.
+            # One generator frame for the whole operation.
             yield from self.cluster.access_run(
                 node_id, pages, class_spec.class_id
             )

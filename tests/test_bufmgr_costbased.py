@@ -17,8 +17,8 @@ class ManualClock:
 
 def make_model(last_copies=(), node_id=0):
     clock = ManualClock()
-    local = HeatTracker(k=2)
-    registry = GlobalHeatRegistry(k=2)
+    local = HeatTracker()
+    registry = GlobalHeatRegistry()
     costs = CostObserver()
     model = BenefitModel(
         node_id=node_id,

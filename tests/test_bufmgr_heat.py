@@ -1,5 +1,8 @@
 """Unit tests for heat tracking and the global heat registry."""
 
+import random
+from collections import deque
+
 import pytest
 
 from repro.bufmgr.heat import GlobalHeatRegistry, HeatTracker
@@ -11,7 +14,7 @@ def test_unknown_key_has_zero_heat():
 
 
 def test_heat_is_accesses_per_time_unit():
-    tracker = HeatTracker(k=2)
+    tracker = HeatTracker()
     tracker.record("p", now=0.0)
     tracker.record("p", now=10.0)
     # 2 accesses over a 10 ms span.
@@ -19,7 +22,7 @@ def test_heat_is_accesses_per_time_unit():
 
 
 def test_heat_decays_with_time():
-    tracker = HeatTracker(k=2)
+    tracker = HeatTracker()
     tracker.record("p", now=0.0)
     tracker.record("p", now=10.0)
     early = tracker.heat("p", now=10.0)
@@ -28,7 +31,7 @@ def test_heat_decays_with_time():
 
 
 def test_heat_window_keeps_only_k_newest():
-    tracker = HeatTracker(k=2)
+    tracker = HeatTracker()
     tracker.record("p", now=0.0)
     tracker.record("p", now=100.0)
     tracker.record("p", now=110.0)
@@ -37,7 +40,7 @@ def test_heat_window_keeps_only_k_newest():
 
 
 def test_hot_burst_at_same_instant():
-    tracker = HeatTracker(k=2)
+    tracker = HeatTracker()
     tracker.record("p", now=5.0)
     tracker.record("p", now=5.0)
     assert tracker.heat("p", now=5.0) == 2.0
@@ -55,7 +58,7 @@ def test_forget_deletes_bookkeeping():
 
 def test_composite_keys_for_class_heat():
     """§6: class heat is kept per (class, page), created on demand."""
-    tracker = HeatTracker(k=2)
+    tracker = HeatTracker()
     tracker.record((1, 42), now=0.0)
     tracker.record((2, 42), now=0.0)
     tracker.record((1, 42), now=4.0)
@@ -64,13 +67,8 @@ def test_composite_keys_for_class_heat():
     assert tracker.heat((3, 42), now=4.0) == 0.0
 
 
-def test_k_must_be_positive():
-    with pytest.raises(ValueError):
-        HeatTracker(k=0)
-
-
 def test_global_registry_heat():
-    registry = GlobalHeatRegistry(k=2)
+    registry = GlobalHeatRegistry()
     registry.record(7, now=0.0)
     registry.record(7, now=5.0)
     assert registry.heat(7, now=5.0) == pytest.approx(0.4)
@@ -80,7 +78,7 @@ def test_global_registry_threshold_updates():
     """Dissemination messages fire once per threshold accesses."""
     updates = []
     registry = GlobalHeatRegistry(
-        k=2, on_update=lambda: updates.append(1), update_threshold=3
+        on_update=lambda: updates.append(1), update_threshold=3
     )
     for i in range(9):
         registry.record(1, now=float(i))
@@ -90,7 +88,7 @@ def test_global_registry_threshold_updates():
 def test_global_registry_threshold_per_page():
     updates = []
     registry = GlobalHeatRegistry(
-        k=2, on_update=lambda: updates.append(1), update_threshold=2
+        on_update=lambda: updates.append(1), update_threshold=2
     )
     registry.record(1, now=0.0)
     registry.record(2, now=0.0)
@@ -100,7 +98,7 @@ def test_global_registry_threshold_per_page():
 
 
 def test_global_registry_forget_deletes_bookkeeping():
-    registry = GlobalHeatRegistry(k=2, update_threshold=8)
+    registry = GlobalHeatRegistry(update_threshold=8)
     registry.record(7, now=0.0)
     registry.record(7, now=1.0)
     assert registry.tracked(7)
@@ -114,7 +112,7 @@ def test_global_registry_forget_deletes_bookkeeping():
 
 
 def test_global_registry_clear_resets_everything():
-    registry = GlobalHeatRegistry(k=2, update_threshold=8)
+    registry = GlobalHeatRegistry(update_threshold=8)
     for page in range(5):
         registry.record(page, now=float(page))
     assert len(registry) == 5
@@ -125,7 +123,7 @@ def test_global_registry_clear_resets_everything():
 
 def test_global_registry_pending_bounded_by_threshold_cycle():
     """Reaching the threshold removes the page's pending counter."""
-    registry = GlobalHeatRegistry(k=2, update_threshold=3)
+    registry = GlobalHeatRegistry(update_threshold=3)
     for i in range(3):
         registry.record(1, now=float(i))
     # Counter cycled through the threshold: no key left behind.
@@ -134,41 +132,11 @@ def test_global_registry_pending_bounded_by_threshold_cycle():
     assert registry.pending_count == 1
 
 
-def test_default_k2_is_tuple_specialized():
-    """k=2 (the system default) uses the flat tuple-pair layout."""
-    from repro.bufmgr.heat import _DequeHeatTracker
-
-    assert type(HeatTracker()) is HeatTracker
-    assert type(HeatTracker(k=2)) is HeatTracker
-    fallback = HeatTracker(k=3)
-    assert isinstance(fallback, _DequeHeatTracker)
-    assert fallback.k == 3
-
-
-def test_k3_fallback_keeps_only_three_newest():
-    tracker = HeatTracker(k=3)
-    for t in (0.0, 100.0, 110.0, 118.0):
-        tracker.record("p", now=t)
-    # Window is the 3 newest accesses: span from t=100 to now.
-    assert tracker.heat("p", now=118.0) == pytest.approx(3 / 18)
-
-
-def test_k3_fallback_partial_window_and_forget():
-    tracker = HeatTracker(k=3)
-    tracker.record("p", now=0.0)
-    tracker.record("p", now=4.0)
-    assert tracker.heat("p", now=4.0) == pytest.approx(0.5)
-    tracker.forget("p")
-    assert not tracker.tracked("p")
-    assert tracker.heat("p", now=5.0) == 0.0
-    assert len(tracker) == 0
-
-
 def test_global_registry_threshold_restarts_after_forget():
     """forget() discards part-way dissemination progress with the page."""
     updates = []
     registry = GlobalHeatRegistry(
-        k=2, on_update=lambda: updates.append(1), update_threshold=3
+        on_update=lambda: updates.append(1), update_threshold=3
     )
     registry.record(1, now=0.0)
     registry.record(1, now=1.0)
@@ -183,28 +151,48 @@ def test_global_registry_threshold_restarts_after_forget():
     assert registry.pending_count == 0
 
 
-# -- columnar vs. deque parity and churn boundedness --------------------
+# -- columnar vs. deque-oracle parity and churn boundedness ------------
 
 
-def _deque_tracker_k2():
-    """A deque-backed tracker at k=2, bypassing ``__new__`` routing."""
-    from repro.bufmgr.heat import _DequeHeatTracker
+class _DequeHeatTracker:
+    """Reference LRU-2 tracker: one boxed deque of access times per key.
 
-    tracker = object.__new__(_DequeHeatTracker)
-    tracker.__init__(k=2)
-    return tracker
+    The oracle for the columnar :class:`HeatTracker`, which must
+    reproduce its ``len(history) / span`` floats bit for bit.
+    """
+
+    def __init__(self):
+        self._history = {}
+
+    def record(self, key, now):
+        history = self._history.get(key)
+        if history is None:
+            history = self._history[key] = deque(maxlen=2)
+        history.append(now)
+
+    def heat(self, key, now):
+        history = self._history.get(key)
+        if history is None:
+            return 0.0
+        span = now - history[0]
+        if span <= 0.0:
+            return float(len(history))
+        return len(history) / span
+
+    def forget(self, key):
+        self._history.pop(key, None)
+
+    def tracked(self, key):
+        return key in self._history
+
+    def __len__(self):
+        return len(self._history)
 
 
 def test_columnar_matches_deque_tracker_on_random_history():
-    import random
-
-    from repro.bufmgr.heat import _DequeHeatTracker
-
     rng = random.Random(7)
-    columnar = HeatTracker(k=2)
-    boxed = _deque_tracker_k2()
-    assert type(columnar) is HeatTracker
-    assert isinstance(boxed, _DequeHeatTracker)
+    columnar = HeatTracker()
+    boxed = _DequeHeatTracker()
     keys = [f"p{i}" for i in range(40)] + [(1, i) for i in range(10)]
     now = 0.0
     for _ in range(3_000):
@@ -230,8 +218,8 @@ def test_columnar_matches_deque_tracker_on_random_history():
 
 
 def test_columnar_single_access_parity_at_same_instant():
-    columnar = HeatTracker(k=2)
-    boxed = _deque_tracker_k2()
+    columnar = HeatTracker()
+    boxed = _DequeHeatTracker()
     for tracker in (columnar, boxed):
         tracker.record("p", now=5.0)
     # span == 0 on both layouts -> len(history) exactly.
@@ -242,7 +230,7 @@ def test_columnar_single_access_parity_at_same_instant():
 
 
 def test_tracker_churn_keeps_columns_bounded():
-    tracker = HeatTracker(k=2)
+    tracker = HeatTracker()
     # 50 concurrently live keys, churned through 20k generations.
     for generation in range(20_000):
         key = ("page", generation)
@@ -292,7 +280,7 @@ def test_registry_forget_resets_pending_counter():
 
 
 def test_tracker_clear_releases_columns():
-    tracker = HeatTracker(k=2)
+    tracker = HeatTracker()
     for i in range(1_000):
         tracker.record(i, float(i))
     assert tracker.column_slots == 1_000

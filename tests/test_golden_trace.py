@@ -30,23 +30,3 @@ def test_kernel_reproduces_golden_trace():
             f"trace diverges at record {i}: got {a}, golden {b}"
         )
 
-
-def test_calendar_scheduler_reproduces_golden_trace(monkeypatch):
-    """The calendar backend replays the golden run bit-identically.
-
-    Forcing a tiny auto-migration threshold makes the kernel switch to
-    the calendar queue moments into the warm-up, so the entire pinned
-    figure2 run — RNG draws, victim choices, message interleavings —
-    is scheduled by the calendar backend and must still match the
-    heap-recorded golden file exactly.
-    """
-    import repro.sim.engine as engine
-
-    monkeypatch.setattr(engine, "CALENDAR_AUTO_THRESHOLD", 8)
-    golden = TraceRecorder.load(GOLDEN_PATH).records
-    fresh = generate_trace().records
-    assert len(fresh) == len(golden)
-    for i, (a, b) in enumerate(zip(fresh, golden)):
-        assert a == b, (
-            f"calendar trace diverges at record {i}: got {a}, golden {b}"
-        )

@@ -133,6 +133,35 @@ def _workload():
     ])
 
 
+def _reference_arrivals(generator, node_id, class_spec):
+    """Sequential reference front-end for one (node, class) pair.
+
+    The classic per-(node, class) coroutine the block-drawn dispatcher
+    replaced, kept as the executable specification of the draw-order
+    contract: the dispatcher must reproduce its arrival trace exactly.
+    """
+    env = generator.cluster.env
+    rng = generator.cluster.rng
+    class_id = class_spec.class_id
+    arrival_stream = f"arrivals/n{node_id}/c{class_id}"
+    page_stream = f"pages/n{node_id}/c{class_id}"
+    while True:
+        # Re-read the spec every iteration so evolving workloads
+        # (changed arrival rates or page sets, §7.2) take effect
+        # on running streams.
+        spec = generator.spec.spec_for(class_id)
+        picker = generator._picker_for(spec)
+        delay = rng.exponential(
+            arrival_stream, 1.0 / spec.rate_for(node_id)
+        )
+        yield env.timeout(delay)
+        pages = [
+            picker.pick(rng.stream(page_stream))
+            for _ in range(spec.pages_per_op)
+        ]
+        env.process(generator._operation(node_id, spec, pages))
+
+
 def _build(config, start_reference, block=DEFAULT_BLOCK):
     cluster = Cluster(config, seed=11)
     recorder = TraceRecorder()
@@ -142,7 +171,7 @@ def _build(config, start_reference, block=DEFAULT_BLOCK):
         for class_spec in generator.spec.classes:
             for node_id in range(cluster.num_nodes):
                 cluster.env.process(
-                    generator._arrivals(node_id, class_spec)
+                    _reference_arrivals(generator, node_id, class_spec)
                 )
     else:
         for node_id in range(cluster.num_nodes):
