@@ -28,17 +28,13 @@ from repro.bufmgr.heat import GlobalHeatRegistry, HeatTracker
 class BenefitModel:
     """Everything needed to price a cached page on one node.
 
-    The two cost spreads are cached against the observer's ``version``
-    counter: they change only when a finished request reports a new
-    measurement, while ``benefit`` runs on every insert, touch, and
-    eviction candidate — and the refresh itself reads the observer's
-    plain per-level mean slots, so a version miss costs two
-    subtractions instead of three enum-keyed stat lookups.
+    The two cost spreads are read from the observer's plain per-level
+    mean slots at every pricing: every page access moves one of the
+    means, so a cache of the spreads would miss on nearly every call.
     """
 
     __slots__ = ("node_id", "local_heat", "global_heat", "costs",
-                 "_is_last_copy", "clock", "_cost_version",
-                 "_keep_spread", "_last_copy_spread")
+                 "_is_last_copy", "clock")
 
     def __init__(
         self,
@@ -55,17 +51,6 @@ class BenefitModel:
         self.costs = costs
         self._is_last_copy = is_last_copy
         self.clock = clock
-        self._cost_version = -1  # forces a refresh on first pricing
-        self._keep_spread = 0.0       # cost_remote - cost_local, >= 0
-        self._last_copy_spread = 0.0  # cost_disk - cost_remote, >= 0
-
-    def _refresh_costs(self) -> None:
-        costs = self.costs
-        self._cost_version = costs.version
-        keep = costs.cost_remote - costs.cost_local
-        last_copy = costs.cost_disk - costs.cost_remote
-        self._keep_spread = keep if keep > 0.0 else 0.0
-        self._last_copy_spread = last_copy if last_copy > 0.0 else 0.0
 
     def benefit(self, page_id: int) -> float:
         """Expected cost saved per time unit by keeping ``page_id``."""
@@ -77,14 +62,18 @@ class BenefitModel:
         Simulated time is frozen while an eviction runs, so a victim
         scan pricing ``revalidate`` candidates can read the clock once
         and share it — the values are exactly those ``benefit`` would
-        return.
+        return.  Both spreads are clamped at zero.
         """
-        if self._cost_version != self.costs.version:
-            self._refresh_costs()
-        value = self.local_heat.heat(page_id, now) * self._keep_spread
+        costs = self.costs
+        remote = costs.cost_remote
+        keep = remote - costs.cost_local  # local hits become remote
+        value = self.local_heat.heat(page_id, now) * (
+            keep if keep > 0.0 else 0.0
+        )
         if self._is_last_copy(page_id, self.node_id):
-            value += (
-                self.global_heat.heat(page_id, now) * self._last_copy_spread
+            last_copy = costs.cost_disk - remote  # every node goes to disk
+            value += self.global_heat.heat(page_id, now) * (
+                last_copy if last_copy > 0.0 else 0.0
             )
         return value
 

@@ -61,9 +61,8 @@ class CostObserver:
         self._local = OnlineStats()
         self._remote = OnlineStats()
         self._disk = OnlineStats()
-        #: Bumped on every observation; consumers (e.g.
-        #: :class:`~repro.bufmgr.costbased.BenefitModel`) cache the
-        #: per-level means and invalidate when the version moves.
+        #: Bumped on every observation (a change counter for state
+        #: fingerprints; the means move on nearly every access).
         self.version = 0
         #: Current mean estimate per level (default until measured).
         self.cost_local = self.DEFAULTS[AccessLevel.LOCAL]

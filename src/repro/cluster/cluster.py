@@ -7,8 +7,9 @@ Its access path implements data-shipping (§3): the requested page is
 copied to the node where the operation was initiated, served from — in
 order of preference — the local cache, a remote cache, or the home
 node's disk.  Every access runs through one state machine,
-:class:`_FetchChain`; :meth:`Cluster.access_run` drives it over a run
-of pages and :meth:`Cluster.access_page` over a single page.
+:class:`_FetchChain`, which carries a whole run of pages: the workload
+generator arms it directly for each operation, :meth:`Cluster.access_run`
+yields it for a run and :meth:`Cluster.access_page` for a single page.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from repro.cluster.directory import DirectoryInvariantError, PageDirectory
 from repro.cluster.messages import MessageKind, message_size
 from repro.cluster.network import Network
 from repro.cluster.node import Node
-from repro.sim.engine import NORMAL, Environment, Event, pooled_timeout
+from repro.sim.engine import NORMAL, Environment, Event
 from repro.sim.resources import Request
 from repro.sim.rng import RandomStreams
 
@@ -43,20 +44,24 @@ class _FetchHop(Event):
 
 
 class _FetchChain(Event):
-    """One whole page access (§3, §6) as a self-advancing hold chain.
+    """A run of page accesses (§3, §6) as a self-advancing hold chain.
 
-    :meth:`Cluster.access_run` yields one of these per page (and
-    :meth:`Cluster.access_page` is a one-page run).  The chain
-    walks the access's hold sequence — the buffer-lookup CPU charge,
-    then on a miss the fetch hops (request wire, remote CPU, ship wire,
-    page handling; or the disk variants) — by re-pushing its single
-    :class:`_FetchHop` event for each hold and performing the
-    release / bookkeeping / acquire transitions inside :meth:`_resume`.
-    Buffer probe/admit, directory registration, cost observation, and
-    telemetry all run inside the state machine, so the owning generator
-    is resumed exactly once per page, when the chain finishes (it is
-    itself an :class:`Event`, fused via ``_fast_proc`` like any other
-    yield target).
+    :meth:`_run` arms the chain once for a whole run of same-node,
+    same-class pages.  For each page the chain walks the access's hold
+    sequence — the buffer-lookup CPU charge, then on a miss the fetch
+    hops (request wire, remote CPU, ship wire, page handling; or the
+    disk variants) — by re-pushing its single :class:`_FetchHop` event
+    for each hold and performing the release / bookkeeping / acquire
+    transitions inside :meth:`_resume`.  Buffer probe/admit, directory
+    registration, cost observation, and telemetry all run inside the
+    state machine.  When a page ends (a hit, or the admit after a
+    fetch) the chain starts the next page inline, with the same
+    dispatch and sequence number a fresh arming would take, so the
+    owner in ``_fast_proc`` is resumed exactly once per *run*: a
+    generator's :class:`~repro.sim.engine.Process` (:meth:`Cluster.access_run`
+    and :meth:`Cluster.access_page` yield the chain, which is an
+    :class:`Event`) or a handler object with a ``_resume(chain)``
+    method (the open-system workload generator).
 
     Event-for-event parity with a generator loop of
     :meth:`~repro.sim.resources.Resource.occupy` holds is the invariant
@@ -69,9 +74,9 @@ class _FetchChain(Event):
     (node CPUs, disk arms, the network medium), which makes the inline
     fast-grant condition identical to ``occupy``'s.
 
-    A chain is bound to one node and recycled through the node's pool
-    in the run-context cache (:meth:`Cluster._build_run_ctx`), so its
-    fault/telemetry bindings share the cache's invalidation.
+    A chain is bound to one node and recycled through that node's pool
+    (:meth:`Cluster._chain`) when its run finishes, so its fault and
+    telemetry bindings share the pool's invalidation.
     """
 
     __slots__ = (
@@ -85,12 +90,13 @@ class _FetchChain(Event):
         "_req_bytes", "_ship_bytes", "_remote_service",
         "_home_msg_service", "_disk_read_ms", "_page_request",
         "_page_ship", "_local_level", "_remote_level", "_disk_level",
+        "_pages", "_index", "_start", "_pool",
     )
 
-    def __init__(self, cluster: "Cluster", node_id: int):
+    def __init__(self, cluster: "Cluster", node_id: int, pool: list):
         env = cluster.env
         self.env = env
-        self.callbacks = None  # armed by _access
+        self.callbacks = None  # armed by _run
         self._value = None
         self._ok = None
         self._defused = False
@@ -108,6 +114,8 @@ class _FetchChain(Event):
         self._req = None
         self._res = None
         self._level = None
+        self._pages = None
+        self._pool = pool
         node = cluster.nodes[node_id]
         buffers = node.buffers
         directory = cluster.directory
@@ -151,25 +159,52 @@ class _FetchChain(Event):
         self._remote_level = AccessLevel.REMOTE
         self._disk_level = AccessLevel.DISK
 
-    def _access(self, page_id: int, class_id: int,
-                start: float) -> "_FetchChain":
-        """Arm the chain for one page access; returns self (to yield).
+    def _run(self, pages, class_id: int) -> "_FetchChain":
+        """Arm the chain for a non-empty run of ``pages``; returns self.
 
-        ``start`` is the access's begin time for elapsed-time
-        accounting (it precedes any fault-restart delay the caller
-        already slept through).
+        The run starts now (``_start``, the operation's response-time
+        origin).  The owner is resumed with the level of the run's last
+        page as the chain's value.
         """
         self.callbacks = self._own_cb
         self._ok = None
         self._value = None
-        self._fast_proc = None
-        self._page = page_id
+        self._level = None
+        self._pages = pages
+        self._index = 0
         self._class = class_id
-        self._t0 = start
+        self._start = self.env._now
+        self._next_page()
+        return self
+
+    def _next_page(self) -> None:
+        """Start the run's next page, or finish the run after its last.
+
+        A crashed origin node stalls the page until its restart delay
+        has elapsed (state 10, a pure delay), the response time spike
+        the feedback loop reacts to.  The page's elapsed time counts
+        from before the stall.
+        """
+        index = self._index
+        pages = self._pages
+        if index == len(pages):
+            self._finish()
+            return
+        self._index = index + 1
+        self._page = pages[index]
+        now = self.env._now
+        self._t0 = now
+        faults = self._faults
+        if faults is not None:
+            delay = faults.down_delay(self._node_id, now)
+            if delay > 0.0:
+                self._state = 10
+                self._res = None  # pure delay: nothing to release
+                self._hold(None, delay)
+                return
         # First hold: the buffer-lookup CPU charge (state 0).
         self._state = 0
         self._hold(self._cpu_res, self._lookup_ms)
-        return self
 
     # -- state machine ---------------------------------------------
 
@@ -219,15 +254,14 @@ class _FetchChain(Event):
             if dropped:
                 self._unreg(dropped, self._node_id)
             if hit:
-                # A pooled chain still carries the previous access's
-                # level; access_page reports this one's.
+                # The previous page may have left another level.
                 level = self._level = self._local_level
                 elapsed = env._now - self._t0
                 self._observe(level, elapsed)
                 on_access = self._on_access
                 if on_access is not None:
                     on_access(self._node_id, class_id, level, elapsed)
-                self._finish()
+                self._next_page()
                 return
             # Miss: try a remote cached copy, else the home disk.
             remote_id = self._remote_holder(page, self._node_id)
@@ -283,7 +317,7 @@ class _FetchChain(Event):
             on_access = self._on_access
             if on_access is not None:
                 on_access(self._node_id, class_id, level, elapsed)
-            self._finish()
+            self._next_page()
             return
         elif state == 8:  # disk read done
             home_disk = self._home.disk
@@ -314,11 +348,12 @@ class _FetchChain(Event):
             res = self._home.disk.resource
             service = self._disk_service
             state = 8
-        else:  # state == 5: home-node restart delay elapsed
-            hold = self._disk_go()
-            if hold is None:
-                return
-            res, service, state = hold
+        elif state == 5:  # home-node restart delay elapsed
+            res, service, state = self._disk_go()
+        else:  # state == 10: origin-node restart delay elapsed
+            res = self._cpu_res
+            service = self._lookup_ms
+            state = 0
 
         self._state = state
         self._hold(res, service)
@@ -392,11 +427,13 @@ class _FetchChain(Event):
     def _finish(self) -> None:
         # Resume the owner, exactly as the dispatch loop would for a
         # fired event (the chain never goes through _schedule, so no
-        # extra event or sequence number).
+        # extra event or sequence number), then return the chain to its
+        # node's pool: the owner and callbacks may still read it.
         callbacks = self.callbacks
         self.callbacks = None
         self._ok = True
-        self._value = None
+        self._value = self._level
+        self._pages = None
         proc = self._fast_proc
         if proc is not None:
             self._fast_proc = None
@@ -405,6 +442,7 @@ class _FetchChain(Event):
             for callback in callbacks:
                 callback(self)
             del callbacks[:]
+        self._pool.append(self)
 
 
 class Cluster:
@@ -435,10 +473,10 @@ class Cluster:
                 MessageKind.HEAT_UPDATE
             )
         )
-        #: Per-node hoisted-binding tuples for :meth:`access_run`,
-        #: built lazily and invalidated whenever the fault layer or
-        #: telemetry pipeline changes (both are bound into the tuple).
-        self._run_ctx: Dict[int, tuple] = {}
+        #: Per-node pools of idle :class:`_FetchChain` records (see
+        #: :meth:`_chain`), emptied whenever the fault layer or
+        #: telemetry pipeline changes (chains bind both).
+        self._chain_pools: Dict[int, List[_FetchChain]] = {}
         #: Fault state (:class:`repro.faults.FaultLayer`) or None; the
         #: access path pays one attribute check while this is None.
         self.faults = None
@@ -503,7 +541,7 @@ class Cluster:
     @telemetry.setter
     def telemetry(self, pipeline) -> None:
         self._telemetry = pipeline
-        self._run_ctx.clear()
+        self._chain_pools.clear()
 
     # -- fault plumbing -------------------------------------------------
 
@@ -511,7 +549,7 @@ class Cluster:
         """Install a :class:`repro.faults.FaultLayer` on the hot paths."""
         self.faults = layer
         self.network.faults = layer
-        self._run_ctx.clear()
+        self._chain_pools.clear()
 
     def add_restart_listener(
         self, listener: Callable[[int, float], None]
@@ -526,65 +564,41 @@ class Cluster:
 
         A one-page :meth:`access_run`; returns (via StopIteration value,
         i.e. ``yield from``) the :class:`AccessLevel` the page was
-        served from.
+        served from.  The transaction manager reads and writes through
+        here.
         """
-        return (yield from self.access_run(node_id, (page_id,), class_id))
+        return (yield self._chain(node_id)._run((page_id,), class_id))
 
     def access_run(self, node_id: int, page_ids, class_id: int):
         """Generator: a run of same-node, same-class page accesses.
 
-        Returns the :class:`AccessLevel` of the run's last page (None
-        for an empty run).  Each page is one ``yield`` of the node's
-        pooled :class:`_FetchChain`, which performs the whole lookup /
-        probe / fetch / admit sequence as self-advancing events and
-        resumes this generator once per page, so no generator frame is
-        entered between a page's first and last event.  A crashed
-        origin node stalls each access until its restart delay has
-        elapsed (the response time spike the loop reacts to).
-        Workload drivers (the open-system generator, the trace
-        replayer, the closed-loop clients) feed whole operations
-        through here; the transaction manager goes through
-        :meth:`access_page`.
+        ``page_ids`` is a sequence.  Returns the :class:`AccessLevel` of
+        the run's last page (None for an empty run).  The whole run is
+        one ``yield`` of a pooled :class:`_FetchChain`, which performs
+        every page's lookup / probe / fetch / admit sequence as
+        self-advancing events and resumes this generator once, when the
+        last page is done.  A crashed origin node stalls each access
+        until its restart delay has elapsed (the response time spike
+        the loop reacts to).  The trace replayer and the closed-loop
+        clients feed whole operations through here; the open-system
+        generator arms the chain itself (:meth:`_chain`).
         """
-        env = self.env
-        # Per-node hold chain and fault binding, cached because
-        # re-deriving them costs more than a short run's whole page
-        # loop.  The cache is invalidated whenever the fault layer or
-        # telemetry pipeline changes (both are bound into it).
-        ctx = self._run_ctx.get(node_id)
-        if ctx is None:
-            ctx = self._build_run_ctx(node_id)
-        faults, chain_pool = ctx
-        chain = (
-            chain_pool.pop() if chain_pool
-            else _FetchChain(self, node_id)
-        )
-        chain._level = None
-        try:
-            if faults is None:
-                for page_id in page_ids:
-                    yield chain._access(page_id, class_id, env._now)
-            else:
-                for page_id in page_ids:
-                    start = env._now
-                    delay = faults.down_delay(node_id, start)
-                    if delay > 0.0:
-                        yield pooled_timeout(env, delay)
-                    yield chain._access(page_id, class_id, start)
-            return chain._level
-        finally:
-            # Return the chain for reuse by the next run — unless this
-            # generator was closed mid-access (the chain would still
-            # be armed in the event queue).
-            if chain.callbacks is None:
-                chain_pool.append(chain)
+        if not page_ids:
+            return None
+        return (yield self._chain(node_id)._run(page_ids, class_id))
 
-    def _build_run_ctx(self, node_id: int) -> tuple:
-        """Build (and cache) :meth:`access_run`'s per-node context:
-        the fault layer and the node's :class:`_FetchChain` pool."""
-        ctx = (self.faults, [])
-        self._run_ctx[node_id] = ctx
-        return ctx
+    def _chain(self, node_id: int) -> _FetchChain:
+        """An idle :class:`_FetchChain` bound to ``node_id``.
+
+        Taken from the node's pool (a finished run returns its chain),
+        or built when the pool is empty.
+        """
+        pool = self._chain_pools.get(node_id)
+        if pool is None:
+            pool = self._chain_pools[node_id] = []
+        if pool:
+            return pool.pop()
+        return _FetchChain(self, node_id, pool)
 
     # -- allocation plumbing --------------------------------------------
 

@@ -41,6 +41,22 @@ this down):
   are never pooled, so late reads of ``.value``/``.processed`` on a
   retained reference keep working.
 
+Handlers
+--------
+The ``_fast_proc`` slot is a protocol, not a type: the dispatch loops
+call ``event._fast_proc._resume(event)`` on whatever object sits there,
+before the event's callbacks, and clear the slot first.  A
+:class:`Process` is one such object; a *handler* is any other object
+with a ``_resume(event)`` method, which runs state-machine code without
+a generator frame.  A handler waits for an event by storing itself in
+the event's ``_fast_proc`` slot (a pooled timeout is recycled after the
+call exactly as for a fused process), and ``Initialize(env, handler)``
+schedules its first call as the URGENT event that would start a
+process.  An exception a handler raises propagates out of
+:meth:`Environment.run` unchanged.  The cluster's fetch chain, the
+arrival dispatchers and the open-system workload generator (the owner
+of each read-only operation's fetch chain) are handlers.
+
 Scheduler
 ---------
 The pending-event set is a single binary heap of ``(time, priority,
@@ -232,7 +248,7 @@ def pooled_timeout_at(env: "Environment", when: float,
 
 
 class Initialize(Event):
-    """Internal event that starts a freshly created process."""
+    """Internal event that starts a freshly created process or handler."""
 
     __slots__ = ()
 

@@ -157,62 +157,85 @@ class P2Quantile:
         self.count = 0
 
     def add(self, value: float) -> None:
-        """Fold one sample into the estimate."""
+        """Fold one sample into the estimate.
+
+        Runs on every operation completion, so the marker lists are
+        bound to locals and the marker updates unrolled; the float
+        operations and their order are exactly Jain & Chlamtac's (the
+        loop form lives on as the test oracle).
+        """
         self.count += 1
-        if len(self._initial) < 5:
-            self._initial.append(value)
-            if len(self._initial) == 5:
-                self._initial.sort()
+        heights = self._heights
+        if not heights:  # fewer than five samples so far
+            initial = self._initial
+            initial.append(value)
+            if len(initial) == 5:
+                initial.sort()
                 q = self.quantile
-                self._heights = list(self._initial)
+                self._heights = list(initial)
                 self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
                 self._desired = [
                     1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0
                 ]
                 self._increments = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
             return
-        heights = self._heights
         positions = self._positions
+        desired = self._desired
+        increments = self._increments
+        # Find the cell and shift the positions of the markers above it.
         if value < heights[0]:
             heights[0] = value
-            cell = 0
+            positions[1] += 1.0
+            positions[2] += 1.0
+            positions[3] += 1.0
         elif value >= heights[4]:
             heights[4] = value
-            cell = 3
-        else:
-            cell = 0
-            while value >= heights[cell + 1]:
-                cell += 1
-        for i in range(cell + 1, 5):
-            positions[i] += 1.0
-        for i in range(5):
-            self._desired[i] += self._increments[i]
+        elif value < heights[1]:
+            positions[1] += 1.0
+            positions[2] += 1.0
+            positions[3] += 1.0
+        elif value < heights[2]:
+            positions[2] += 1.0
+            positions[3] += 1.0
+        elif value < heights[3]:
+            positions[3] += 1.0
+        positions[4] += 1.0
+        desired[0] += increments[0]
+        desired[1] += increments[1]
+        desired[2] += increments[2]
+        desired[3] += increments[3]
+        desired[4] += increments[4]
+        # Adjust the three middle markers, in order.
         for i in (1, 2, 3):
-            delta = self._desired[i] - positions[i]
-            if (delta >= 1.0 and positions[i + 1] - positions[i] > 1.0) or (
-                delta <= -1.0 and positions[i - 1] - positions[i] < -1.0
-            ):
-                step = 1.0 if delta >= 1.0 else -1.0
-                candidate = self._parabolic(i, step)
-                if heights[i - 1] < candidate < heights[i + 1]:
-                    heights[i] = candidate
-                else:
-                    heights[i] = self._linear(i, step)
-                positions[i] += step
-
-    def _parabolic(self, i: int, step: float) -> float:
-        h, pos = self._heights, self._positions
-        return h[i] + step / (pos[i + 1] - pos[i - 1]) * (
-            (pos[i] - pos[i - 1] + step)
-            * (h[i + 1] - h[i]) / (pos[i + 1] - pos[i])
-            + (pos[i + 1] - pos[i] - step)
-            * (h[i] - h[i - 1]) / (pos[i] - pos[i - 1])
-        )
-
-    def _linear(self, i: int, step: float) -> float:
-        h, pos = self._heights, self._positions
-        j = i + int(step)
-        return h[i] + step * (h[j] - h[i]) / (pos[j] - pos[i])
+            p = positions[i]
+            delta = desired[i] - p
+            if delta >= 1.0:
+                if positions[i + 1] - p <= 1.0:
+                    continue
+                step = 1.0
+            elif delta <= -1.0:
+                if positions[i - 1] - p >= -1.0:
+                    continue
+                step = -1.0
+            else:
+                continue
+            h = heights[i]
+            h_lo = heights[i - 1]
+            h_hi = heights[i + 1]
+            p_lo = positions[i - 1]
+            p_hi = positions[i + 1]
+            # Piecewise-parabolic prediction...
+            candidate = h + step / (p_hi - p_lo) * (
+                (p - p_lo + step) * (h_hi - h) / (p_hi - p)
+                + (p_hi - p - step) * (h - h_lo) / (p - p_lo)
+            )
+            if h_lo < candidate < h_hi:
+                heights[i] = candidate
+            elif step > 0.0:  # ...else linear toward the neighbour
+                heights[i] = h + step * (h_hi - h) / (p_hi - p)
+            else:
+                heights[i] = h + step * (h_lo - h) / (p_lo - p)
+            positions[i] = p + step
 
     @property
     def value(self) -> float:

@@ -6,8 +6,9 @@ pair, and every arrival pays a named-stream dictionary lookup, an
 stream lookup plus an alias-method draw.  At 256 nodes × k classes
 that bookkeeping dominates the arrival path.
 
-This module replaces the N×k coroutines with **one dispatcher process
-per node** that walks precomputed variate columns:
+This module replaces the N×k coroutines with **one dispatcher per
+node**, a handler the kernel calls once per arrival (no process, no
+generator frame), that walks precomputed variate columns:
 
 - :class:`ExponentialColumn` pre-draws ``-log(1 - u)`` gap factors in
   fixed-size blocks from the stream's existing ``random()`` sequence.
@@ -30,7 +31,7 @@ independent, so pre-drawing one stream in blocks cannot perturb any
 other; the golden arrival trace is unchanged.
 
 Arrival *coalescing* — fusing back-to-back same-class operations into
-one ``access_run`` batch — is deliberately **not** done here: open
+one fetch-chain run — is deliberately **not** done here: open
 system operations overlap in time and each one carries its own
 response-time observation, so fusing them would change contention and
 per-class statistics.  The batching win lives below, in the cluster's
@@ -43,7 +44,7 @@ import math
 from array import array
 from typing import List
 
-from repro.sim.engine import pooled_timeout_at
+from repro.sim.engine import Initialize, pooled_timeout_at
 
 #: Variates drawn per refill.  Large enough to amortize stream/attr
 #: lookups, small enough that goal-sweep workloads (seconds of sim
@@ -201,29 +202,53 @@ class ClassStream:
                 self.pages.retarget(picker.sampler)
 
 
-def node_dispatcher(generator, node_id: int, block: int = DEFAULT_BLOCK):
-    """Process: merged block-drawn arrival front-end for one node.
+class NodeDispatcher:
+    """Merged block-drawn arrival front-end for one node, as a handler.
 
-    Replaces the node's k per-class arrival coroutines.  Each wake-up
-    lands on a precomputed absolute timestamp (``pooled_timeout_at``
-    avoids the ``now + delta`` re-rounding a relative timeout would
-    introduce), emits exactly one operation, then sleeps to the
-    earliest pending arrival across the node's classes.  Ties go to
-    the class listed first in the workload spec.
+    Replaces the node's k per-class arrival coroutines.  The kernel
+    calls :meth:`_resume` through the ``_fast_proc`` slot of the
+    dispatcher's pooled timeout, so an arrival costs one heap event and
+    no generator frame.  Each call lands on a precomputed absolute
+    timestamp (``pooled_timeout_at`` avoids the ``now + delta``
+    re-rounding a relative timeout would introduce), draws the due
+    class's pages, schedules the earliest pending arrival across the
+    node's classes (ties go to the class listed first in the workload
+    spec), and only then starts the operation: pushing the next-arrival
+    timeout first keeps every pending event in the order a dispatcher
+    process that spawned an operation process would produce.
+    Construction schedules the first call as an URGENT event, exactly
+    where ``env.process`` would start a process.
     """
-    env = generator.cluster.env
-    streams: List[ClassStream] = [
-        ClassStream(generator, node_id, class_spec, env._now, block)
-        for class_spec in generator.spec.classes
-    ]
-    if not streams:
-        return
-    process = env.process
-    operation = generator._operation
-    if len(streams) == 1:
-        (stream,) = streams
-        while True:
-            yield pooled_timeout_at(env, stream.next_t)
+
+    __slots__ = ("generator", "node_id", "block", "env", "streams", "_due")
+
+    def __init__(self, generator, node_id: int, block: int = DEFAULT_BLOCK):
+        self.generator = generator
+        self.node_id = node_id
+        self.block = block
+        self.env = generator.cluster.env
+        #: One :class:`ClassStream` per workload class, built by the
+        #: first call (at the start event's instant).
+        self.streams: List[ClassStream] = []
+        self._due = None
+        Initialize(self.env, self)
+
+    def _resume(self, event) -> None:
+        env = self.env
+        generator = self.generator
+        node_id = self.node_id
+        streams = self.streams
+        stream = self._due
+        if stream is None:  # the start event
+            streams = self.streams = [
+                ClassStream(generator, node_id, class_spec, env._now,
+                            self.block)
+                for class_spec in generator.spec.classes
+            ]
+            if not streams:
+                return
+            spec = None
+        else:
             spec = stream.spec
             page_ids = stream.picker.pages
             column = stream.pages
@@ -231,26 +256,17 @@ def node_dispatcher(generator, node_id: int, block: int = DEFAULT_BLOCK):
                 page_ids[column.next_rank()]
                 for _ in range(spec.pages_per_op)
             ]
-            process(operation(node_id, spec, pages))
             stream.rebind(generator, node_id)
             stream.next_t = (
                 env._now + stream.gaps.next_neglog() / stream.lambd
             )
-    while True:
-        stream = streams[0]
-        when = stream.next_t
+        due = streams[0]
+        when = due.next_t
         for other in streams:
             if other.next_t < when:
-                stream = other
+                due = other
                 when = other.next_t
-        yield pooled_timeout_at(env, when)
-        spec = stream.spec
-        page_ids = stream.picker.pages
-        column = stream.pages
-        pages = [
-            page_ids[column.next_rank()]
-            for _ in range(spec.pages_per_op)
-        ]
-        process(operation(node_id, spec, pages))
-        stream.rebind(generator, node_id)
-        stream.next_t = env._now + stream.gaps.next_neglog() / stream.lambd
+        self._due = due
+        pooled_timeout_at(env, when)._fast_proc = self
+        if spec is not None:
+            generator._start_operation(node_id, spec, pages)

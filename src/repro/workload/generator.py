@@ -43,7 +43,16 @@ class NullSink:
 
 
 class WorkloadGenerator:
-    """Spawns one arrival process per (node, class) pair."""
+    """Open-system operation streams for every (node, class) pair.
+
+    Arrivals come from one :class:`~repro.workload.blockgen.NodeDispatcher`
+    per node.  A read-only operation is not a process: the generator
+    arms the node's pooled fetch chain with the operation's pages and
+    is itself the chain's owner, so :meth:`_resume` runs once when the
+    last page is done.  Operations of classes that write run as
+    transaction processes, because 2PL lock waits need a generator
+    frame.
+    """
 
     def __init__(
         self,
@@ -105,57 +114,66 @@ class WorkloadGenerator:
         per-(node, class) coroutines; arrival times and page draws are
         bit-identical (see :mod:`repro.workload.blockgen`).
         """
-        from repro.workload.blockgen import node_dispatcher
+        from repro.workload.blockgen import NodeDispatcher
 
         if not self.spec.classes:
             return
         for node_id in range(self.cluster.num_nodes):
-            self.cluster.env.process(node_dispatcher(self, node_id))
+            NodeDispatcher(self, node_id)
 
-    # -- processes ---------------------------------------------------
+    # -- operations --------------------------------------------------
 
-    def _operation(self, node_id: int, class_spec: ClassSpec, pages):
-        env = self.cluster.env
-        started = env.now
-        self.operations_started += 1
-        self.sink.on_arrival(node_id, class_spec.class_id, started)
-        if self.recorder is not None:
-            self.recorder.record(
-                started, node_id, class_spec.class_id, tuple(pages)
-            )
+    def _start_operation(self, node_id: int, class_spec: ClassSpec,
+                         pages) -> None:
+        """Start one operation that arrives now (called by the dispatcher)."""
         if class_spec.write_fraction > 0 and self.txn_manager is not None:
-            yield from self._transactional_operation(
-                node_id, class_spec, pages
+            self.cluster.env.process(
+                self._transactional_operation(node_id, class_spec, pages)
             )
-        else:
-            # One generator frame for the whole operation.
-            yield from self.cluster.access_run(
-                node_id, pages, class_spec.class_id
-            )
-        response = env.now - started
+            return
+        class_id = class_spec.class_id
+        self._arrive(node_id, class_id, pages)
+        chain = self.cluster._chain(node_id)
+        chain._fast_proc = self
+        chain._run(pages, class_id)
+
+    def _arrive(self, node_id: int, class_id: int, pages) -> float:
+        """Count, report and record an operation starting now."""
+        now = self.cluster.env._now
+        self.operations_started += 1
+        self.sink.on_arrival(node_id, class_id, now)
+        if self.recorder is not None:
+            self.recorder.record(now, node_id, class_id, tuple(pages))
+        return now
+
+    def _resume(self, chain) -> None:
+        """Handler: a read-only operation's fetch chain finished its run."""
+        now = chain.env._now
         self.operations_completed += 1
         self.sink.on_complete(
-            node_id, class_spec.class_id, response, env.now
+            chain._node_id, chain._class, now - chain._start, now
         )
 
     def _transactional_operation(self, node_id, class_spec, pages):
-        """Run one operation as a 2PL/WAL/2PC transaction (§3)."""
+        """Process: one operation run as a 2PL/WAL/2PC transaction (§3)."""
         from repro.txn.locks import DeadlockError
 
+        env = self.cluster.env
+        class_id = class_spec.class_id
+        started = self._arrive(node_id, class_id, pages)
         rng = self.cluster.rng
-        write_stream = f"writes/n{node_id}/c{class_spec.class_id}"
+        write_stream = f"writes/n{node_id}/c{class_id}"
         txn = self.txn_manager.begin(node_id)
         try:
             for page_id in pages:
                 if rng.random(write_stream) < class_spec.write_fraction:
                     yield from self.txn_manager.write(
                         txn, page_id,
-                        payload=f"t{txn.txn_id}",
-                        class_id=class_spec.class_id,
+                        payload=f"t{txn.txn_id}", class_id=class_id,
                     )
                 else:
                     yield from self.txn_manager.read(
-                        txn, page_id, class_id=class_spec.class_id
+                        txn, page_id, class_id=class_id
                     )
             yield from self.txn_manager.commit(txn)
         except DeadlockError:
@@ -163,3 +181,5 @@ class WorkloadGenerator:
             # completes (with the time it burned) — no retry, as in an
             # open system the client sees the failure latency.
             pass
+        self.operations_completed += 1
+        self.sink.on_complete(node_id, class_id, env.now - started, env.now)

@@ -298,19 +298,22 @@ def test_empty_run_is_a_no_op():
 
 
 def test_workload_generator_routes_through_batched_path(monkeypatch):
-    """The open-system generator feeds operations through access_run."""
+    """The open-system generator runs each operation as one fetch chain
+    run of ``pages_per_op`` pages, and owns the chain itself."""
+    from repro.cluster.cluster import _FetchChain
     from repro.workload.generator import WorkloadGenerator
     from repro.workload.spec import ClassSpec, WorkloadSpec
 
     cluster = Cluster(_config(), seed=1)
     calls = []
-    original = cluster.access_run
+    original = _FetchChain._run
 
-    def spy(node_id, pages, class_id):
-        calls.append((node_id, tuple(pages), class_id))
-        return original(node_id, pages, class_id)
+    def spy(chain, pages, class_id):
+        calls.append((chain._node_id, tuple(pages), class_id,
+                      chain._fast_proc))
+        return original(chain, pages, class_id)
 
-    monkeypatch.setattr(cluster, "access_run", spy)
+    monkeypatch.setattr(_FetchChain, "_run", spy)
     spec = WorkloadSpec(classes=[
         ClassSpec(
             class_id=1, goal_ms=10.0, pages=tuple(range(100)),
@@ -320,5 +323,9 @@ def test_workload_generator_routes_through_batched_path(monkeypatch):
     generator = WorkloadGenerator(cluster, spec)
     generator.start()
     cluster.env.run(until=50.0)
-    assert calls, "no operations ran through the batched path"
-    assert all(len(pages) == 3 for _, pages, _ in calls)
+    assert calls, "no operations ran through the fetch chain"
+    assert len(calls) == generator.operations_started
+    assert all(len(pages) == 3 for _, pages, _, _ in calls)
+    assert all(class_id == 1 for _, _, class_id, _ in calls)
+    assert all(owner is generator for _, _, _, owner in calls)
+    assert 0 < generator.operations_completed <= len(calls)

@@ -18,13 +18,14 @@ from repro.cluster.cluster import Cluster
 from repro.workload.blockgen import (
     DEFAULT_BLOCK,
     ExponentialColumn,
+    NodeDispatcher,
     ZipfColumn,
-    node_dispatcher,
 )
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.spec import ClassSpec, WorkloadSpec
 from repro.workload.trace import TraceRecorder
 from repro.workload.zipf import ZipfPagePicker, ZipfSampler
+from tests.frontend_reference import reference_operation
 
 
 # -- column-level equivalence (Hypothesis) --------------------------
@@ -159,7 +160,7 @@ def _reference_arrivals(generator, node_id, class_spec):
             picker.pick(rng.stream(page_stream))
             for _ in range(spec.pages_per_op)
         ]
-        env.process(generator._operation(node_id, spec, pages))
+        env.process(reference_operation(generator, node_id, spec, pages))
 
 
 def _build(config, start_reference, block=DEFAULT_BLOCK):
@@ -175,9 +176,7 @@ def _build(config, start_reference, block=DEFAULT_BLOCK):
                 )
     else:
         for node_id in range(cluster.num_nodes):
-            cluster.env.process(
-                node_dispatcher(generator, node_id, block=block)
-            )
+            NodeDispatcher(generator, node_id, block=block)
     return cluster, generator, recorder
 
 
