@@ -127,7 +127,6 @@ def _cmd_table2(args) -> None:
         max_replications=args.replications,
         base_seed=args.seed,
         jobs=args.jobs,
-        runner=args.runner,
     )
     print(table2.to_text(results))
 
@@ -461,19 +460,21 @@ def _jobs_value(text: str) -> int:
     return jobs
 
 
-def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--jobs", type=_jobs_value, default=1, metavar="N",
+#: Flags shared by several subcommands, as ``add_argument`` keywords.
+#: ``--warmup-ms`` takes its default from the subcommand: the defaults
+#: differ on purpose (see the constants in repro.experiments.runner) —
+#: calibration warms 3x longer than the feedback experiments and
+#: resilience's scaled-down setting warms half as long.
+SHARED_FLAGS = {
+    "--jobs": dict(
+        type=_jobs_value, default=1, metavar="N",
         help=(
             "worker processes for independent simulation runs "
             "(0 = all cores); results are identical for any value"
         ),
-    )
-
-
-def _add_runner_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--runner", choices=("auto", "fork", "cold"), default="auto",
+    ),
+    "--runner": dict(
+        choices=("auto", "fork", "cold"), default="auto",
         help=(
             "sweep execution strategy: 'fork' shares one warmed "
             "simulation per replicate via os.fork (bit-identical to "
@@ -481,12 +482,9 @@ def _add_runner_flag(parser: argparse.ArgumentParser) -> None:
             "forks whenever the sweep shares warm state and the "
             "platform allows it"
         ),
-    )
-
-
-def _add_telemetry_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--telemetry", metavar="DIR", default=None,
+    ),
+    "--telemetry": dict(
+        metavar="DIR", default=None,
         help=(
             "export structured telemetry (JSONL trace, Prometheus "
             "metrics, Perfetto timeline) into DIR; sweeps write one "
@@ -494,40 +492,25 @@ def _add_telemetry_flag(parser: argparse.ArgumentParser) -> None:
             "docs/observability.md); off by default with zero "
             "hot-path cost"
         ),
-    )
-
-
-def _add_warmup_flag(
-    parser: argparse.ArgumentParser, default_ms: float
-) -> None:
-    # The per-experiment defaults differ on purpose (see the constants
-    # in repro.experiments.runner): calibration warms 3x longer than
-    # the feedback experiments and resilience's scaled-down setting
-    # warms half as long.
-    parser.add_argument(
-        "--warmup-ms", type=float, default=default_ms, metavar="MS",
+    ),
+    "--warmup-ms": dict(
+        type=float, metavar="MS",
         help=(
             "simulated warm-up before the controller starts "
-            f"(default: {default_ms:g} ms for this experiment)"
+            "(default: %(default)g ms for this experiment)"
         ),
-    )
-
-
-def _add_live_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--live-port", type=int, default=None, metavar="PORT",
+    ),
+    "--live-port": dict(
+        type=int, default=None, metavar="PORT",
         help=(
             "stream this run to the live observability dashboard on "
             "localhost:PORT (0 picks a free port); results are "
             "bit-identical with or without the flag (see "
             "docs/observability.md)"
         ),
-    )
-
-
-def _add_prescreen_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--prescreen", type=int, default=0, metavar="N",
+    ),
+    "--prescreen": dict(
+        type=int, default=0, metavar="N",
         help=(
             "analytic fast path: classify a dense N-point goal grid "
             "with the multiclass MVA solver (milliseconds) and "
@@ -536,7 +519,20 @@ def _add_prescreen_flag(parser: argparse.ArgumentParser) -> None:
             "the same points of an unscreened sweep (see "
             "docs/analytic.md)"
         ),
-    )
+    ),
+}
+
+
+def _add_shared_flags(
+    parser: argparse.ArgumentParser, *options: str, warmup_ms=None
+) -> None:
+    """Add the named :data:`SHARED_FLAGS`; ``warmup_ms`` is this
+    subcommand's ``--warmup-ms`` default."""
+    for option in options:
+        kwargs = dict(SHARED_FLAGS[option])
+        if option == "--warmup-ms":
+            kwargs["default"] = warmup_ms
+        parser.add_argument(option, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -567,19 +563,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="instead of the figure, sweep POINTS fixed "
                         "goals across the calibrated range (amortized "
                         "by the warm-state fork server)")
-    _add_prescreen_flag(p)
-    _add_warmup_flag(p, DEFAULT_WARMUP_MS)
-    _add_runner_flag(p)
-    _add_jobs_flag(p)
-    _add_telemetry_flag(p)
-    _add_live_flag(p)
+    _add_shared_flags(
+        p, "--prescreen", "--warmup-ms", "--runner", "--jobs",
+        "--telemetry", "--live-port", warmup_ms=DEFAULT_WARMUP_MS,
+    )
     p.set_defaults(func=_cmd_figure2)
 
     p = sub.add_parser("table2", help="convergence vs. skew")
     p.add_argument("--seed", type=int, default=100)
     p.add_argument("--replications", type=int, default=12)
-    _add_runner_flag(p)
-    _add_jobs_flag(p)
+    _add_shared_flags(p, "--jobs")
     p.set_defaults(func=_cmd_table2)
 
     p = sub.add_parser("multiclass", help="§7.4 sharing study")
@@ -589,12 +582,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="instead of the sharing sweep, sweep these "
                         "(goal k1, goal k2) pairs off one warmed "
                         "simulation, e.g. --goal-pairs 3:8 4:10 5:12")
-    _add_prescreen_flag(p)
-    _add_warmup_flag(p, DEFAULT_WARMUP_MS)
-    _add_runner_flag(p)
-    _add_jobs_flag(p)
-    _add_telemetry_flag(p)
-    _add_live_flag(p)
+    _add_shared_flags(
+        p, "--prescreen", "--warmup-ms", "--runner", "--jobs",
+        "--telemetry", "--live-port", warmup_ms=DEFAULT_WARMUP_MS,
+    )
     p.set_defaults(func=_cmd_multiclass)
 
     p = sub.add_parser("overhead", help="§7.5 overhead breakdown")
@@ -627,11 +618,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="instead of one goal, sweep these goals under "
                         "the same fault schedule (amortized by the "
                         "warm-state fork server)")
-    _add_warmup_flag(p, RESILIENCE_WARMUP_MS)
-    _add_runner_flag(p)
-    _add_jobs_flag(p)
-    _add_telemetry_flag(p)
-    _add_live_flag(p)
+    _add_shared_flags(
+        p, "--warmup-ms", "--runner", "--jobs", "--telemetry",
+        "--live-port", warmup_ms=RESILIENCE_WARMUP_MS,
+    )
     p.set_defaults(func=_cmd_resilience)
 
     p = sub.add_parser(
@@ -649,9 +639,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", metavar="PATH", default=None,
                    help="also write the property matrix as JSON "
                         "(the CI resilience-matrix artifact)")
-    _add_warmup_flag(p, RESILIENCE_WARMUP_MS)
-    _add_jobs_flag(p)
-    _add_live_flag(p)
+    _add_shared_flags(
+        p, "--warmup-ms", "--jobs", "--live-port",
+        warmup_ms=RESILIENCE_WARMUP_MS,
+    )
     p.set_defaults(func=_cmd_chaos)
 
     p = sub.add_parser("scaling", help="node-count / complexity scaling")
@@ -665,8 +656,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=[4, 8, 16], metavar="P",
                    help="operation sizes for the complexity sweep "
                         "(empty skips the sweep)")
-    _add_jobs_flag(p)
-    _add_telemetry_flag(p)
+    _add_shared_flags(p, "--jobs", "--telemetry")
     p.set_defaults(func=_cmd_scaling)
 
     p = sub.add_parser("all", help="every experiment in sequence")
@@ -732,7 +722,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: exact)")
     p.add_argument("--json", metavar="PATH", default=None,
                    help="also write the comparison report as JSON")
-    _add_jobs_flag(p)
+    _add_shared_flags(p, "--jobs")
     p.set_defaults(func=_cmd_validate_analytic)
 
     return parser

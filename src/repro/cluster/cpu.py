@@ -10,11 +10,10 @@ from repro.sim.resources import Resource
 class Cpu:
     """One node's processor.
 
-    Simulation processes consume CPU with::
-
-        yield from cpu.consume(instructions)
-
-    which queues FCFS behind other work on the same node.
+    Work holds :attr:`resource` for ``instructions / (mips * 1000)`` ms
+    (the page-access state machine in :mod:`repro.cluster.cluster`
+    charges it that way), queueing FCFS behind other work on the same
+    node.
     """
 
     def __init__(self, env: Environment, params: CpuParameters):
@@ -24,10 +23,6 @@ class Cpu:
         # Same divisor service_ms uses, precomputed once; dividing by it
         # keeps the float results identical to params.service_ms.
         self._mips_ms = params.mips * 1_000.0
-
-    def consume(self, instructions: float):
-        """Generator: hold the CPU for ``instructions`` instructions."""
-        return self.resource.occupy(instructions / self._mips_ms)
 
     def utilization(self) -> float:
         """Fraction of elapsed time this CPU was busy."""

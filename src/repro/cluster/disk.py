@@ -11,9 +11,13 @@ from repro.sim.stats import OnlineStats
 class Disk:
     """One node's local disk.
 
-    Each read occupies the arm for seek + rotation + transfer time;
-    concurrent requests queue FCFS, so disk contention emerges naturally
-    under load.
+    Each page read holds :attr:`resource` (the arm) for
+    ``params.access_ms`` — seek + rotation + transfer, times
+    :attr:`fault_factor` — and counts into :attr:`reads` and
+    :attr:`service_stats` (the page-access state machine in
+    :mod:`repro.cluster.cluster` charges it that way); concurrent
+    requests queue FCFS, so disk contention emerges naturally under
+    load.
     """
 
     def __init__(self, env: Environment, params: DiskParameters):
@@ -26,15 +30,6 @@ class Disk:
         #: Service-time multiplier of an active slowdown episode (set
         #: and restored by :class:`repro.faults.FaultInjector`).
         self.fault_factor = 1.0
-
-    def read(self, nbytes: int):
-        """Generator: perform one read of ``nbytes`` bytes."""
-        service = self.params.access_ms(nbytes)
-        if self.fault_factor != 1.0:
-            service *= self.fault_factor
-        yield from self.resource.occupy(service)
-        self.reads += 1
-        self.service_stats.add(service)
 
     def sequential_write(self, nbytes: int):
         """Generator: append ``nbytes`` sequentially (log writes).

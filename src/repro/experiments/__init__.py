@@ -7,7 +7,7 @@
 - :mod:`repro.experiments.overhead` — §7.5 overhead accounting.
 - :mod:`repro.experiments.calibration` — the §7.3 goal-range anchors.
 - :mod:`repro.experiments.convergence` — the §7.1 measurement protocol.
-- :mod:`repro.experiments.forkserver` — warm-state fork server for sweeps.
+- :mod:`repro.experiments.forkserver` — the one sweep executor.
 """
 
 from repro.experiments.calibration import (
@@ -22,10 +22,8 @@ from repro.experiments.forkserver import (
     WarmupInvarianceError,
     apply_delta,
     plan_sweep,
-    run_warm_groups,
-    run_warm_sweep,
+    run_sweep,
     supports_fork,
-    warmup_invariant,
 )
 from repro.experiments.convergence import (
     ConvergenceResult,
@@ -112,8 +110,6 @@ __all__ = [
     "run_sharing_sweep",
     "run_table1",
     "run_table2",
-    "run_warm_groups",
-    "run_warm_sweep",
+    "run_sweep",
     "supports_fork",
-    "warmup_invariant",
 ]

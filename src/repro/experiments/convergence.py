@@ -152,7 +152,6 @@ def convergence_experiment(
     max_replications: int = 12,
     base_seed: int = 100,
     jobs: int = 1,
-    runner: str = "auto",
 ) -> ConvergenceResult:
     """Replicated convergence measurement for one skew setting.
 
@@ -166,21 +165,10 @@ def convergence_experiment(
     ``jobs`` value yields the same samples and statistics as ``jobs=1``.
 
     Every replicate here has its own seed, so no two units of work
-    share a warm-up trajectory — the fork-server planner
-    (:func:`repro.experiments.forkserver.plan_sweep`) therefore always
-    resolves this protocol to the cold per-replicate path.  Passing
-    ``runner='fork'`` raises rather than silently running cold.
+    share a warm-up trajectory and there is nothing for the fork path
+    of :mod:`repro.experiments.forkserver` to amortize.
     """
-    from repro.experiments.forkserver import plan_sweep
-
     settings = settings if settings is not None else ConvergenceSettings()
-    plan_sweep(
-        runner,
-        warm_keys=[
-            derive_replicate_seed(base_seed, i)
-            for i in range(max_replications)
-        ],
-    )
     if goal_range is None:
         workload = default_workload(
             settings.config,

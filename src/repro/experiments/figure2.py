@@ -16,13 +16,14 @@ Run standalone::
 from __future__ import annotations
 
 import functools
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.cluster.config import SystemConfig
 from repro.experiments.calibration import GoalRange, calibrate_goal_range
 from repro.experiments.convergence import _next_goal
+from repro.experiments.forkserver import WarmDelta, WarmGroup, run_sweep
+from repro.experiments.parallel import derive_replicate_seed
 from repro.experiments.reporting import emit, format_series, format_table
 from repro.experiments.runner import (
     DEFAULT_WARMUP_MS,
@@ -296,21 +297,6 @@ def _summarize_goal_point(sim: Simulation, intervals: int) -> GoalPoint:
     return point
 
 
-def _cold_goal_point_task(task) -> GoalPoint:
-    """One cold sweep point (module-level: picklable for ``jobs>1``)."""
-    (config, skew, arrival_rate_per_node, goal_ms, seed, warmup_ms,
-     intervals, telemetry) = task
-    workload = default_workload(
-        config, goal_ms=goal_ms, skew=skew,
-        arrival_rate_per_node=arrival_rate_per_node,
-    )
-    sim = Simulation(
-        config=config, workload=workload, seed=seed, warmup_ms=warmup_ms,
-        telemetry=telemetry,
-    )
-    return _summarize_goal_point(sim, intervals)
-
-
 def _build_sweep_sim(
     config: SystemConfig,
     skew: float,
@@ -319,7 +305,7 @@ def _build_sweep_sim(
     seed: int,
     warmup_ms: float,
 ) -> Simulation:
-    """Parent simulation of one warm group (module-level for clarity)."""
+    """Parent simulation of one warm group (module-level: picklable)."""
     workload = default_workload(
         config, goal_ms=base_goal_ms, skew=skew,
         arrival_rate_per_node=arrival_rate_per_node,
@@ -360,14 +346,13 @@ def run_goal_sweep(
 
     Every sweep point runs the §7.2 setup to ``intervals`` observation
     intervals under one *fixed* goal.  The goal only reaches the
-    coordinator — never the workload or the caches — so all points of a
-    replicate share one warm-up trajectory, and the warm-state fork
-    server (:mod:`repro.experiments.forkserver`) warms each replicate
-    **once** and forks the points from the warmed image; results are
-    bit-identical to the cold per-point path, which ``runner='cold'``
-    (or any platform without ``os.fork``) still runs via
-    :func:`~repro.experiments.parallel.run_tasks`.  ``goals`` defaults
-    to ``points`` goals evenly spaced across the calibrated range.
+    coordinator — never the workload or the caches — so each replicate
+    is one warm group of :func:`repro.experiments.forkserver.run_sweep`:
+    it warms **once** and forks the points from the warmed image.
+    Results are bit-identical to the cold per-point path that
+    ``runner='cold'`` (or any platform without ``os.fork``) runs.
+    ``goals`` defaults to ``points`` goals evenly spaced across the
+    calibrated range.
     ``telemetry`` (a directory path) exports per-point telemetry to
     ``<dir>/rep<r>-goal<g>/`` and a merged trace at the top level; the
     point directories are named by replicate and goal index, so fork
@@ -384,9 +369,6 @@ def run_goal_sweep(
     report lands on :attr:`GoalSweepData.prescreen` and, with
     ``telemetry``, as a ``prescreen`` record in the merged trace.
     """
-    from repro.experiments import forkserver
-    from repro.experiments.parallel import derive_replicate_seed, run_tasks
-
     config = config if config is not None else SystemConfig()
     if goal_range is None:
         workload = default_workload(
@@ -402,6 +384,7 @@ def run_goal_sweep(
         )
     goals = list(goals)
     prescreen_report = None
+    records = []
     if prescreen:
         from repro.analytic.frontier import prescreen_goals
 
@@ -414,75 +397,32 @@ def run_goal_sweep(
             goals,
         )
         goals = prescreen_report.selected_goals()
-    seeds = [derive_replicate_seed(seed, i) for i in range(replicates)]
-
-    deltas = [
-        forkserver.WarmDelta.for_goals({1: goal_ms}) for goal_ms in goals
-    ]
-    warm_keys = [s for s in seeds for _ in goals]
-    mode = forkserver.plan_sweep(runner, warm_keys, deltas * len(seeds))
-    data = GoalSweepData(
-        goal_range=goal_range, runner=mode, prescreen=prescreen_report
-    )
-
-    def point_dir(rep: int, goal_index: int) -> Optional[str]:
-        if telemetry is None:
-            return None
-        return os.path.join(telemetry, f"rep{rep}-goal{goal_index}")
-
-    if mode == "fork":
-        groups = [
-            forkserver.WarmGroup(
-                build=functools.partial(
-                    _build_sweep_sim, config, skew,
-                    arrival_rate_per_node, goals[0], rep_seed, warmup_ms,
-                ),
-                deltas=[
-                    forkserver.telemetry_delta(delta, point_dir(rep, g))
-                    if telemetry is not None else delta
-                    for g, delta in enumerate(deltas)
-                ],
-                measure=functools.partial(
-                    _summarize_goal_point, intervals=intervals
-                ),
-            )
-            for rep, rep_seed in enumerate(seeds)
-        ]
-        for group_points in forkserver.run_warm_groups(
-            groups, jobs=jobs, runner="fork"
-        ):
-            data.points.extend(group_points)
-    else:
-        tasks = [
-            (config, skew, arrival_rate_per_node, goal_ms, rep_seed,
-             warmup_ms, intervals, point_dir(rep, g))
-            for rep, rep_seed in enumerate(seeds)
-            for g, goal_ms in enumerate(goals)
-        ]
-        data.points.extend(
-            run_tasks(_cold_goal_point_task, tasks, jobs=jobs)
-        )
-    if telemetry is not None:
-        from repro.telemetry.exporters import merge_point_dirs
-
-        merge_point_dirs(
-            telemetry,
-            [
-                (f"rep{rep}-goal{g}", point_dir(rep, g))
-                for rep in range(len(seeds))
-                for g in range(len(goals))
+        records.append({
+            "kind": "prescreen", "t": 0.0,
+            **prescreen_report.trace_fields(),
+        })
+    groups = [
+        WarmGroup(
+            build=functools.partial(
+                _build_sweep_sim, config, skew, arrival_rate_per_node,
+                goals[0], derive_replicate_seed(seed, rep), warmup_ms,
+            ),
+            deltas=[
+                WarmDelta.for_goals({1: goal_ms}, label=f"rep{rep}-goal{g}")
+                for g, goal_ms in enumerate(goals)
             ],
+            measure=functools.partial(
+                _summarize_goal_point, intervals=intervals
+            ),
         )
-        if prescreen_report is not None:
-            from repro.telemetry.exporters import append_trace_records
-            from repro.telemetry.trace import TraceLog
-
-            log = TraceLog()
-            log.emit(
-                "prescreen", 0.0, **prescreen_report.trace_fields()
-            )
-            append_trace_records(telemetry, log.records)
-    return data
+        for rep in range(replicates)
+    ]
+    mode, results = run_sweep(groups, jobs, runner, telemetry, records)
+    return GoalSweepData(
+        goal_range=goal_range, runner=mode,
+        points=[point for group in results for point in group],
+        prescreen=prescreen_report,
+    )
 
 
 def main() -> None:

@@ -1,54 +1,57 @@
-"""Warm-state fork server: amortize simulation warm-up across sweep points.
+"""The sweep executor: every experiment sweep runs through :func:`run_sweep`.
 
-Every sweep in this repository pays a simulated warm-up per point per
-replicate before the controller's feedback loop is even exercised —
-for short-horizon sweeps the dominant share of wall-clock.  The warm-up
-trajectory is, by construction, independent of the response time
-goals, the goal tolerance, and the controller policy knobs: the
-controller only *observes* during warm-up (its agents record arrivals
-and completions), and none of those parameters influence the workload
-generator, the cluster, or any RNG stream before the controller is
-activated.  Sweep points that differ only in such parameters can
-therefore share one warmed simulation.
+A sweep is a list of :class:`WarmGroup`\\ s.  Each group is one
+``build`` (a picklable :func:`functools.partial` of a module-level
+builder returning an un-warmed
+:class:`~repro.experiments.runner.Simulation`), its points (one
+:class:`WarmDelta` each: the goals the point re-targets and the
+``label`` naming its telemetry subdirectory), and one picklable
+``measure`` that runs the measured horizon and returns the point's
+result.  Every point runs **build → warm → delta → measure**; the
+executor only decides where.
 
-A warmed :class:`~repro.experiments.runner.Simulation` is not
-picklable — it holds live generator coroutines, the event heap, heat
-trackers, the page directory, and primed RNG streams — so the sharing
-mechanism is ``os.fork()``: the parent process builds and warms the
-simulation **once**, then forks one child per sweep point.  Each child
-continues from the copy-on-write memory image (exact, so results are
-bit-identical to a cold per-point run), applies its point-specific
-:class:`WarmDelta`, runs the measured horizon, and streams its pickled
-result back over a pipe.  ``jobs`` children run concurrently, so fork
-fan-out composes with the process-parallel replication of
-:mod:`repro.experiments.parallel`.
+The warm-up trajectory is independent of the response time goals: the
+controller only *observes* during warm-up, and goals never reach the
+workload generator, the cluster, or any RNG stream before the
+controller is activated.  Points of one group can therefore share one
+warmed simulation.  A warmed simulation is not picklable (it holds
+live generator coroutines, the event heap and primed RNG streams), so
+the sharing mechanism is ``os.fork()``: the parent builds and warms a
+group **once**, then forks one child per point.  Each child continues
+from the copy-on-write memory image, applies its delta, measures, and
+streams its pickled result back over a pipe — bit-identical to the
+same point run cold from scratch.
 
-Safety is enforced by a two-stage warm-up-invariance guard:
+:func:`run_sweep` does each of these jobs exactly once:
 
-* **statically** — :func:`plan_sweep` only selects the fork path when
-  every delta is declared warm-up-invariant (the structured
-  :class:`WarmDelta` fields are invariant by construction; arbitrary
-  ``configure`` callables must be vetted with the
-  :func:`warmup_invariant` decorator) and when the sweep actually
-  shares warm state (more than one point per warm key);
-* **at runtime** — :func:`apply_delta` fingerprints the simulation
-  (clock, event-heap occupancy, scheduling sequence, every RNG-stream
-  state) before and after the delta and raises
-  :class:`WarmupInvarianceError` on any perturbation.
+* plans the mode with :func:`plan_sweep` ('auto' | 'fork' | 'cold');
+* forks every group of more than one point off its warmed parent,
+  ``jobs`` children at a time;
+* runs every other point cold through
+  :func:`~repro.experiments.parallel.run_tasks`, so ``jobs`` also
+  parallelizes sweeps of singleton groups;
+* arms telemetry for ``<telemetry>/<label>`` inside :func:`apply_delta`
+  (the pipeline attaches at activation, files open at export — both
+  after the fork, so each child writes its own sink);
+* merges the point directories in group-major point order, whatever
+  order the points finished in;
+* appends the sweep-level ``records`` (e.g. the analytic ``prescreen``
+  record) to the merged trace.
 
-On platforms without ``os.fork`` (or when the plan decides the points
-do not share warm state) the same sweeps fall back to the cold
-per-point path — gracefully, never as a failure.
+:func:`apply_delta` guards the fork at runtime on both paths: it
+fingerprints the simulation (clock, event-heap occupancy, scheduling
+sequence, every RNG-stream state) before and after the delta and
+raises :class:`WarmupInvarianceError` on any perturbation.  On
+platforms without ``os.fork`` 'auto' falls back to the cold path.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import pickle
 import selectors
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
@@ -60,7 +63,7 @@ from typing import (
     Tuple,
 )
 
-from repro.experiments.parallel import resolve_jobs
+from repro.experiments.parallel import resolve_jobs, run_tasks
 from repro.experiments.runner import Simulation
 
 #: Chunk size for draining child result pipes.
@@ -80,98 +83,47 @@ def supports_fork() -> bool:
     return hasattr(os, "fork") and hasattr(os, "pipe")
 
 
-def warmup_invariant(fn: Callable) -> Callable:
-    """Mark a ``configure`` callable as vetted warm-up-invariant.
-
-    The contract: the callable may mutate controller and coordinator
-    state (goals, tolerances, policy knobs, coordinator subclasses) but
-    must not advance the clock, schedule or cancel events, draw from
-    any RNG stream, or touch the cluster, workload, or generator.  The
-    runtime fingerprint guard verifies the observable half of this.
-    """
-    fn.__warmup_invariant__ = True
-    return fn
-
-
 @dataclass(frozen=True)
 class WarmDelta:
-    """A warm-up-invariant description of one sweep point.
+    """One sweep point: the goals it re-targets, and its label.
 
-    ``goals`` maps goal class ids to new response time goals (applied
-    via ``controller.set_goal``, which is state-equivalent to having
-    constructed the simulation with that goal because coordinators are
-    untouched during warm-up).  ``tolerance_factory`` replaces every
-    coordinator's goal tolerance.  ``configure`` is an escape hatch for
-    controller-policy deltas (e.g. swapping in baseline coordinators);
-    it must be vetted with :func:`warmup_invariant` or the planner
-    refuses to fork.  ``tag`` is an opaque label carried through for
-    the caller's bookkeeping.
+    ``goals`` maps goal class ids to response time goals, applied via
+    ``controller.set_goal`` — state-equivalent to having built the
+    simulation with that goal, because coordinators are untouched
+    during warm-up.  ``label`` names the point's telemetry
+    subdirectory and its entry in the merged trace.
     """
 
     goals: Tuple[Tuple[int, float], ...] = ()
-    tolerance_factory: Optional[Callable[[], Any]] = None
-    configure: Optional[Callable[[Simulation], None]] = None
-    tag: Any = None
+    label: str = ""
 
     @staticmethod
-    def for_goals(goals: Mapping[int, float], **kwargs) -> "WarmDelta":
+    def for_goals(goals: Mapping[int, float], label: str = "") -> "WarmDelta":
         """Delta that re-targets the given goal classes."""
-        return WarmDelta(goals=tuple(sorted(goals.items())), **kwargs)
-
-    @property
-    def statically_invariant(self) -> bool:
-        """True when every field is warm-up-invariant by construction."""
-        return self.configure is None or bool(
-            getattr(self.configure, "__warmup_invariant__", False)
-        )
-
-
-def telemetry_delta(delta: WarmDelta, outdir: str) -> WarmDelta:
-    """Extend ``delta`` so its sweep point exports telemetry to ``outdir``.
-
-    ``Simulation.set_telemetry`` only records the spec — the pipeline
-    attaches at activation and files open at export, both inside the
-    forked child — so the added ``configure`` is warm-up-invariant and
-    each child writes its own per-point sink post-fork.  The cold path
-    applies the same delta, giving bit-identical artifacts.
-    """
-    base = delta.configure
-
-    @warmup_invariant
-    def configure(sim: Simulation) -> None:
-        if base is not None:
-            base(sim)
-        sim.set_telemetry(outdir)
-
-    return dataclasses.replace(delta, configure=configure)
-
-
-def _measure_nothing(sim: Simulation) -> None:
-    """Default measure: discard the simulation and return nothing."""
-    return None
+        return WarmDelta(goals=tuple(sorted(goals.items())), label=label)
 
 
 @dataclass
 class WarmGroup:
-    """One warm-state group: points sharing a single warmed parent.
+    """Sweep points sharing one build, hence one warm-up trajectory.
 
-    ``build`` constructs the (un-warmed) :class:`Simulation` shared by
-    all points of the group; ``deltas`` are the per-point adjustments;
-    ``measure`` runs the measured horizon on the (warmed, adjusted)
-    simulation and returns a **picklable** result — it crosses a pipe
-    on the fork path and a process boundary on parallel cold paths.
+    ``build`` constructs the un-warmed :class:`Simulation`; ``measure``
+    runs the measured horizon on the warmed, adjusted simulation and
+    returns a **picklable** result.  Both must themselves be picklable
+    (``functools.partial`` over module-level functions): cold points
+    cross a process boundary when ``jobs > 1``.
     """
 
     build: Callable[[], Simulation]
-    deltas: Sequence[WarmDelta] = field(default_factory=list)
-    measure: Callable[[Simulation], Any] = _measure_nothing
+    deltas: Sequence[WarmDelta]
+    measure: Callable[[Simulation], Any]
 
 
 # -- the warm-up-invariance guard ------------------------------------
 
 
 def warm_fingerprint(sim: Simulation) -> tuple:
-    """Snapshot of everything a warm-up-invariant delta must not touch.
+    """Snapshot of everything a sweep-point delta must not touch.
 
     Covers the simulation clock, the event-heap occupancy, the global
     scheduling sequence counter, and the exact state of every named RNG
@@ -192,14 +144,16 @@ def warm_fingerprint(sim: Simulation) -> tuple:
 
 
 def apply_delta(
-    sim: Simulation, delta: WarmDelta, guard: bool = True
+    sim: Simulation, delta: WarmDelta, telemetry: Optional[str] = None
 ) -> None:
     """Apply a sweep-point delta to a warmed, not-yet-active simulation.
 
-    Raises :class:`WarmupInvarianceError` when the simulation is in the
-    wrong phase (warm-up must precede controller activation — a delta
-    after activation could never have produced a cold-path-identical
-    run) or when applying the delta perturbs the warm fingerprint.
+    Sets the delta's goals and, when ``telemetry`` is given, arms the
+    export to ``<telemetry>/<label>``.  Raises
+    :class:`WarmupInvarianceError` when the simulation is in the wrong
+    phase (warm-up must precede controller activation — a delta after
+    activation could never have produced a cold-path-identical run) or
+    when applying the delta perturbs the warm fingerprint.
     """
     if sim.active:
         raise WarmupInvarianceError(
@@ -211,15 +165,12 @@ def apply_delta(
             "sweep-point delta applied before warm-up; warm() first so "
             "the guard can certify the delta against the warmed state"
         )
-    before = warm_fingerprint(sim) if guard else None
+    before = warm_fingerprint(sim)
     for class_id, goal_ms in delta.goals:
         sim.controller.set_goal(class_id, goal_ms)
-    if delta.tolerance_factory is not None:
-        for coordinator in sim.controller.coordinators.values():
-            coordinator.tolerance = delta.tolerance_factory()
-    if delta.configure is not None:
-        delta.configure(sim)
-    if guard and warm_fingerprint(sim) != before:
+    if telemetry is not None:
+        sim.set_telemetry(os.path.join(telemetry, delta.label))
+    if warm_fingerprint(sim) != before:
         raise WarmupInvarianceError(
             "sweep-point delta perturbed warm state (clock, event "
             "heap, or an RNG stream); it would not reproduce the "
@@ -230,47 +181,16 @@ def apply_delta(
 # -- planning ---------------------------------------------------------
 
 
-def _all_statically_invariant(
-    deltas: Sequence["WarmDelta"],
-) -> bool:
-    """Vet each *unique* ``configure`` callable once, not once per point.
-
-    Sweeps repeat a handful of delta shapes across replicates (the
-    figure-2 sweep passes ``deltas * len(seeds)``), so the planner
-    caches the vetting verdict per callable — the only field the
-    static check inspects — instead of re-evaluating the full list
-    point by point.  Deltas without a ``configure`` (the common case)
-    are invariant by construction and skip the cache entirely.
-    """
-    verdicts: Dict[int, bool] = {}
-    for delta in deltas:
-        fn = delta.configure
-        if fn is None:
-            continue
-        key = id(fn)
-        verdict = verdicts.get(key)
-        if verdict is None:
-            verdict = bool(getattr(fn, "__warmup_invariant__", False))
-            verdicts[key] = verdict
-        if not verdict:
-            return False
-    return True
-
-
-def plan_sweep(
-    runner: str,
-    warm_keys: Sequence,
-    deltas: Optional[Sequence[WarmDelta]] = None,
-) -> str:
+def plan_sweep(runner: str, warm_keys: Sequence) -> str:
     """Resolve ``runner`` ('auto' | 'fork' | 'cold') to a concrete mode.
 
     ``warm_keys`` carries one hashable key per sweep point; points
     share a warmed parent exactly when their keys are equal.  The fork
-    path is selected only when the platform supports ``os.fork``, at
-    least one key occurs more than once (otherwise there is no warm-up
-    to amortize), and every delta is statically warm-up-invariant.
-    ``runner='fork'`` raises :class:`ForkUnavailableError` instead of
-    silently degrading; ``'auto'`` falls back to ``'cold'``.
+    path is selected only when the platform supports ``os.fork`` and
+    at least one key occurs more than once (otherwise there is no
+    warm-up to amortize).  ``runner='fork'`` raises
+    :class:`ForkUnavailableError` instead of silently degrading;
+    ``'auto'`` falls back to ``'cold'``.
     """
     if runner not in ("auto", "fork", "cold"):
         raise ValueError(f"unknown runner {runner!r}")
@@ -279,11 +199,6 @@ def plan_sweep(
     reason = None
     if not supports_fork():
         reason = "platform has no os.fork"
-    elif deltas is not None and not _all_statically_invariant(deltas):
-        reason = (
-            "a delta carries a configure callable not vetted with "
-            "@warmup_invariant"
-        )
     else:
         keys = list(warm_keys)
         if len(keys) == len(set(keys)):
@@ -302,15 +217,12 @@ def plan_sweep(
 # -- execution --------------------------------------------------------
 
 
-def _run_cold_point(
-    build: Callable[[], Simulation],
-    delta: WarmDelta,
-    measure: Callable[[Simulation], Any],
-) -> Any:
-    """The cold per-point path: fresh simulation, same delta contract."""
+def _run_cold_point(task) -> Any:
+    """The cold path: fresh simulation, same delta contract (picklable)."""
+    build, delta, measure, telemetry = task
     sim = build()
     sim.warm()
-    apply_delta(sim, delta)
+    apply_delta(sim, delta, telemetry)
     return measure(sim)
 
 
@@ -319,6 +231,7 @@ def _child_main(
     sim: Simulation,
     delta: WarmDelta,
     measure: Callable[[Simulation], Any],
+    telemetry: Optional[str],
 ) -> None:
     """Body of a forked sweep-point child; never returns.
 
@@ -330,7 +243,7 @@ def _child_main(
     """
     try:
         try:
-            apply_delta(sim, delta)
+            apply_delta(sim, delta, telemetry)
             payload = pickle.dumps(
                 ("ok", measure(sim)), protocol=pickle.HIGHEST_PROTOCOL
             )
@@ -347,12 +260,9 @@ def _child_main(
 
 
 def _fork_group(
-    sim: Simulation,
-    deltas: Sequence[WarmDelta],
-    measure: Callable[[Simulation], Any],
-    jobs: int,
+    group: WarmGroup, jobs: int, telemetry: Optional[str]
 ) -> List[Any]:
-    """Fork one child per delta off the warmed ``sim``, ``jobs`` at a time.
+    """Warm ``group`` once and fork one child per point, ``jobs`` at a time.
 
     Results are slotted by point index, never by completion order, so
     the returned list is independent of scheduling — the same contract
@@ -360,7 +270,9 @@ def _fork_group(
     while children run (a child producing more than the pipe buffer
     would otherwise deadlock against a parent waiting on exit).
     """
-    results: List[Any] = [None] * len(deltas)
+    sim = group.build()
+    sim.warm()
+    results: List[Any] = [None] * len(group.deltas)
     sel = selectors.DefaultSelector()
     pending: dict = {}  # read fd -> (index, pid, bytearray)
 
@@ -393,7 +305,7 @@ def _fork_group(
                 reap(fd)
 
     try:
-        for index, delta in enumerate(deltas):
+        for index, delta in enumerate(group.deltas):
             while len(pending) >= jobs:
                 drain_once()
             read_fd, write_fd = os.pipe()
@@ -403,7 +315,7 @@ def _fork_group(
                 # Inherited read ends of sibling pipes are harmless for
                 # the parent's EOF detection (that hangs off the write
                 # ends), and os._exit drops them with the process.
-                _child_main(write_fd, sim, delta, measure)
+                _child_main(write_fd, sim, delta, group.measure, telemetry)
             os.close(write_fd)
             pending[read_fd] = (index, pid, bytearray())
             sel.register(read_fd, selectors.EVENT_READ)
@@ -422,53 +334,59 @@ def _fork_group(
     return results
 
 
-def run_warm_groups(
+def run_sweep(
     groups: Sequence[WarmGroup],
     jobs: int = 1,
     runner: str = "auto",
-) -> List[List[Any]]:
-    """Run every warm group, forking within groups of more than one point.
+    telemetry: Optional[str] = None,
+    records: Sequence[Dict] = (),
+) -> Tuple[str, List[List[Any]]]:
+    """Run every point of every group; return ``(mode, results)``.
 
-    Each group warms its parent simulation once; its points then run as
-    copy-on-write forks, up to ``jobs`` concurrently.  Singleton groups
-    (nothing to amortize) and ``runner='cold'`` use the cold per-point
-    path, which applies the *same* delta contract to a fresh simulation
-    — so the two paths are bit-identical by construction and every
-    group returns its results in point order.
+    ``mode`` is the planned runner ('fork' or 'cold'); ``results`` holds
+    one list per group, in point order.  In fork mode each group of
+    more than one point warms once and forks its points; every other
+    point runs cold — fresh build, warm, the same delta — through
+    :func:`~repro.experiments.parallel.run_tasks`, so both paths are
+    bit-identical by construction.  ``telemetry`` (a directory) exports
+    each point to ``<telemetry>/<label>``, merges the point directories
+    in group-major point order and appends ``records`` to the merged
+    trace.
     """
     jobs = resolve_jobs(jobs)
-    warm_keys = [
-        key for key, group in enumerate(groups) for _ in group.deltas
-    ]
-    deltas = [delta for group in groups for delta in group.deltas]
-    mode = plan_sweep(runner, warm_keys, deltas)
-    results: List[List[Any]] = []
-    for group in groups:
-        if mode == "cold" or len(group.deltas) <= 1:
-            results.append([
-                _run_cold_point(group.build, delta, group.measure)
-                for delta in group.deltas
-            ])
-            continue
-        sim = group.build()
-        sim.warm()
-        results.append(
-            _fork_group(sim, group.deltas, group.measure, jobs)
-        )
-    return results
-
-
-def run_warm_sweep(
-    build: Callable[[], Simulation],
-    deltas: Sequence[WarmDelta],
-    measure: Callable[[Simulation], Any],
-    jobs: int = 1,
-    runner: str = "auto",
-) -> List[Any]:
-    """Single-group convenience wrapper around :func:`run_warm_groups`."""
-    [results] = run_warm_groups(
-        [WarmGroup(build=build, deltas=list(deltas), measure=measure)],
-        jobs=jobs,
-        runner=runner,
+    mode = plan_sweep(
+        runner,
+        [key for key, group in enumerate(groups) for _ in group.deltas],
     )
-    return results
+
+    def forked(group: WarmGroup) -> bool:
+        return mode == "fork" and len(group.deltas) > 1
+
+    results: List[List[Any]] = [[None] * len(g.deltas) for g in groups]
+    cold = [
+        (g, p)
+        for g, group in enumerate(groups) if not forked(group)
+        for p in range(len(group.deltas))
+    ]
+    tasks = [
+        (groups[g].build, groups[g].deltas[p], groups[g].measure, telemetry)
+        for g, p in cold
+    ]
+    for (g, p), result in zip(cold, run_tasks(_run_cold_point, tasks, jobs)):
+        results[g][p] = result
+    for g, group in enumerate(groups):
+        if forked(group):
+            results[g] = _fork_group(group, jobs, telemetry)
+    if telemetry is not None:
+        from repro.telemetry.exporters import (
+            append_trace_records,
+            merge_point_dirs,
+        )
+
+        merge_point_dirs(telemetry, [
+            (delta.label, os.path.join(telemetry, delta.label))
+            for group in groups for delta in group.deltas
+        ])
+        if records:
+            append_trace_records(telemetry, records)
+    return mode, results

@@ -22,12 +22,11 @@ Run standalone::
 from __future__ import annotations
 
 import functools
-import os
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.config import NodeParameters, SystemConfig
-from repro.experiments.parallel import run_tasks
+from repro.experiments.forkserver import WarmDelta, WarmGroup, run_sweep
 from repro.experiments.reporting import emit, format_table
 from repro.experiments.runner import DEFAULT_WARMUP_MS, Simulation
 from repro.workload.spec import (
@@ -155,7 +154,7 @@ class MulticlassResult:
         )
 
 
-def run_sharing_point(
+def sharing_group(
     sharing: float,
     goal1_ms: float = 4.0,
     goal2_ms: float = 10.0,
@@ -165,22 +164,39 @@ def run_sharing_point(
     config: Optional[SystemConfig] = None,
     skew: float = 0.0,
     warmup_ms: float = DEFAULT_WARMUP_MS,
-    telemetry: Optional[str] = None,
+) -> WarmGroup:
+    """One sharing fraction as a one-point warm group.
+
+    The sharing fraction reshapes k2's page set, which feeds the
+    workload generator during warm-up, so every fraction needs its own
+    build.  The point is labelled ``share<sharing>``.
+    """
+    config = doubled_cache_config() if config is None else config
+    return WarmGroup(
+        build=functools.partial(
+            _build_goal_pair_sim, config, goal1_ms, goal2_ms, sharing,
+            skew, seed, warmup_ms,
+        ),
+        deltas=[WarmDelta(label=f"share{sharing:g}")],
+        measure=functools.partial(
+            _summarize_sharing_point, sharing=sharing,
+            intervals=intervals, tail=tail,
+        ),
+    )
+
+
+def run_sharing_point(
+    sharing: float, telemetry: Optional[str] = None, **kwargs
 ) -> SharingPoint:
-    """Run one sharing fraction to steady state and summarize the tail."""
-    config = (
-        doubled_cache_config() if config is None else config
-    )
-    workload = multiclass_workload(
-        config, goal1_ms, goal2_ms, sharing=sharing, skew=skew
-    )
-    sim = Simulation(
-        config=config, workload=workload, seed=seed, warmup_ms=warmup_ms,
-        telemetry=telemetry,
-    )
-    return _summarize_sharing_point(
-        sim, sharing=sharing, intervals=intervals, tail=tail
-    )
+    """Run one sharing fraction to steady state and summarize the tail.
+
+    ``kwargs`` are those of :func:`sharing_group`; ``telemetry`` (a
+    directory path) exports the run's artifacts there.
+    """
+    group = sharing_group(sharing, **kwargs)
+    sim = group.build()
+    sim.set_telemetry(telemetry)
+    return group.measure(sim)
 
 
 def _summarize_sharing_point(
@@ -224,12 +240,6 @@ def _summarize_sharing_point(
     return point
 
 
-def _sharing_point_task(task) -> SharingPoint:
-    """Unpack one ``(sharing, kwargs)`` task (picklable for ``jobs>1``)."""
-    sharing, kwargs = task
-    return run_sharing_point(sharing, **kwargs)
-
-
 def run_sharing_sweep(
     sharings: Sequence[float] = (0.0, 0.25, 0.5, 0.75, 1.0),
     jobs: int = 1,
@@ -239,37 +249,19 @@ def run_sharing_sweep(
 ) -> MulticlassResult:
     """The full §7.4(b) sweep over sharing fractions.
 
-    The sharing fraction reshapes k2's page set, which feeds the
-    workload generator *during warm-up* — so sharing points never share
-    warm state and the fork-server planner
-    (:func:`repro.experiments.forkserver.plan_sweep`) always resolves
-    this sweep to the cold per-point path: independent simulations
+    Every sharing fraction is its own warm group (see
+    :func:`sharing_group`), so no two points share warm state:
+    :func:`repro.experiments.forkserver.run_sweep` runs them cold,
     farmed to worker processes by ``jobs``, in ``sharings`` order.
     (Contrast :func:`run_goal_sweep`, whose points fork off one warmed
     image.)  ``runner='fork'`` therefore raises; pass ``'auto'``.
+    ``kwargs`` are those of :func:`sharing_group`.
     """
-    from repro.experiments.forkserver import plan_sweep
-
-    # One distinct warm key per sharing fraction: the plan documents
-    # (and enforces) that there is nothing to amortize here.
-    plan_sweep(runner, warm_keys=list(sharings))
-    labels = [f"share{sharing:g}" for sharing in sharings]
-    tasks = []
-    for sharing, label in zip(sharings, labels):
-        point_kwargs = dict(kwargs)
-        if telemetry is not None:
-            point_kwargs["telemetry"] = os.path.join(telemetry, label)
-        tasks.append((sharing, point_kwargs))
-    result = MulticlassResult()
-    result.points.extend(run_tasks(_sharing_point_task, tasks, jobs=jobs))
-    if telemetry is not None:
-        from repro.telemetry.exporters import merge_point_dirs
-
-        merge_point_dirs(
-            telemetry,
-            [(label, os.path.join(telemetry, label)) for label in labels],
-        )
-    return result
+    _, results = run_sweep(
+        [sharing_group(sharing, **kwargs) for sharing in sharings],
+        jobs, runner, telemetry,
+    )
+    return MulticlassResult(points=[point for [point] in results])
 
 
 # -- the goal-pair sweep ----------------------------------------------
@@ -374,21 +366,6 @@ def _measure_goal_pair(
     )
 
 
-def _cold_goal_pair_task(task) -> GoalPairPoint:
-    """One cold goal pair (module-level: picklable for ``jobs>1``)."""
-    (config, goal1_ms, goal2_ms, sharing, skew, seed, warmup_ms,
-     intervals, tail, telemetry) = task
-    sim = _build_goal_pair_sim(
-        config, goal1_ms, goal2_ms, sharing, skew, seed, warmup_ms
-    )
-    sim.warm()
-    if telemetry is not None:
-        sim.set_telemetry(telemetry)
-    return _measure_goal_pair(
-        sim, sharing=sharing, intervals=intervals, tail=tail
-    )
-
-
 def run_goal_sweep(
     goal_pairs: Sequence[Tuple[float, float]] = (
         (3.0, 8.0), (4.0, 10.0), (5.0, 12.0), (6.0, 14.0),
@@ -407,11 +384,11 @@ def run_goal_sweep(
 ) -> MulticlassGoalSweep:
     """Sweep the §7.4 system over (goal k1, goal k2) pairs.
 
-    Goals feed only the coordinators, never the warm-up, so every pair
-    shares one warmed simulation: the fork server warms once per sweep
-    and forks the pairs from the warmed image (``runner='cold'`` and
-    non-fork platforms run independent per-pair simulations instead —
-    bit-identical results either way).
+    Goals feed only the coordinators, never the warm-up, so the pairs
+    form one warm group: :func:`repro.experiments.forkserver.run_sweep`
+    warms once and forks the pairs from the warmed image
+    (``runner='cold'`` and non-fork platforms run independent per-pair
+    simulations instead — bit-identical results either way).
 
     ``prescreen`` arms the analytic fast path: the bounding box of
     ``goal_pairs`` is densified to a ~sqrt(prescreen)-per-side grid,
@@ -422,14 +399,13 @@ def run_goal_sweep(
     simulation keyed by (config, seed, goals), so the simulated subset
     is bit-identical to an unscreened sweep over the same pairs.
     """
-    from repro.experiments import forkserver
-
     config = doubled_cache_config() if config is None else config
     goal_pairs = [tuple(pair) for pair in goal_pairs]
     for goal1_ms, goal2_ms in goal_pairs:
         if goal1_ms >= goal2_ms:
             raise ValueError("the paper requires goal(k1) < goal(k2)")
     prescreen_report = None
+    records = []
     if prescreen:
         from repro.analytic.frontier import pair_grid, prescreen_goal_pairs
 
@@ -457,70 +433,30 @@ def run_goal_sweep(
                 "prescreening selected no simulatable goal pairs "
                 "(all frontier pairs violate goal(k1) < goal(k2))"
             )
-    deltas = [
-        forkserver.WarmDelta.for_goals({1: goal1_ms, 2: goal2_ms})
-        for goal1_ms, goal2_ms in goal_pairs
-    ]
-    mode = forkserver.plan_sweep(
-        runner, warm_keys=[seed] * len(goal_pairs), deltas=deltas
-    )
-    sweep = MulticlassGoalSweep(
-        sharing=sharing, runner=mode, prescreen=prescreen_report
-    )
-
-    def point_dir(pair_index: int) -> Optional[str]:
-        if telemetry is None:
-            return None
-        return os.path.join(telemetry, f"pair{pair_index}")
-
-    if mode == "fork":
-        base1, base2 = goal_pairs[0]
-        sweep.points.extend(forkserver.run_warm_sweep(
-            build=functools.partial(
-                _build_goal_pair_sim, config, base1, base2, sharing,
-                skew, seed, warmup_ms,
-            ),
-            deltas=[
-                forkserver.telemetry_delta(delta, point_dir(g))
-                if telemetry is not None else delta
-                for g, delta in enumerate(deltas)
-            ],
-            measure=functools.partial(
-                _measure_goal_pair, sharing=sharing,
-                intervals=intervals, tail=tail,
-            ),
-            jobs=jobs,
-            runner="fork",
-        ))
-    else:
-        tasks = [
-            (config, goal1_ms, goal2_ms, sharing, skew, seed,
-             warmup_ms, intervals, tail, point_dir(g))
+        records.append({
+            "kind": "prescreen", "t": 0.0,
+            **prescreen_report.trace_fields(),
+        })
+    base1, base2 = goal_pairs[0]
+    group = WarmGroup(
+        build=functools.partial(
+            _build_goal_pair_sim, config, base1, base2, sharing, skew,
+            seed, warmup_ms,
+        ),
+        deltas=[
+            WarmDelta.for_goals({1: goal1_ms, 2: goal2_ms}, label=f"pair{g}")
             for g, (goal1_ms, goal2_ms) in enumerate(goal_pairs)
-        ]
-        sweep.points.extend(
-            run_tasks(_cold_goal_pair_task, tasks, jobs=jobs)
-        )
-    if telemetry is not None:
-        from repro.telemetry.exporters import merge_point_dirs
-
-        merge_point_dirs(
-            telemetry,
-            [
-                (f"pair{g}", point_dir(g))
-                for g in range(len(goal_pairs))
-            ],
-        )
-        if prescreen_report is not None:
-            from repro.telemetry.exporters import append_trace_records
-            from repro.telemetry.trace import TraceLog
-
-            log = TraceLog()
-            log.emit(
-                "prescreen", 0.0, **prescreen_report.trace_fields()
-            )
-            append_trace_records(telemetry, log.records)
-    return sweep
+        ],
+        measure=functools.partial(
+            _measure_goal_pair, sharing=sharing, intervals=intervals,
+            tail=tail,
+        ),
+    )
+    mode, [points] = run_sweep([group], jobs, runner, telemetry, records)
+    return MulticlassGoalSweep(
+        sharing=sharing, runner=mode, points=points,
+        prescreen=prescreen_report,
+    )
 
 
 def main() -> None:

@@ -20,8 +20,8 @@ recovery metrics are computed per fault:
 
 Replication follows the repository convention: replicate ``i`` runs
 with ``derive_replicate_seed(base, i)`` and replicates are farmed out
-via :func:`~repro.experiments.parallel.run_tasks`, so ``--jobs N`` is
-bit-identical to ``--jobs 1``.
+by the sweep executor (:func:`repro.experiments.forkserver.run_sweep`),
+so ``--jobs N`` is bit-identical to ``--jobs 1``.
 
 Run standalone::
 
@@ -31,12 +31,12 @@ Run standalone::
 from __future__ import annotations
 
 import functools
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.config import NodeParameters, SystemConfig
-from repro.experiments.parallel import derive_replicate_seed, run_tasks
+from repro.experiments.forkserver import WarmDelta, WarmGroup, run_sweep
+from repro.experiments.parallel import derive_replicate_seed
 from repro.experiments.reporting import emit, format_table
 from repro.experiments.runner import (
     RESILIENCE_WARMUP_MS,
@@ -513,43 +513,6 @@ def _measure_resilience(
     return rep
 
 
-def _resilience_replicate(
-    config: SystemConfig,
-    goal_ms: float,
-    intervals: int,
-    warmup_ms: float,
-    fault_spec: str,
-    arrival_rate_per_node: float,
-    seed: int,
-    telemetry: Optional[str] = None,
-) -> ResilienceReplicate:
-    """One seeded resilience run (module-level: picklable for jobs>1)."""
-    sim = _build_resilience_sim(
-        config, goal_ms, warmup_ms, fault_spec,
-        arrival_rate_per_node, seed,
-    )
-    if telemetry is not None:
-        sim.set_telemetry(telemetry)
-    return _measure_resilience(sim, intervals)
-
-
-def _resilience_replicate_task(
-    config: SystemConfig,
-    goal_ms: float,
-    intervals: int,
-    warmup_ms: float,
-    fault_spec: str,
-    arrival_rate_per_node: float,
-    task,
-) -> ResilienceReplicate:
-    """Unpack one ``(seed, telemetry)`` replicate task (picklable)."""
-    seed, telemetry = task
-    return _resilience_replicate(
-        config, goal_ms, intervals, warmup_ms, fault_spec,
-        arrival_rate_per_node, seed, telemetry,
-    )
-
-
 def run_resilience(
     seed: int = 0,
     intervals: int = 90,
@@ -569,44 +532,35 @@ def run_resilience(
     ``config`` defaults to the full §7.1 environment; pass
     :func:`quick_config` for smoke runs.  ``jobs`` parallelizes
     replicates with bit-identical results.  (Replicates never share a
-    warm-up trajectory — every replicate has its own seed — so this
-    protocol stays on the cold per-replicate path; the warm-state fork
-    server amortizes :func:`run_goal_sweep` instead.)
+    warm-up trajectory — every replicate has its own seed — so each is
+    a one-point warm group that :func:`run_sweep` runs cold; the fork
+    path amortizes :func:`run_goal_sweep` instead.)  ``telemetry``
+    exports replicate ``i`` to ``<dir>/rep<i>/``.
     """
     config = config if config is not None else SystemConfig()
     if faults is None:
         faults = default_fault_spec(
             intervals, config.observation_interval_ms, warmup_ms
         )
-    worker = functools.partial(
-        _resilience_replicate_task, config, goal_ms, intervals,
-        warmup_ms, faults, arrival_rate_per_node,
-    )
-    seeds = [
-        derive_replicate_seed(seed, i) for i in range(replications)
-    ]
-    labels = [f"rep{i}" for i in range(replications)]
-    tasks = [
-        (
-            rep_seed,
-            os.path.join(telemetry, label)
-            if telemetry is not None else None,
+    groups = [
+        WarmGroup(
+            build=functools.partial(
+                _build_resilience_sim, config, goal_ms, warmup_ms, faults,
+                arrival_rate_per_node, derive_replicate_seed(seed, i),
+            ),
+            deltas=[WarmDelta(label=f"rep{i}")],
+            measure=functools.partial(
+                _measure_resilience, intervals=intervals
+            ),
         )
-        for rep_seed, label in zip(seeds, labels)
+        for i in range(replications)
     ]
-    replicates = run_tasks(worker, tasks, jobs=jobs)
-    if telemetry is not None:
-        from repro.telemetry.exporters import merge_point_dirs
-
-        merge_point_dirs(
-            telemetry,
-            [(label, os.path.join(telemetry, label)) for label in labels],
-        )
+    _, results = run_sweep(groups, jobs, "auto", telemetry)
     return ResilienceData(
         fault_spec=faults,
         goal_ms=goal_ms,
         interval_ms=config.observation_interval_ms,
-        replicates=replicates,
+        replicates=[rep for [rep] in results],
     )
 
 
@@ -661,107 +615,47 @@ def run_goal_sweep(
 
     The default schedule injects every fault *after* the warm-up
     horizon and the goal never reaches the workload or the fault
-    injector, so all goals of a replicate share one warmed image: the
-    fork server warms (workload **and** armed injector) once per
-    replicate seed and forks the goal points from it.  The cold path
+    injector, so all goals of a replicate share one warmed image: each
+    replicate seed is one warm group, warmed (workload **and** armed
+    injector) once, with the goal points forked from it.  The cold path
     (``runner='cold'`` or platforms without ``os.fork``) runs one
-    simulation per (goal, seed) via
-    :func:`~repro.experiments.parallel.run_tasks` — bit-identical.
+    simulation per (seed, goal) — bit-identical.
     """
-    from repro.experiments import forkserver
-
     config = config if config is not None else SystemConfig()
     goals = list(goals)
     if faults is None:
         faults = default_fault_spec(
             intervals, config.observation_interval_ms, warmup_ms
         )
-    seeds = [
-        derive_replicate_seed(seed, i) for i in range(replications)
-    ]
-    deltas = [
-        forkserver.WarmDelta.for_goals({GOAL_CLASS: goal_ms})
-        for goal_ms in goals
-    ]
-    mode = forkserver.plan_sweep(
-        runner,
-        warm_keys=[s for s in seeds for _ in goals],
-        deltas=deltas * len(seeds),
-    )
-    def point_dir(rep: int, goal_index: int) -> Optional[str]:
-        if telemetry is None:
-            return None
-        return os.path.join(telemetry, f"rep{rep}-goal{goal_index}")
-
-    if mode == "fork":
-        groups = [
-            forkserver.WarmGroup(
-                build=functools.partial(
-                    _build_resilience_sim, config, goals[0], warmup_ms,
-                    faults, arrival_rate_per_node, rep_seed,
-                ),
-                deltas=[
-                    forkserver.telemetry_delta(delta, point_dir(rep, g))
-                    if telemetry is not None else delta
-                    for g, delta in enumerate(deltas)
-                ],
-                measure=functools.partial(
-                    _measure_resilience, intervals=intervals
-                ),
-            )
-            for rep, rep_seed in enumerate(seeds)
-        ]
-        # One warmed parent per replicate seed; replicate-major lists
-        # of per-goal results come back in point order.
-        per_seed = forkserver.run_warm_groups(
-            groups, jobs=jobs, runner="fork"
-        )
-        by_goal = [
-            [per_seed[s][g] for s in range(len(seeds))]
-            for g in range(len(goals))
-        ]
-    else:
-        tasks = [
-            (config, goal_ms, intervals, warmup_ms, faults,
-             arrival_rate_per_node, rep_seed, point_dir(rep, g))
-            for g, goal_ms in enumerate(goals)
-            for rep, rep_seed in enumerate(seeds)
-        ]
-        flat = run_tasks(_resilience_goal_task, tasks, jobs=jobs)
-        by_goal = [
-            flat[g * len(seeds):(g + 1) * len(seeds)]
-            for g in range(len(goals))
-        ]
-    if telemetry is not None:
-        from repro.telemetry.exporters import merge_point_dirs
-
-        merge_point_dirs(
-            telemetry,
-            [
-                (f"rep{rep}-goal{g}", point_dir(rep, g))
-                for rep in range(len(seeds))
-                for g in range(len(goals))
+    groups = [
+        WarmGroup(
+            build=functools.partial(
+                _build_resilience_sim, config, goals[0], warmup_ms, faults,
+                arrival_rate_per_node, derive_replicate_seed(seed, rep),
+            ),
+            deltas=[
+                WarmDelta.for_goals(
+                    {GOAL_CLASS: goal_ms}, label=f"rep{rep}-goal{g}"
+                )
+                for g, goal_ms in enumerate(goals)
             ],
+            measure=functools.partial(
+                _measure_resilience, intervals=intervals
+            ),
         )
+        for rep in range(replications)
+    ]
+    # One warm group per replicate seed; regroup its per-goal results.
+    mode, per_seed = run_sweep(groups, jobs, runner, telemetry)
     sweep = ResilienceGoalSweep(fault_spec=faults, runner=mode)
-    for goal_ms, replicates in zip(goals, by_goal):
+    for g, goal_ms in enumerate(goals):
         sweep.results.append(ResilienceData(
             fault_spec=faults,
             goal_ms=goal_ms,
             interval_ms=config.observation_interval_ms,
-            replicates=replicates,
+            replicates=[results[g] for results in per_seed],
         ))
     return sweep
-
-
-def _resilience_goal_task(task) -> ResilienceReplicate:
-    """One cold goal-sweep point (module-level: picklable)."""
-    (config, goal_ms, intervals, warmup_ms, fault_spec,
-     arrival_rate_per_node, seed, telemetry) = task
-    return _resilience_replicate(
-        config, goal_ms, intervals, warmup_ms, fault_spec,
-        arrival_rate_per_node, seed, telemetry,
-    )
 
 
 def main() -> None:

@@ -123,7 +123,8 @@ class Simulation:
 
         Only records the spec — attachment happens in
         :meth:`activate`, file writes in :meth:`export_telemetry` — so
-        calling this from a fork-server ``WarmDelta.configure`` is
+        calling this from the sweep executor's
+        :func:`~repro.experiments.forkserver.apply_delta` is
         warmup-invariant: no events, no RNG, no files, and each forked
         child opens its own sinks post-fork.
         """

@@ -12,13 +12,14 @@ two structural axes:
 - **operation complexity**: more page accesses per operation raise
   response times but do not change the feedback structure.
 
-Configurations are independent seeded simulations, so both sweeps
-accept ``jobs`` and farm points out to worker processes through
-:mod:`repro.experiments.parallel` — results are merged by point index
-and are identical for any ``jobs`` value.  Node counts up to 64 are
-supported (and exercised by ``repro scaling --nodes 16 32 64``); they
-lean on the allocation-lean hot-path structures, which keep per-access
-cost roughly flat as the cluster grows.
+Configurations are independent seeded simulations — one-point warm
+groups of :func:`repro.experiments.forkserver.run_sweep` — so both
+sweeps accept ``jobs`` and farm points out to worker processes; results
+are merged by point index and are identical for any ``jobs`` value.
+Node counts up to 64 are supported (and exercised by ``repro scaling
+--nodes 16 32 64``); they lean on the allocation-lean hot-path
+structures, which keep per-access cost roughly flat as the cluster
+grows.
 
 Run standalone::
 
@@ -27,12 +28,13 @@ Run standalone::
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 from repro.cluster.config import SystemConfig
-from repro.experiments.parallel import run_tasks
+from repro.experiments.forkserver import WarmDelta, WarmGroup, run_sweep
 from repro.experiments.reporting import emit, format_table
 from repro.experiments.runner import Simulation, default_workload
 
@@ -49,32 +51,30 @@ class ScalingPoint:
     mean_rt_tail_ms: float
 
 
-#: One sweep configuration, picklable for the process-pool path:
-#: (label, config, pages_per_op, goal_scale, seed, intervals,
-#: telemetry directory or None).
-_PointTask = Tuple[str, SystemConfig, int, float, int, int,
-                   Optional[str]]
+def _build_scaling_sim(
+    config: SystemConfig, pages_per_op: int, goal_scale: float, seed: int
+) -> Simulation:
+    """One configuration with a calibrated goal (module-level: picklable).
 
-
-def _run_point(task: _PointTask) -> ScalingPoint:
-    (label, config, pages_per_op, goal_scale, seed, intervals,
-     telemetry) = task
-    # Calibrate a modest, reachable goal for this configuration: run a
-    # probe with half the cache statically dedicated.
+    The goal is a modest, reachable one for this configuration: a probe
+    run with half the cache statically dedicated, times ``goal_scale``.
+    """
     from repro.experiments.calibration import measure_static_rt
 
-    workload = default_workload(config)
-    workload = _with_pages_per_op(workload, pages_per_op)
+    workload = _with_pages_per_op(default_workload(config), pages_per_op)
     probe_rt = measure_static_rt(
         workload, 1, 0.5, config, seed=seed,
         warmup_ms=20_000, measure_ms=30_000,
     )
-    goal_ms = probe_rt * goal_scale
-    workload = workload.with_goal(1, goal_ms)
-    sim = Simulation(
-        config=config, workload=workload, seed=seed,
-        warmup_ms=20_000.0, telemetry=telemetry,
+    return Simulation(
+        config=config, workload=workload.with_goal(1, probe_rt * goal_scale),
+        seed=seed, warmup_ms=20_000.0,
     )
+
+
+def _measure_scaling_point(
+    sim: Simulation, label: str, pages_per_op: int, intervals: int
+) -> ScalingPoint:
     sim.run(intervals=intervals)
     satisfied = sim.satisfied(1)
     rts = sim.controller.series[1].observed_rt.values
@@ -82,7 +82,7 @@ def _run_point(task: _PointTask) -> ScalingPoint:
     sim.export_telemetry()
     return ScalingPoint(
         label=label,
-        num_nodes=config.num_nodes,
+        num_nodes=sim.config.num_nodes,
         pages_per_op=pages_per_op,
         first_satisfied=(
             satisfied.index(True) + 1 if any(satisfied) else None
@@ -92,6 +92,32 @@ def _run_point(task: _PointTask) -> ScalingPoint:
         ),
         mean_rt_tail_ms=sum(tail) / len(tail) if tail else 0.0,
     )
+
+
+def _scaling_sweep(
+    points: Sequence[Tuple[str, str, SystemConfig, int]],
+    goal_scale: float,
+    seed: int,
+    intervals: int,
+    jobs: int,
+    telemetry: Optional[str],
+) -> List[ScalingPoint]:
+    """Run ``(label, dir label, config, pages_per_op)`` points cold."""
+    groups = [
+        WarmGroup(
+            build=functools.partial(
+                _build_scaling_sim, config, pages_per_op, goal_scale, seed
+            ),
+            deltas=[WarmDelta(label=dir_label)],
+            measure=functools.partial(
+                _measure_scaling_point, label=label,
+                pages_per_op=pages_per_op, intervals=intervals,
+            ),
+        )
+        for label, dir_label, config, pages_per_op in points
+    ]
+    _, results = run_sweep(groups, jobs, "auto", telemetry)
+    return [point for [point] in results]
 
 
 def _with_pages_per_op(workload, pages_per_op: int):
@@ -117,23 +143,6 @@ def _with_pages_per_op(workload, pages_per_op: int):
     ])
 
 
-def _point_dir(telemetry: Optional[str], label: str) -> Optional[str]:
-    if telemetry is None:
-        return None
-    return os.path.join(telemetry, label)
-
-
-def _merge_points(telemetry: Optional[str], labels: List[str]) -> None:
-    if telemetry is None:
-        return
-    from repro.telemetry.exporters import merge_point_dirs
-
-    merge_point_dirs(
-        telemetry,
-        [(label, _point_dir(telemetry, label)) for label in labels],
-    )
-
-
 def run_node_scaling(
     node_counts: Sequence[int] = (3, 5),
     base_config: Optional[SystemConfig] = None,
@@ -145,15 +154,11 @@ def run_node_scaling(
 ) -> List[ScalingPoint]:
     """Convergence behaviour as the cluster grows."""
     base = base_config if base_config is not None else SystemConfig()
-    labels = [f"nodes{n}" for n in node_counts]
-    tasks: List[_PointTask] = [
-        (f"{n} nodes", replace(base, num_nodes=n), 4,
-         goal_scale, seed, intervals, _point_dir(telemetry, label))
-        for n, label in zip(node_counts, labels)
-    ]
-    points = run_tasks(_run_point, tasks, jobs=jobs)
-    _merge_points(telemetry, labels)
-    return points
+    return _scaling_sweep(
+        [(f"{n} nodes", f"nodes{n}", replace(base, num_nodes=n), 4)
+         for n in node_counts],
+        goal_scale, seed, intervals, jobs, telemetry,
+    )
 
 
 def run_complexity_scaling(
@@ -167,15 +172,11 @@ def run_complexity_scaling(
 ) -> List[ScalingPoint]:
     """Convergence behaviour as operations get more complex."""
     config = base_config if base_config is not None else SystemConfig()
-    labels = [f"ppo{ppo}" for ppo in pages_per_op]
-    tasks: List[_PointTask] = [
-        (f"{ppo} pages/op", config, ppo, goal_scale, seed, intervals,
-         _point_dir(telemetry, label))
-        for ppo, label in zip(pages_per_op, labels)
-    ]
-    points = run_tasks(_run_point, tasks, jobs=jobs)
-    _merge_points(telemetry, labels)
-    return points
+    return _scaling_sweep(
+        [(f"{ppo} pages/op", f"ppo{ppo}", config, ppo)
+         for ppo in pages_per_op],
+        goal_scale, seed, intervals, jobs, telemetry,
+    )
 
 
 def to_text(points: List[ScalingPoint], title: str) -> str:
@@ -209,13 +210,16 @@ def run_scaling(
     the other sweep.  ``telemetry`` exports per-point artifacts under
     ``<dir>/nodes/`` and ``<dir>/complexity/`` respectively.
     """
+    def subdir(name: str) -> Optional[str]:
+        return None if telemetry is None else os.path.join(telemetry, name)
+
     sections = []
     if node_counts:
         sections.append(to_text(
             run_node_scaling(
                 node_counts=node_counts, seed=seed, intervals=intervals,
                 goal_scale=goal_scale, jobs=jobs,
-                telemetry=_point_dir(telemetry, "nodes"),
+                telemetry=subdir("nodes"),
             ),
             "Scaling: number of nodes",
         ))
@@ -224,7 +228,7 @@ def run_scaling(
             run_complexity_scaling(
                 pages_per_op=pages_per_op, seed=seed,
                 intervals=intervals, goal_scale=goal_scale, jobs=jobs,
-                telemetry=_point_dir(telemetry, "complexity"),
+                telemetry=subdir("complexity"),
             ),
             "Scaling: operation complexity",
         ))

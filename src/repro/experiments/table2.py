@@ -39,7 +39,6 @@ def run_table2(
     max_replications: int = 12,
     base_seed: int = 100,
     jobs: int = 1,
-    runner: str = "auto",
 ) -> List[ConvergenceResult]:
     """Measure convergence speed for every skew value.
 
@@ -47,9 +46,7 @@ def run_table2(
     sequential stopping rule is unchanged, so results are identical to
     ``jobs=1`` for any value.  Skew reshapes the page-access
     distribution during warm-up and every replicate is independently
-    seeded, so there is no warm state to share — ``runner`` is passed
-    down to :func:`convergence_experiment`, whose planner always
-    resolves this protocol to the cold path (``runner='fork'`` raises).
+    seeded, so there is no warm state to share.
     """
     settings = settings if settings is not None else ConvergenceSettings()
     results = []
@@ -60,7 +57,6 @@ def run_table2(
             max_replications=max_replications,
             base_seed=base_seed,
             jobs=jobs,
-            runner=runner,
         )
         results.append(result)
     return results

@@ -1,5 +1,7 @@
 """Unit tests for the command-line interface."""
 
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -187,3 +189,121 @@ def test_chaos_runs_end_to_end(capsys, tmp_path):
     assert "Chaos matrix (1 seeds, 40 intervals)" in out
     assert "all seeds passed: True" in out
     assert path.exists()
+
+
+#: Every subcommand's options as recorded before the shared flags were
+#: built from one table: {command: {option: (default, choices, nargs)}},
+#: keyed by option string (by dest for positionals).  ``table2
+#: --runner`` has since been removed on purpose: Table 2 seeds every
+#: replicate separately, so its runner could only ever resolve to cold.
+RUNNER = ("auto", ("auto", "fork", "cold"), None)
+SURFACE = {
+    "all": {"--quick": (False, None, 0)},
+    "chaos": {
+        "--goal": (6.0, None, None), "--intervals": (40, None, None),
+        "--jobs": (1, None, None), "--json": (None, None, None),
+        "--live-port": (None, None, None), "--quick": (False, None, 0),
+        "--seed": (0, None, None), "--seeds": (5, None, None),
+        "--warmup-ms": (10000.0, None, None),
+    },
+    "demo": {
+        "--goal": (6.0, None, None), "--intervals": (25, None, None),
+        "--seed": (1, None, None),
+    },
+    "figure2": {
+        "--chart": (False, None, 0), "--csv": (None, None, None),
+        "--faults": (None, None, None), "--intervals": (80, None, None),
+        "--jobs": (1, None, None), "--live-port": (None, None, None),
+        "--prescreen": (0, None, None), "--runner": RUNNER,
+        "--seed": (1, None, None), "--sweep": (0, None, None),
+        "--telemetry": (None, None, None),
+        "--warmup-ms": (20000.0, None, None),
+    },
+    "multiclass": {
+        "--goal-pairs": (None, None, "*"), "--intervals": (60, None, None),
+        "--jobs": (1, None, None), "--live-port": (None, None, None),
+        "--prescreen": (0, None, None), "--runner": RUNNER,
+        "--telemetry": (None, None, None),
+        "--warmup-ms": (20000.0, None, None),
+    },
+    "overhead": {
+        "--intervals": (40, None, None), "--seed": (1, None, None),
+    },
+    "resilience": {
+        "--chart": (False, None, 0), "--control": (False, None, 0),
+        "--csv": (None, None, None), "--faults": (None, None, None),
+        "--goal": (6.0, None, None), "--intervals": (90, None, None),
+        "--jobs": (1, None, None), "--live-port": (None, None, None),
+        "--quick": (False, None, 0), "--replications": (2, None, None),
+        "--runner": RUNNER, "--seed": (0, None, None),
+        "--sweep-goals": (None, None, "*"),
+        "--telemetry": (None, None, None),
+        "--warmup-ms": (10000.0, None, None),
+    },
+    "scaling": {
+        "--intervals": (50, None, None), "--jobs": (1, None, None),
+        "--nodes": ([3, 5], None, "*"),
+        "--pages-per-op": ([4, 8, 16], None, "*"),
+        "--seed": (7, None, None), "--telemetry": (None, None, None),
+    },
+    "serve": {
+        "--host": ("127.0.0.1", None, None), "--once": (False, None, 0),
+        "--port": (8799, None, None),
+        "--telemetry-dir": ("telemetry-out", None, None),
+    },
+    "table1": {"--repetitions": (50, None, None)},
+    "table2": {
+        "--jobs": (1, None, None), "--replications": (12, None, None),
+        "--runner": RUNNER, "--seed": (100, None, None),
+    },
+    "trace": {
+        "--intervals": (6, None, None),
+        "--out": ("telemetry-out", None, None), "--seed": (1, None, None),
+        "experiment": (
+            None,
+            ("figure2", "multiclass", "resilience", "scaling", "prescreen"),
+            None,
+        ),
+    },
+    "validate-analytic": {
+        "--jobs": (1, None, None), "--json": (None, None, None),
+        "--method": ("exact", ("exact", "schweitzer", "auto"), None),
+        "--quick": (False, None, 0), "--seed": (0, None, None),
+        "--tolerance": (0.1, None, None),
+    },
+}
+REMOVED = {("table2", "--runner")}
+
+
+def _surface(parser):
+    [sub] = [
+        a for a in parser._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ]
+    surface = {}
+    for command, subparser in sub.choices.items():
+        options = {}
+        for action in subparser._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            key = action.dest
+            if action.option_strings:
+                [key] = action.option_strings
+            options[key] = (
+                action.default,
+                tuple(action.choices) if action.choices else None,
+                action.nargs,
+            )
+        surface[command] = options
+    return surface
+
+
+def test_cli_surface_is_pinned():
+    expected = {
+        command: {
+            option: spec for option, spec in options.items()
+            if (command, option) not in REMOVED
+        }
+        for command, options in SURFACE.items()
+    }
+    assert _surface(build_parser()) == expected

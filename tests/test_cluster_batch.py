@@ -20,6 +20,25 @@ from repro.cluster.messages import MessageKind
 from repro.faults import FaultInjector, FaultSchedule
 
 
+def cpu_consume(cpu, instructions):
+    """Generator: hold ``cpu`` for ``instructions`` instructions."""
+    return cpu.resource.occupy(instructions / cpu._mips_ms)
+
+
+def disk_read(disk, nbytes):
+    """Generator: one random read of ``nbytes`` bytes on ``disk``.
+
+    Holds the arm for the access time (stretched by an active slowdown)
+    and counts the read and its service time, as the fetch chain does.
+    """
+    service = disk.params.access_ms(nbytes)
+    if disk.fault_factor != 1.0:
+        service *= disk.fault_factor
+    yield from disk.resource.occupy(service)
+    disk.reads += 1
+    disk.service_stats.add(service)
+
+
 def _reference_access(cluster, node_id, page_id, class_id, paths=None):
     """Generator: one data-shipping page access, built from occupy holds.
 
@@ -45,7 +64,7 @@ def _reference_access(cluster, node_id, page_id, class_id, paths=None):
             if paths is not None:
                 paths["origin_down"] = paths.get("origin_down", 0) + 1
             yield env.timeout(delay)
-    yield from node.cpu.consume(cpu.instructions_buffer_lookup)
+    yield from cpu_consume(node.cpu, cpu.instructions_buffer_lookup)
     hit, dropped = node.buffers.probe(page_id, class_id)
     if dropped:
         cluster.directory.unregister_many(dropped, node_id)
@@ -62,14 +81,15 @@ def _reference_access(cluster, node_id, page_id, class_id, paths=None):
     if remote_id is not None:
         yield from network.send_message(MessageKind.PAGE_REQUEST)
         remote = cluster.nodes[remote_id]
-        yield from remote.cpu.consume(
-            cpu.instructions_message + cpu.instructions_buffer_lookup
+        yield from cpu_consume(
+            remote.cpu,
+            cpu.instructions_message + cpu.instructions_buffer_lookup,
         )
         # The copy may have been evicted while our request was in
         # flight; fall back to disk in that case.
         if remote.buffers.contains(page_id):
             yield from network.send_message(MessageKind.PAGE_SHIP, page_size)
-            yield from node.cpu.consume(cpu.instructions_page_handling)
+            yield from cpu_consume(node.cpu, cpu.instructions_page_handling)
             level = AccessLevel.REMOTE
     if level is None:
         home_id = cluster.database.home(page_id)
@@ -82,13 +102,13 @@ def _reference_access(cluster, node_id, page_id, class_id, paths=None):
                     paths["home_down"] = paths.get("home_down", 0) + 1
                 yield env.timeout(delay)
         if home_id == node_id:
-            yield from home.disk.read(page_size)
+            yield from disk_read(home.disk, page_size)
         else:
             yield from network.send_message(MessageKind.PAGE_REQUEST)
-            yield from home.cpu.consume(cpu.instructions_message)
-            yield from home.disk.read(page_size)
+            yield from cpu_consume(home.cpu, cpu.instructions_message)
+            yield from disk_read(home.disk, page_size)
             yield from network.send_message(MessageKind.PAGE_SHIP, page_size)
-        yield from node.cpu.consume(cpu.instructions_page_handling)
+        yield from cpu_consume(node.cpu, cpu.instructions_page_handling)
         level = AccessLevel.DISK
 
     dropped = node.buffers.admit(page_id, class_id)

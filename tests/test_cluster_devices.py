@@ -13,6 +13,8 @@ from repro.cluster.messages import MessageKind, message_size
 from repro.cluster.network import Network
 from repro.sim.engine import Environment
 
+from tests.test_cluster_batch import cpu_consume, disk_read
+
 
 def test_cpu_consume_takes_service_time():
     env = Environment()
@@ -20,7 +22,7 @@ def test_cpu_consume_takes_service_time():
     done = []
 
     def proc():
-        yield from cpu.consume(100_000)  # 1 ms at 100 MIPS
+        yield from cpu_consume(cpu, 100_000)  # 1 ms at 100 MIPS
         done.append(env.now)
 
     env.process(proc())
@@ -34,7 +36,7 @@ def test_cpu_requests_queue_fcfs():
     done = []
 
     def proc(name):
-        yield from cpu.consume(100_000)
+        yield from cpu_consume(cpu, 100_000)
         done.append((name, env.now))
 
     env.process(proc("a"))
@@ -50,7 +52,7 @@ def test_disk_read_takes_access_time():
     done = []
 
     def proc():
-        yield from disk.read(4096)
+        yield from disk_read(disk, 4096)
         done.append(env.now)
 
     env.process(proc())
@@ -67,7 +69,7 @@ def test_disk_contention_queues():
     done = []
 
     def proc():
-        yield from disk.read(0)
+        yield from disk_read(disk, 0)
         done.append(env.now)
 
     env.process(proc())

@@ -7,6 +7,8 @@ from repro.cluster.messages import MessageKind
 from repro.core.controller import GoalOrientedController
 from repro.workload.generator import WorkloadGenerator
 
+from tests.test_cluster_batch import cpu_consume
+
 
 def build(fast_config, fast_workload, seed=0, **kwargs):
     cluster = Cluster(fast_config, seed=seed)
@@ -87,7 +89,7 @@ def test_auto_balance_moves_coordinator_off_busy_node(
 
     def hog():
         while True:
-            yield from cluster.nodes[0].cpu.consume(1_000_000)
+            yield from cpu_consume(cluster.nodes[0].cpu, 1_000_000)
 
     cluster.env.process(hog())
     generator.start()

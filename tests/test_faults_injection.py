@@ -4,6 +4,8 @@ from repro.cluster.cluster import Cluster
 from repro.faults import FaultInjector, FaultLayer, FaultSchedule
 from repro.sim.rng import RandomStreams
 
+from tests.test_cluster_batch import disk_read
+
 
 def _run_with(fast_config, spec: str, until: float, seed: int = 0):
     cluster = Cluster(fast_config, seed=seed)
@@ -195,7 +197,9 @@ def test_disk_slowdown_stretches_read_times(fast_config):
 
     def read_on(cluster, key):
         def proc():
-            yield from cluster.nodes[0].disk.read(fast_config.page_size)
+            yield from disk_read(
+                cluster.nodes[0].disk, fast_config.page_size
+            )
             times[key] = cluster.env.now
         return proc
 

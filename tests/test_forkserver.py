@@ -7,8 +7,13 @@ fan-out, and the planner must refuse (or fall back) whenever a sweep
 cannot honour that guarantee.
 """
 
+import functools
+import json
+import os
+
 import pytest
 
+from repro.core.controller import GoalOrientedController
 from repro.experiments import forkserver
 from repro.experiments.calibration import (
     GoalRange,
@@ -17,13 +22,13 @@ from repro.experiments.calibration import (
 from repro.experiments.forkserver import (
     ForkUnavailableError,
     WarmDelta,
+    WarmGroup,
     WarmupInvarianceError,
     apply_delta,
     plan_sweep,
-    run_warm_sweep,
+    run_sweep,
     supports_fork,
     warm_fingerprint,
-    warmup_invariant,
 )
 from repro.experiments.runner import (
     CALIBRATION_WARMUP_MS,
@@ -71,76 +76,6 @@ def test_plan_sweep_forks_only_shared_warm_keys():
         plan_sweep("fork", warm_keys=[7, 8, 9])
 
 
-@requires_fork
-def test_plan_sweep_static_guard_rejects_unvetted_configure():
-    unvetted = WarmDelta(configure=lambda sim: None)
-    vetted = WarmDelta(configure=warmup_invariant(lambda sim: None))
-    assert plan_sweep("auto", [1, 1], deltas=[unvetted] * 2) == "cold"
-    assert plan_sweep("auto", [1, 1], deltas=[vetted] * 2) == "fork"
-    with pytest.raises(ForkUnavailableError):
-        plan_sweep("fork", [1, 1], deltas=[unvetted] * 2)
-
-
-class _ProbeConfigure:
-    """Configure callable that counts vetting-flag lookups."""
-
-    def __init__(self, invariant):
-        self.lookups = 0
-        self.invariant = invariant
-
-    def __call__(self, sim):
-        return None
-
-    @property
-    def __warmup_invariant__(self):
-        self.lookups += 1
-        return self.invariant
-
-
-@requires_fork
-def test_plan_sweep_vets_each_unique_configure_once():
-    # Sweeps repeat one delta shape across replicates; the planner
-    # must evaluate the vetting flag once per callable, not per point.
-    vetted = _ProbeConfigure(True)
-    assert plan_sweep(
-        "auto", [1] * 40, deltas=[WarmDelta(configure=vetted)] * 40
-    ) == "fork"
-    assert vetted.lookups == 1
-
-    unvetted = _ProbeConfigure(False)
-    assert plan_sweep(
-        "auto", [1] * 40, deltas=[WarmDelta(configure=unvetted)] * 40
-    ) == "cold"
-    assert unvetted.lookups == 1
-
-
-@requires_fork
-def test_plan_sweep_vet_cache_is_per_callable():
-    # One unvetted configure among many vetted ones still downgrades:
-    # verdicts never leak across distinct callables.
-    vetted = warmup_invariant(lambda sim: None)
-    mixed = [WarmDelta(configure=vetted)] * 3 + [
-        WarmDelta(configure=lambda sim: None)
-    ]
-    assert plan_sweep("auto", [1] * 4, deltas=mixed) == "cold"
-
-
-@requires_fork
-def test_vet_cache_does_not_weaken_runtime_clock_guard(fast_config):
-    # A vetted-but-lying configure that advances the clock passes the
-    # (cached) static check yet must still trip the fingerprint guard.
-    @warmup_invariant
-    def bad(sim):
-        sim.env.run(until=sim.env.now + 1.0)
-
-    deltas = [WarmDelta(configure=bad)] * 2
-    assert plan_sweep("auto", [1, 1], deltas=deltas) == "fork"
-    sim = _build_sim(fast_config)
-    sim.warm()
-    with pytest.raises(WarmupInvarianceError):
-        apply_delta(sim, deltas[0])
-
-
 def test_plan_sweep_degrades_without_fork(monkeypatch):
     monkeypatch.setattr(forkserver, "supports_fork", lambda: False)
     assert forkserver.plan_sweep("auto", warm_keys=[1, 1]) == "cold"
@@ -171,29 +106,47 @@ def test_apply_delta_sets_goals_without_perturbing_warm_state(
     assert warm_fingerprint(sim) == before
 
 
-def test_runtime_guard_catches_rng_drawing_configure(fast_config):
-    # Vetting is a promise, not a proof: a @warmup_invariant callable
-    # that draws randomness passes the static planner but must be
-    # caught by the before/after fingerprint.
-    @warmup_invariant
-    def bad(sim):
-        sim.cluster.rng.random("page-select/goal")
+def _misbehaving_set_goal(monkeypatch, misbehave):
+    """Make ``controller.set_goal`` also run ``misbehave(controller)``.
 
+    A goal change that drew randomness or advanced the clock would
+    break fork == cold, so the runtime guard must catch it — in process
+    and in a forked child (which inherits the patch).
+    """
+    set_goal = GoalOrientedController.set_goal
+
+    def patched(self, class_id, goal_ms):
+        set_goal(self, class_id, goal_ms)
+        misbehave(self)
+
+    monkeypatch.setattr(GoalOrientedController, "set_goal", patched)
+
+
+def _draw_rng(controller):
+    controller.cluster.rng.random("page-select/goal")
+
+
+def _advance_clock(controller):
+    env = controller.cluster.env
+    env.run(until=env.now + 1.0)
+
+
+def test_runtime_guard_catches_rng_drawing_configure(
+    fast_config, monkeypatch
+):
+    _misbehaving_set_goal(monkeypatch, _draw_rng)
     sim = _build_sim(fast_config)
     sim.warm()
     with pytest.raises(WarmupInvarianceError):
-        apply_delta(sim, WarmDelta(configure=bad))
+        apply_delta(sim, WarmDelta.for_goals({1: 5.0}))
 
 
-def test_runtime_guard_catches_clock_advance(fast_config):
-    @warmup_invariant
-    def bad(sim):
-        sim.env.run(until=sim.env.now + 1.0)
-
+def test_runtime_guard_catches_clock_advance(fast_config, monkeypatch):
+    _misbehaving_set_goal(monkeypatch, _advance_clock)
     sim = _build_sim(fast_config)
     sim.warm()
     with pytest.raises(WarmupInvarianceError):
-        apply_delta(sim, WarmDelta(configure=bad))
+        apply_delta(sim, WarmDelta.for_goals({1: 5.0}))
 
 
 # -- fork == cold bit-identity ----------------------------------------
@@ -297,6 +250,48 @@ def test_auto_falls_back_cold_without_fork(fast_config, monkeypatch):
     assert len(sweep.points) == 2
 
 
+# -- the executor ---------------------------------------------------
+
+
+def _goal_deltas(*labelled_goals):
+    return [
+        WarmDelta.for_goals({1: goal_ms}, label=label)
+        for label, goal_ms in labelled_goals
+    ]
+
+
+@requires_fork
+def test_run_sweep_merges_in_group_major_order(fast_config, tmp_path):
+    # The singleton group runs cold and finishes before the forked
+    # group even starts; results, point dirs and the merged manifest
+    # must still follow the groups' declared point order.
+    from repro.experiments.figure2 import _summarize_goal_point
+
+    build = functools.partial(_build_sim, fast_config, warmup_ms=4_000.0)
+    measure = functools.partial(_summarize_goal_point, intervals=1)
+    outdir = str(tmp_path / "tel")
+    record = {"kind": "note", "t": 0.0, "detail": 1}
+    mode, results = run_sweep(
+        [
+            WarmGroup(build, _goal_deltas(("a0", 4.0), ("a1", 5.0)),
+                      measure),
+            WarmGroup(build, _goal_deltas(("b0", 6.0)), measure),
+        ],
+        jobs=2, runner="fork", telemetry=outdir, records=[record],
+    )
+    assert mode == "fork"
+    assert [[p.goal_ms for p in group] for group in results] == [
+        [4.0, 5.0], [6.0],
+    ]
+    with open(os.path.join(outdir, "points.json")) as fh:
+        manifest = json.load(fh)
+    assert [entry["label"] for entry in manifest] == ["a0", "a1", "b0"]
+    assert all(entry["records"] > 0 for entry in manifest)
+    with open(os.path.join(outdir, "trace.jsonl")) as fh:
+        last = json.loads(fh.read().splitlines()[-1])
+    assert last == dict(record, point="sweep")
+
+
 # -- error propagation across the pipe --------------------------------
 
 
@@ -309,30 +304,46 @@ def test_child_failure_reraises_in_parent(fast_config):
         raise KeyError("boom in the child")
 
     with pytest.raises(RuntimeError, match="boom in the child"):
-        run_warm_sweep(
-            build,
-            deltas=[WarmDelta.for_goals({1: g}) for g in (4.0, 5.0)],
-            measure=explode,
+        run_sweep(
+            [WarmGroup(
+                build,
+                deltas=[WarmDelta.for_goals({1: g}) for g in (4.0, 5.0)],
+                measure=explode,
+            )],
             runner="fork",
         )
+
+
+def _fork_two_goals(fast_config):
+    run_sweep(
+        [WarmGroup(
+            lambda: _build_sim(fast_config),
+            deltas=[WarmDelta.for_goals({1: g}) for g in (4.0, 5.0)],
+            measure=lambda sim: None,
+        )],
+        runner="fork",
+    )
 
 
 @requires_fork
-def test_child_invariance_violation_reraises_typed(fast_config):
-    @warmup_invariant
-    def bad(sim):
-        sim.cluster.rng.random("page-select/goal")
-
-    def build():
-        return _build_sim(fast_config)
-
+def test_child_invariance_violation_reraises_typed(
+    fast_config, monkeypatch
+):
+    _misbehaving_set_goal(monkeypatch, _draw_rng)
     with pytest.raises(WarmupInvarianceError):
-        run_warm_sweep(
-            build,
-            deltas=[WarmDelta(configure=bad)] * 2,
-            measure=lambda sim: None,
-            runner="fork",
-        )
+        _fork_two_goals(fast_config)
+
+
+@requires_fork
+def test_vet_cache_does_not_weaken_runtime_clock_guard(
+    fast_config, monkeypatch
+):
+    # (The name predates the removal of static vetting.)  With no
+    # static check left, the runtime guard alone must catch a goal
+    # change that advances the clock inside a forked child.
+    _misbehaving_set_goal(monkeypatch, _advance_clock)
+    with pytest.raises(WarmupInvarianceError):
+        _fork_two_goals(fast_config)
 
 
 # -- sweeps that can never fork refuse loudly -------------------------
@@ -345,20 +356,6 @@ def test_sharing_sweep_fork_runner_raises(fast_config):
         run_sharing_sweep(
             sharings=(0.0, 0.5), runner="fork", config=fast_config,
             intervals=2, tail=1, warmup_ms=2_000.0,
-        )
-
-
-def test_convergence_fork_runner_raises(fast_config):
-    from repro.experiments.convergence import (
-        ConvergenceSettings,
-        convergence_experiment,
-    )
-
-    with pytest.raises(ForkUnavailableError):
-        convergence_experiment(
-            settings=ConvergenceSettings(config=fast_config),
-            goal_range=GOAL_RANGE,
-            runner="fork",
         )
 
 

@@ -7,6 +7,8 @@ from repro.cluster.disk import Disk
 from repro.sim.engine import Environment
 from repro.txn.wal import LogRecordKind, WriteAheadLog
 
+from tests.test_cluster_batch import disk_read
+
 
 def make_wal():
     env = Environment()
@@ -83,7 +85,7 @@ def test_sequential_write_cheaper_than_random_read():
 
     def proc():
         start = env.now
-        yield from disk.read(4096)
+        yield from disk_read(disk, 4096)
         times["read"] = env.now - start
         start = env.now
         yield from disk.sequential_write(4096)
