@@ -18,8 +18,9 @@ sweeps accept ``jobs`` and farm points out to worker processes; results
 are merged by point index and are identical for any ``jobs`` value.
 Node counts up to 64 are supported (and exercised by ``repro scaling
 --nodes 16 32 64``); they lean on the allocation-lean hot-path
-structures, which keep per-access cost roughly flat as the cluster
-grows.
+structures.  ``tools/node_flatness.py`` (run in CI) fails when the
+host cost per page access at 256 nodes exceeds a fixed multiple of
+the cost at 8 nodes.
 
 Run standalone::
 

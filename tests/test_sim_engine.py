@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+from itertools import accumulate
+
 import pytest
 
 from repro.sim.engine import (
@@ -18,18 +20,20 @@ def test_clock_starts_at_zero():
 
 
 def test_timeout_advances_clock():
-    env = Environment()
-    log = []
+    # The second input is 10k back-to-back timeouts on one process.
+    for delays in [(5.0, 2.5), (1.0,) * 10_000]:
+        env = Environment()
+        log = []
 
-    def proc():
-        yield env.timeout(5.0)
-        log.append(env.now)
-        yield env.timeout(2.5)
-        log.append(env.now)
+        def proc():
+            for delay in delays:
+                yield env.timeout(delay)
+                log.append(env.now)
 
-    env.process(proc())
-    env.run()
-    assert log == [5.0, 7.5]
+        env.process(proc())
+        env.run()
+        assert log == list(accumulate(delays))
+        assert env.now == sum(delays)
 
 
 def test_negative_delay_rejected():
