@@ -6,7 +6,6 @@ from repro.bufmgr.clock import ClockPool
 from repro.bufmgr.costbased import BenefitModel, CostBasedPool
 from repro.bufmgr.twoq import TwoQPool
 from repro.bufmgr.costs import AccessLevel, CostObserver
-from repro.bufmgr.fifo import FifoPool
 from repro.bufmgr.heat import GlobalHeatRegistry, HeatTracker
 from repro.bufmgr.lru import LruPool
 from repro.bufmgr.lruk import LrukPool
@@ -20,7 +19,6 @@ __all__ = [
     "CostBasedPool",
     "TwoQPool",
     "CostObserver",
-    "FifoPool",
     "GlobalHeatRegistry",
     "HeatTracker",
     "LruPool",

@@ -94,10 +94,10 @@ class CostBasedPool(BufferPool):
     priced heap entry per hit.  When the estimate grew (the usual
     outcome — fresher heat), the existing heap entry sits at a price
     below the new estimate, so the page still surfaces no later than
-    it should; ``_pop_valid`` re-syncs such drifted entries lazily at
-    the next eviction.  Only a *shrinking* estimate needs an immediate
-    push, because a stale higher-priced entry would otherwise hide the
-    page from eviction.  Any run of price-raising hits between
+    it should; :meth:`_select_victim` re-syncs such drifted entries
+    lazily at the next eviction.  Only a *shrinking* estimate needs an
+    immediate push, because a stale higher-priced entry would otherwise
+    hide the page from eviction.  Any run of price-raising hits between
     evictions thus costs at most one deferred heap operation, and the
     heap stays near one live entry per page instead of one per hit —
     while the estimates that drive victim selection are the exact
@@ -124,11 +124,7 @@ class CostBasedPool(BufferPool):
         self._price: Dict[int, float] = {}  # page id -> latest estimate
 
     def _push(self, page_id: int) -> None:
-        benefit = self.model.benefit(page_id)
-        self._price[page_id] = benefit
-        self._seq += 1
-        self._pages[page_id] = self._seq
-        heapq.heappush(self._heap, (benefit, self._seq, page_id))
+        self._push_priced(page_id, self.model.benefit(page_id))
 
     def _push_priced(self, page_id: int, benefit: float) -> None:
         self._price[page_id] = benefit
@@ -136,40 +132,15 @@ class CostBasedPool(BufferPool):
         self._pages[page_id] = self._seq
         heapq.heappush(self._heap, (benefit, self._seq, page_id))
 
-    def _pop_valid(self):
-        """Pop entries until one carries a live page's current estimate.
-
-        Stale entries (superseded seq) are dropped; live entries whose
-        stored price drifted from the page's ``_price`` estimate (the
-        page was touched since the entry was pushed) are re-synced at
-        the current estimate and the scan continues, so candidates
-        always surface in up-to-date estimate order.  Returns
-        ``(estimate, page_id)``.
-        """
-        heap = self._heap
-        pages = self._pages
-        price = self._price
-        while heap:
-            entry = heapq.heappop(heap)
-            page_id = entry[2]
-            if pages.get(page_id) != entry[1]:
-                continue
-            current = price[page_id]
-            if current != entry[0]:
-                self._push_priced(page_id, current)
-                continue
-            return current, page_id
-        raise KeyError("pool is empty")
-
     def _select_victim(self) -> int:
         """Re-price the ``revalidate`` cheapest candidates and evict one.
 
         Each candidate is priced exactly once: the fresh benefit drives
         both the victim comparison and the re-push of the survivors, so
         no page is priced twice within one eviction.  The candidate
-        scan inlines :meth:`_pop_valid` with the heap/dict bindings
-        hoisted — this loop runs once per eviction, which at a high
-        miss rate means once per access.
+        scan pops heap entries with the heap/dict bindings hoisted —
+        this loop runs once per eviction, which at a high miss rate
+        means once per access.
         """
         model = self.model
         benefit_at = model.benefit_at
@@ -182,8 +153,9 @@ class CostBasedPool(BufferPool):
         candidates = []
         limit = min(self.revalidate, len(pages))
         for _ in range(limit):
-            # Inlined _pop_valid: drop superseded entries, re-sync
-            # price-drifted ones, stop at a live current-estimate entry.
+            # Drop superseded entries, re-sync price-drifted ones (the
+            # page was touched since the entry was pushed) at the
+            # current estimate, stop at a live current-estimate entry.
             while True:
                 entry = pop(heap)
                 page_id = entry[2]
@@ -258,7 +230,7 @@ class CostBasedPool(BufferPool):
         else:
             # The common case — the estimate grew (fresher heat).  The
             # existing entry sits at a price <= the new estimate, so it
-            # still surfaces no later than it should; _pop_valid
+            # still surfaces no later than it should; _select_victim
             # re-syncs it at the next eviction.  No heap op per hit.
             price[page_id] = benefit
 

@@ -70,9 +70,10 @@ class _FetchChain(Event):
     sequence number ``occupy`` would, uncontended grants consume no
     event, and contended holds fall back to a real
     :class:`~repro.sim.resources.Request` so FIFO order and wait
-    accounting are untouched.  All chained resources have capacity 1
-    (node CPUs, disk arms, the network medium), which makes the inline
-    fast-grant condition identical to ``occupy``'s.
+    accounting are untouched.  A :class:`~repro.sim.resources.Resource`
+    is a single server (node CPUs, disk arms, the network medium), so
+    the inline fast-grant condition is exactly ``occupy``'s: nobody
+    holds it and nobody waits.
 
     A chain is bound to one node and recycled through that node's pool
     (:meth:`Cluster._chain`) when its run finishes, so its fault and
@@ -220,7 +221,7 @@ class _FetchChain(Event):
             mk[kind] = mk.get(kind, 0) + 1
 
     def _resume(self, event: Event) -> None:
-        # Called by the dispatch loops, either with our hop event (the
+        # Called by the dispatch loop, either with our hop event (the
         # current hold's service interval expired) or with a granted
         # Request (our turn on a contended resource arrived).
         if event is self._req:
@@ -233,9 +234,8 @@ class _FetchChain(Event):
             if req is None:
                 # Inline release of an uncontended grant, mirroring
                 # the tail of Resource.occupy's fast path.
-                users = res.users
-                users.remove(res)
-                if not users and res._busy_since is not None:
+                res.users.remove(res)
+                if res._busy_since is not None:
                     res._busy_time += env._now - res._busy_since
                     res._busy_since = None
                 if res._waiting:

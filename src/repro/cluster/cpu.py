@@ -19,7 +19,7 @@ class Cpu:
     def __init__(self, env: Environment, params: CpuParameters):
         self.env = env
         self.params = params
-        self.resource = Resource(env, capacity=1)
+        self.resource = Resource(env)
         # Same divisor service_ms uses, precomputed once; dividing by it
         # keeps the float results identical to params.service_ms.
         self._mips_ms = params.mips * 1_000.0

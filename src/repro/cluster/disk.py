@@ -23,7 +23,7 @@ class Disk:
     def __init__(self, env: Environment, params: DiskParameters):
         self.env = env
         self.params = params
-        self.resource = Resource(env, capacity=1)
+        self.resource = Resource(env)
         self.reads = 0
         self.writes = 0
         self.service_stats = OnlineStats()

@@ -20,7 +20,7 @@ class Network:
     def __init__(self, env: Environment, params: NetworkParameters):
         self.env = env
         self.params = params
-        self.medium = Resource(env, capacity=1)
+        self.medium = Resource(env)
         self.accounting = TrafficAccounting()
         #: Fault state (:class:`repro.faults.FaultLayer`), attached by
         #: the cluster when a fault schedule is configured; None keeps

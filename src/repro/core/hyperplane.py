@@ -14,7 +14,7 @@ more points a least-squares fit is used.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -136,13 +136,3 @@ def regularize_plane(
         clamped @ np.asarray(anchor_x, dtype=float)
     )
     return Hyperplane(coefficients=clamped, intercept=intercept)
-
-
-def perturbation_directions(dim: int) -> List[np.ndarray]:
-    """Unit vectors cycling through the axes (warm-up exploration).
-
-    The warm-up phase must make every new partitioning linearly
-    independent from the previous ones (§5 phase (b)); stepping along
-    the coordinate axes in rotation achieves this deterministically.
-    """
-    return [np.eye(dim)[i] for i in range(dim)]

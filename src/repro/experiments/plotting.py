@@ -2,12 +2,11 @@
 
 The paper's Figure 2 is a line plot; this module renders the same
 series as an ASCII chart (no plotting dependencies) and exports series
-data as CSV/JSON for external tooling.
+data as CSV for external tooling.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Optional, Sequence
 
 
@@ -117,25 +116,6 @@ def series_to_csv(
     for row in zip(*columns):
         lines.append(",".join(str(cell) for cell in row))
     text = "\n".join(lines) + "\n"
-    if path is not None:
-        with open(path, "w") as handle:
-            handle.write(text)
-    return text
-
-
-def series_to_json(
-    headers: Sequence[str],
-    columns: Sequence[Sequence],
-    path: Optional[str] = None,
-) -> str:
-    """Serialize parallel columns as a JSON object of arrays."""
-    if len(headers) != len(columns):
-        raise ValueError("one header per column required")
-    payload = {
-        header: list(column)
-        for header, column in zip(headers, columns)
-    }
-    text = json.dumps(payload, indent=2)
     if path is not None:
         with open(path, "w") as handle:
             handle.write(text)

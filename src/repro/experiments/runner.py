@@ -181,11 +181,6 @@ class Simulation:
         )
         self.cluster.env.run(until=horizon)
 
-    def run_until(self, time_ms: float) -> None:
-        """Advance the simulation to absolute time ``time_ms``."""
-        self.start()
-        self.cluster.env.run(until=time_ms)
-
     def export_telemetry(self, outdir: Optional[str] = None):
         """Write telemetry exports; no-op when telemetry is off.
 

@@ -15,8 +15,7 @@ Public API
 - :class:`Environment` — event loop and simulation clock (one binary
   heap of pending events).
 - :class:`Event`, :class:`Timeout`, :class:`Process` — awaitables.
-- :class:`AnyOf`, :class:`AllOf` — event combinators.
-- :class:`Resource`, :class:`PriorityResource` — queued servers.
+- :class:`Resource` — a single server with a FIFO queue.
 - :class:`RandomStreams` — named, reproducible random streams.
 - :func:`pooled_timeout`, :func:`pooled_timeout_at` — timeouts drawn
   from the environment's free list, for hot paths.
@@ -24,18 +23,15 @@ Public API
 """
 
 from repro.sim.engine import (
-    AllOf,
-    AnyOf,
     Environment,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Timeout,
     pooled_timeout,
     pooled_timeout_at,
 )
-from repro.sim.resources import PriorityResource, Resource
+from repro.sim.resources import Resource
 from repro.sim.rng import RandomStreams
 from repro.sim.stats import (
     OnlineStats,
@@ -46,14 +42,10 @@ from repro.sim.stats import (
 )
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "Environment",
     "Event",
-    "Interrupt",
     "OnlineStats",
     "P2Quantile",
-    "PriorityResource",
     "Process",
     "RandomStreams",
     "Resource",

@@ -5,7 +5,7 @@ logic lives in Python generators.  A generator yields :class:`Event`
 instances; the :class:`Environment` resumes the generator when the
 yielded event is *triggered*.  Triggering an event schedules its
 callbacks at the current simulation time; the event heap orders
-callbacks by ``(time, priority, sequence)`` so that the simulation is
+callbacks by ``(time, urgency, sequence)`` so that the simulation is
 fully deterministic for a fixed seed.
 
 Time is a ``float`` in **milliseconds** by convention throughout this
@@ -25,27 +25,27 @@ this down):
   in the event's ``_fast_proc`` slot and resumed directly at dispatch,
   skipping the callback-list append/iterate machinery and the bound
   method allocation it implies;
-- :class:`Timeout` construction writes its slots and pushes onto the
-  heap inline instead of chaining ``Event.__init__`` → ``_schedule``;
-- :meth:`Environment.run` hoists the ``stop_at`` / ``stop_event``
-  branches out of the per-event loop into three specialized loops with
-  locally bound queue/heappop references;
+- :func:`pooled_timeout_at` is the one timeout allocator: it writes the
+  slots and pushes onto the heap inline instead of chaining
+  ``Event.__init__`` → ``_schedule``;
+- :meth:`Environment.run` is one dispatch loop with locally bound
+  queue/heappop references; ``run()`` and ``run(until=t)`` differ only
+  in the stop time it compares against;
 - a *timeout free list*: a fused timeout whose only waiter was resumed
   through ``_fast_proc`` is provably unreachable by simulation code
-  once its dispatch returns, so the dispatch loops recycle it into
+  once its dispatch returns, so the dispatch loop recycles it into
   ``Environment._pool`` (callbacks list and all) and
   :func:`pooled_timeout` / :func:`pooled_timeout_at` re-arm pooled
   records instead of allocating — the dominant allocation on the page
   access path at large node counts.  Timeouts with extra callbacks, or
-  with no fused waiter (e.g. an event passed to ``run(until=...)``),
-  are never pooled, so late reads of ``.value``/``.processed`` on a
-  retained reference keep working.
+  with no fused waiter, are never pooled, so late reads of
+  ``.value``/``.processed`` on a retained reference keep working.
 
 Handlers
 --------
-The ``_fast_proc`` slot is a protocol, not a type: the dispatch loops
-call ``event._fast_proc._resume(event)`` on whatever object sits there,
-before the event's callbacks, and clear the slot first.  A
+The ``_fast_proc`` slot is a protocol, not a type: the dispatch loop
+calls ``event._fast_proc._resume(event)`` on whatever object sits
+there, before the event's callbacks, and clears the slot first.  A
 :class:`Process` is one such object; a *handler* is any other object
 with a ``_resume(event)`` method, which runs state-machine code without
 a generator frame.  A handler waits for an event by storing itself in
@@ -59,7 +59,7 @@ of each read-only operation's fetch chain) are handlers.
 
 Scheduler
 ---------
-The pending-event set is a single binary heap of ``(time, priority,
+The pending-event set is a single binary heap of ``(time, urgency,
 seq, event)`` tuples; ``seq`` is unique, so the pop order is total and
 deterministic.  Every push site is one ``heapq.heappush``.  Measured
 peaks stay below a thousand pending events (``docs/simulation.md``
@@ -69,10 +69,10 @@ lists them), where the C heap's constant factors are hard to beat.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from typing import Any, Callable, Generator, List, Optional
 
-#: Scheduling priorities.  URGENT callbacks (event chain plumbing) run
-#: before NORMAL callbacks scheduled for the same simulation time.
+#: Urgency ranks.  URGENT callbacks (event chain plumbing) run before
+#: NORMAL callbacks scheduled for the same simulation time.
 URGENT = 0
 NORMAL = 1
 
@@ -81,23 +81,14 @@ class SimulationError(Exception):
     """Raised for illegal kernel operations (e.g. re-triggering an event)."""
 
 
-class Interrupt(Exception):
-    """Raised inside a process that has been interrupted by another one.
-
-    The interrupting cause is available as ``exc.cause``.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 class Event:
     """An occurrence that processes can wait for.
 
     An event starts *pending*, becomes *triggered* when :meth:`succeed`
-    or :meth:`fail` is called (which schedules it on the event queue),
-    and is *processed* once the environment has run its callbacks.
+    is called (which schedules it on the event queue), and is
+    *processed* once the environment has run its callbacks.  A
+    :class:`Process` whose generator raises triggers as *failed*: the
+    exception is thrown into every process waiting for it.
     """
 
     __slots__ = ("env", "callbacks", "_value", "_ok", "_defused",
@@ -141,110 +132,65 @@ class Event:
             raise SimulationError("event already triggered")
         self._ok = True
         self._value = value
-        self.env._schedule(self, URGENT)
+        self.env._schedule(self)
         return self
-
-    def fail(self, exception: BaseException) -> "Event":
-        """Trigger the event with an exception.
-
-        The exception is re-raised inside every process waiting for the
-        event.
-        """
-        if self._ok is not None:
-            raise SimulationError("event already triggered")
-        if not isinstance(exception, BaseException):
-            raise TypeError("fail() needs an exception instance")
-        self._ok = False
-        self._value = exception
-        self.env._schedule(self, URGENT)
-        return self
-
-    def _add_callback(self, callback: Callable[["Event"], None]) -> None:
-        if self.callbacks is None:
-            # Already processed: run the callback immediately so that
-            # late waiters do not deadlock.
-            callback(self)
-        else:
-            self.callbacks.append(callback)
 
 
 class Timeout(Event):
-    """An event that fires after a fixed simulated delay."""
+    """An event that fires at a fixed simulated time.
 
-    __slots__ = ("delay",)
-
-    def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative delay {delay!r}")
-        # Inlined Event.__init__ + Environment._schedule: a timeout is
-        # created per kernel round trip, so the chained calls matter.
-        self.env = env
-        self.callbacks = []
-        self._value = value
-        self._ok = True
-        self._defused = False
-        self._fast_proc = None
-        self.delay = delay
-        seq = env._seq
-        env._seq = seq + 1
-        heapq.heappush(env._queue, (env._now + delay, NORMAL, seq, self))
-
-
-def pooled_timeout(env: "Environment", delay: float,
-                   value: Any = None) -> "Timeout":
-    """A :class:`Timeout` from the environment's free list.
-
-    Identical to ``Timeout(env, delay, value)`` — same heap tuple, same
-    sequence number, same observable state — but reuses a recycled
-    timeout record (including its empty callbacks list) when one is
-    available.  Hot paths that schedule one timeout per event round
-    trip bind this function once and skip the allocator entirely.
+    Created by :func:`pooled_timeout` / :func:`pooled_timeout_at`
+    (``env.timeout`` / ``env.timeout_at``), never directly.
     """
-    pool = env._pool
-    if not pool:
-        return Timeout(env, delay, value)
-    if delay < 0:
-        raise ValueError(f"negative delay {delay!r}")
-    self = pool.pop()
-    # _ok is True, _defused False, _fast_proc None and callbacks an
-    # empty list by the recycle invariant; only value/delay change.
-    self._value = value
-    self.delay = delay
-    seq = env._seq
-    env._seq = seq + 1
-    heapq.heappush(env._queue, (env._now + delay, NORMAL, seq, self))
-    return self
+
+    __slots__ = ()
 
 
 def pooled_timeout_at(env: "Environment", when: float,
                       value: Any = None) -> "Timeout":
-    """A pooled :class:`Timeout` firing at *absolute* time ``when``.
+    """A :class:`Timeout` firing at *absolute* time ``when``.
 
-    ``Timeout(env, when - env.now)`` re-derives the absolute fire time
-    as ``now + (when - now)``, which is not ``when`` under float
-    rounding; schedulers that walk precomputed absolute timestamps (the
-    block-generated arrival front-end) need the event to land on the
-    exact float.  ``when`` must not lie in the past.
+    Reuses a recycled timeout record (including its empty callbacks
+    list) from the environment's free list when one is available, and
+    allocates a fresh one otherwise; either way the heap entry and its
+    sequence number are the same.  ``pooled_timeout(env, when - now)``
+    would re-derive the fire time as ``now + (when - now)``, which is
+    not ``when`` under float rounding; schedulers that walk precomputed
+    absolute timestamps (the block-generated arrival front-end) need
+    the event to land on the exact float.  ``when`` must not lie in the
+    past.
     """
     if when < env._now:
         raise ValueError(f"timeout_at({when!r}) lies in the past")
     pool = env._pool
     if pool:
+        # _ok is True, _defused False, _fast_proc None and callbacks an
+        # empty list by the recycle invariant; only the value changes.
         self = pool.pop()
-        self._value = value
     else:
         self = Timeout.__new__(Timeout)
         self.env = env
         self.callbacks = []
-        self._value = value
         self._ok = True
         self._defused = False
         self._fast_proc = None
-    self.delay = when - env._now
+    self._value = value
     seq = env._seq
     env._seq = seq + 1
     heapq.heappush(env._queue, (when, NORMAL, seq, self))
     return self
+
+
+def pooled_timeout(env: "Environment", delay: float,
+                   value: Any = None) -> "Timeout":
+    """A pooled :class:`Timeout` firing ``delay`` time units from now.
+
+    Hot paths that schedule one timeout per event round trip bind this
+    function once instead of going through ``env.timeout``.
+    """
+    if delay < 0:
+        raise ValueError(f"negative delay {delay!r}")
+    return pooled_timeout_at(env, env._now + delay, value)
 
 
 class Initialize(Event):
@@ -256,7 +202,7 @@ class Initialize(Event):
         super().__init__(env)
         self._ok = True
         self._fast_proc = process
-        env._schedule(self, URGENT)
+        env._schedule(self)
 
 
 class Process(Event):
@@ -267,14 +213,13 @@ class Process(Event):
     ``yield`` it to wait for completion.
     """
 
-    __slots__ = ("_generator", "_target")
+    __slots__ = ("_generator",)
 
     def __init__(self, env: "Environment", generator: Generator):
         if not hasattr(generator, "send"):
             raise TypeError(f"{generator!r} is not a generator")
         super().__init__(env)
         self._generator = generator
-        self._target: Optional[Event] = None
         Initialize(env, self)
 
     @property
@@ -282,34 +227,8 @@ class Process(Event):
         """True while the underlying generator has not terminated."""
         return self._ok is None
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if not self.is_alive:
-            raise SimulationError("cannot interrupt a terminated process")
-        if self is self.env.active_process:
-            raise SimulationError("a process cannot interrupt itself")
-        event = Event(self.env)
-        event._ok = False
-        event._value = Interrupt(cause)
-        event._defused = True  # never counts as an unhandled failure
-        event.callbacks.append(self._resume)
-        self.env._schedule(event, URGENT)
-        # Unsubscribe from the event the process was waiting on: it will
-        # be resumed by the interrupt instead.
-        target = self._target
-        if target is not None:
-            if target._fast_proc is self:
-                target._fast_proc = None
-            elif target.callbacks is not None:
-                try:
-                    target.callbacks.remove(self._resume)
-                except ValueError:
-                    pass
-            self._target = None
-
     def _resume(self, event: Event) -> None:
         env = self.env
-        env._active_process = self
         generator = self._generator
         send = generator.send
         while True:
@@ -343,7 +262,6 @@ class Process(Event):
                         target._fast_proc = self
                     else:
                         callbacks.append(self._resume)
-                    self._target = target
                     break
                 event = target
                 continue
@@ -360,96 +278,30 @@ class Process(Event):
                 event = target
                 continue
             # Same fusion for every other event kind (resource grants,
-            # process joins, ...): the dispatch loops resume _fast_proc
+            # process joins, ...): the dispatch loop resumes _fast_proc
             # before running callbacks, so first-waiter-in-the-slot is
             # ordering-identical to first-callback-in-the-list.
             if target._fast_proc is None and not callbacks:
                 target._fast_proc = self
             else:
                 callbacks.append(self._resume)
-            self._target = target
             break
-        env._active_process = None
 
     def _terminate(self, ok: bool, value: Any) -> None:
-        self._target = None
         self._ok = ok
         self._value = value
-        self.env._schedule(self, URGENT)
-
-
-class _MultiEvent(Event):
-    """Base for :class:`AnyOf` / :class:`AllOf`.
-
-    The value is a dict mapping the index of each *fired* child event
-    to its value, collected at the moment the combinator triggers.
-    """
-
-    __slots__ = ("_events", "_results", "_done")
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env)
-        self._events = list(events)
-        self._results: dict = {}
-        self._done = 0
-        for event in self._events:
-            if not isinstance(event, Event):
-                raise TypeError(f"{event!r} is not an Event")
-        if not self._events:
-            self._ok = True
-            self._value = {}
-            env._schedule(self, URGENT)
-            return
-        for index, event in enumerate(self._events):
-            event._add_callback(
-                lambda fired, index=index: self._on_child(index, fired)
-            )
-
-    def _on_child(self, index: int, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-            return
-        self._results[index] = event._value
-        self._done += 1
-        if self._check(self._done, len(self._events)):
-            self.succeed(dict(self._results))
-
-    def _check(self, done: int, total: int) -> bool:
-        raise NotImplementedError
-
-
-class AnyOf(_MultiEvent):
-    """Fires when any of the given events has fired."""
-
-    __slots__ = ()
-
-    def _check(self, done: int, total: int) -> bool:
-        return done > 0
-
-
-class AllOf(_MultiEvent):
-    """Fires when all of the given events have fired."""
-
-    __slots__ = ()
-
-    def _check(self, done: int, total: int) -> bool:
-        return done == total
+        self.env._schedule(self)
 
 
 class Environment:
     """Event loop, simulation clock, and process factory."""
 
-    __slots__ = ("_now", "_queue", "_seq", "_active_process",
-                 "_pool", "_pool_high")
+    __slots__ = ("_now", "_queue", "_seq", "_pool", "_pool_high")
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
-        self._queue: List = []  # (time, priority, seq, event)
+        self._queue: List = []  # (time, urgency, seq, event)
         self._seq = 0
-        self._active_process: Optional[Process] = None
         #: Free list of recycled Timeout records (see module docstring)
         #: and its high-water mark (an off-by-default telemetry gauge).
         self._pool: List[Timeout] = []
@@ -468,11 +320,6 @@ class Environment:
         property in a lambda.
         """
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_process
 
     # -- factories -------------------------------------------------
 
@@ -506,20 +353,13 @@ class Environment:
         """Start a new :class:`Process` from ``generator``."""
         return Process(self, generator)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event that fires when any of ``events`` fires."""
-        return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Event that fires when all of ``events`` have fired."""
-        return AllOf(self, events)
-
     # -- scheduling ------------------------------------------------
 
-    def _schedule(self, event: Event, priority: int, delay: float = 0.0) -> None:
+    def _schedule(self, event: Event) -> None:
+        """Push a triggered event as URGENT at the current time."""
         seq = self._seq
         self._seq = seq + 1
-        heapq.heappush(self._queue, (self._now + delay, priority, seq, event))
+        heapq.heappush(self._queue, (self._now, URGENT, seq, event))
 
     @property
     def pending_events(self) -> int:
@@ -530,83 +370,20 @@ class Environment:
         """Time of the next scheduled event, or ``inf`` if none."""
         return self._queue[0][0] if self._queue else float("inf")
 
-    def step(self) -> None:
-        """Process the next scheduled event."""
-        if not self._queue:
-            raise SimulationError("no more events")
-        when, _, _, event = heapq.heappop(self._queue)
-        self._now = when
-        callbacks = event.callbacks
-        event.callbacks = None
-        proc = event._fast_proc
-        if proc is not None:
-            event._fast_proc = None
-            proc._resume(event)
-            if not callbacks and type(event) is Timeout:
-                # Fused timeout, no other subscribers: recycle the
-                # record (and its still-empty callbacks list).
-                event.callbacks = callbacks
-                pool = self._pool
-                pool.append(event)
-                if len(pool) > self._pool_high:
-                    self._pool_high = len(pool)
-                return  # a timeout is always _ok
-        if callbacks:
-            for callback in callbacks:
-                callback(event)
-        if not event._ok and not event._defused:
-            # A failed event nobody waited for: surface the error
-            # instead of silently dropping it.
-            raise event._value
-
-    def run(self, until: Any = None) -> Any:
+    def run(self, until: Optional[float] = None) -> None:
         """Run the simulation.
 
-        ``until`` may be ``None`` (run until no events remain), a number
-        (run until that simulation time), or an :class:`Event` (run until
-        it is processed, returning its value).
+        ``run()`` dispatches events until none remain (at a finite
+        time) and leaves the clock at the last event's time.
+        ``run(until=t)`` dispatches every event before ``t`` and then
+        sets the clock to ``t``.
         """
         if until is None:
-            self._run_exhaust()
-            return None
-        if isinstance(until, Event):
-            return self._run_until_event(until)
-        stop_at = float(until)
-        if stop_at < self._now:
-            raise ValueError("until lies in the past")
-        self._run_until_time(stop_at)
-        return None
-
-    # The loops below are step() inlined with the stop condition
-    # hoisted out of the per-event dispatch (one branch per event
-    # instead of three), with the queue and heappop locally bound.
-
-    def _run_exhaust(self) -> None:
-        pool = self._pool
-        queue = self._queue
-        pop = heapq.heappop
-        while queue:
-            when, _, _, event = pop(queue)
-            self._now = when
-            callbacks = event.callbacks
-            event.callbacks = None
-            proc = event._fast_proc
-            if proc is not None:
-                event._fast_proc = None
-                proc._resume(event)
-                if not callbacks and type(event) is Timeout:
-                    event.callbacks = callbacks
-                    pool.append(event)
-                    if len(pool) > self._pool_high:
-                        self._pool_high = len(pool)
-                    continue
-            if callbacks:
-                for callback in callbacks:
-                    callback(event)
-            if not event._ok and not event._defused:
-                raise event._value
-
-    def _run_until_time(self, stop_at: float) -> None:
+            stop_at = float("inf")
+        else:
+            stop_at = float(until)
+            if stop_at < self._now:
+                raise ValueError("until lies in the past")
         pool = self._pool
         queue = self._queue
         pop = heapq.heappop
@@ -620,6 +397,9 @@ class Environment:
                 event._fast_proc = None
                 proc._resume(event)
                 if not callbacks and type(event) is Timeout:
+                    # Fused timeout, no other subscribers: recycle the
+                    # record (and its still-empty callbacks list); a
+                    # timeout is always _ok.
                     event.callbacks = callbacks
                     pool.append(event)
                     if len(pool) > self._pool_high:
@@ -629,17 +409,8 @@ class Environment:
                 for callback in callbacks:
                     callback(event)
             if not event._ok and not event._defused:
+                # A failed event nobody waited for: surface the error
+                # instead of silently dropping it.
                 raise event._value
-        self._now = stop_at
-
-    def _run_until_event(self, stop_event: Event) -> Any:
-        queue = self._queue
-        while stop_event.callbacks is not None and queue:
-            self.step()
-        if stop_event.callbacks is not None:
-            raise SimulationError(
-                "simulation ended before the awaited event fired"
-            )
-        if not stop_event._ok:
-            raise stop_event._value
-        return stop_event._value
+        if until is not None:
+            self._now = stop_at

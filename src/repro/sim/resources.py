@@ -1,16 +1,14 @@
-"""Queued resources for the simulation kernel.
+"""Single-server FIFO resources for the simulation kernel.
 
-A :class:`Resource` models a server (or pool of servers) with a FIFO
-request queue — e.g. a disk arm, a CPU, or the shared network medium.
-Processes acquire it with::
+A :class:`Resource` models one server with a FIFO request queue — e.g.
+a disk arm, a CPU, or the shared network medium.  Processes acquire it
+with::
 
     with resource.request() as req:
         yield req                      # wait for our turn
         yield env.timeout(service_ms)  # hold the resource
 
 and release it automatically when the ``with`` block exits.
-:class:`PriorityResource` additionally orders waiting requests by a
-numeric priority (lower = more urgent), FIFO within equal priorities.
 """
 
 from __future__ import annotations
@@ -28,12 +26,11 @@ class Request(Event):
     resource (or cancels the request if it never got the resource).
     """
 
-    __slots__ = ("resource", "priority", "_enqueued_at")
+    __slots__ = ("resource", "_enqueued_at")
 
-    def __init__(self, resource: "Resource", priority: float = 0.0):
+    def __init__(self, resource: "Resource"):
         super().__init__(resource.env)
         self.resource = resource
-        self.priority = priority
         resource._enqueue(self)
 
     def __enter__(self) -> "Request":
@@ -49,18 +46,21 @@ class Request(Event):
 
 
 class Resource:
-    """A server with ``capacity`` units and a FIFO wait queue."""
+    """One server with a FIFO wait queue.
+
+    ``users`` holds at most one entry, so the resource is free exactly
+    when nobody holds it and nobody waits.  Callers that grant inline
+    (:meth:`occupy`'s fast path, the cluster's fetch chain) rely on
+    that: ``not users and not _waiting`` is the whole grant condition.
+    """
 
     __slots__ = (
-        "env", "capacity", "users", "_waiting", "_busy_since",
-        "_busy_time", "_grants", "_wait_total", "_tel_wait",
+        "env", "users", "_waiting", "_busy_since", "_busy_time",
+        "_grants", "_wait_total", "_tel_wait",
     )
 
-    def __init__(self, env: Environment, capacity: int = 1):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
+    def __init__(self, env: Environment):
         self.env = env
-        self.capacity = capacity
         self.users: List[Request] = []
         self._waiting: List[Request] = []
         # Utilization accounting.
@@ -77,15 +77,15 @@ class Resource:
 
     # -- public API ------------------------------------------------
 
-    def request(self, priority: float = 0.0) -> Request:
+    def request(self) -> Request:
         """Create a request; ``yield`` it to wait for the grant."""
-        return Request(self, priority)
+        return Request(self)
 
     def release(self, request: Request) -> None:
         """Release a granted request (or cancel a waiting one)."""
         if request in self.users:
             self.users.remove(request)
-            if not self.users and self._busy_since is not None:
+            if self._busy_since is not None:
                 self._busy_time += self.env.now - self._busy_since
                 self._busy_since = None
             self._grant_next()
@@ -94,7 +94,7 @@ class Resource:
 
     @property
     def count(self) -> int:
-        """Number of granted (in-service) requests."""
+        """Number of granted (in-service) requests: 0 or 1."""
         return len(self.users)
 
     @property
@@ -103,7 +103,7 @@ class Resource:
         return len(self._waiting)
 
     def utilization(self, elapsed: Optional[float] = None) -> float:
-        """Fraction of time at least one unit was busy."""
+        """Fraction of time the server was busy."""
         elapsed = self.env.now if elapsed is None else elapsed
         if elapsed <= 0:
             return 0.0
@@ -118,7 +118,7 @@ class Resource:
         return self._wait_total / self._grants if self._grants else 0.0
 
     def occupy(self, service: float):
-        """Generator: acquire one unit, hold it ``service``, release it.
+        """Generator: acquire the server, hold it ``service``, release it.
 
         Semantically identical to::
 
@@ -134,7 +134,7 @@ class Resource:
         unchanged, so FIFO ordering and wait accounting are preserved.
         """
         users = self.users
-        if not self._waiting and len(users) < self.capacity:
+        if not self._waiting and not users:
             env = self.env
             if self._busy_since is None:
                 self._busy_since = env._now
@@ -144,7 +144,7 @@ class Resource:
                 yield pooled_timeout(env, service)
             finally:
                 users.remove(self)
-                if not users and self._busy_since is not None:
+                if self._busy_since is not None:
                     self._busy_time += env._now - self._busy_since
                     self._busy_since = None
                 if self._waiting:
@@ -159,7 +159,7 @@ class Resource:
     def _enqueue(self, request: Request) -> None:
         env = self.env
         users = self.users
-        if not self._waiting and len(users) < self.capacity:
+        if not self._waiting and not users:
             # Uncontended fast path: grant synchronously, with the grant
             # event pushed exactly as ``request.succeed(0.0)`` would —
             # same heap tuple, same sequence number, so contention and
@@ -186,46 +186,19 @@ class Resource:
         except ValueError:
             pass
 
-    def _pop_next(self) -> Request:
-        return self._waiting.pop(0)
-
     def _grant_next(self) -> None:
-        users = self.users
-        while self._waiting and len(users) < self.capacity:
-            request = self._pop_next()
-            users.append(request)
-            now = self.env._now
-            if self._busy_since is None:
-                self._busy_since = now
-            waited = now - request._enqueued_at
-            self._grants += 1
-            self._wait_total += waited
-            hist = self._tel_wait
-            if hist is not None:
-                hist.add(waited)
-            request.succeed(waited)
-
-
-class PriorityResource(Resource):
-    """A :class:`Resource` whose queue is ordered by request priority."""
-
-    __slots__ = ("_heap", "_seq")
-
-    def __init__(self, env: Environment, capacity: int = 1):
-        super().__init__(env, capacity)
-        self._heap: List = []
-        self._seq = 0
-
-    def _enqueue(self, request: Request) -> None:
-        request._enqueued_at = self.env.now
-        heapq.heappush(self._heap, (request.priority, self._seq, request))
-        self._seq += 1
-        self._waiting.append(request)
-        self._grant_next()
-
-    def _pop_next(self) -> Request:
-        while True:
-            _, _, request = heapq.heappop(self._heap)
-            if request in self._waiting:
-                self._waiting.remove(request)
-                return request
+        waiting = self._waiting
+        if not waiting or self.users:
+            return
+        request = waiting.pop(0)
+        self.users.append(request)
+        now = self.env._now
+        if self._busy_since is None:
+            self._busy_since = now
+        waited = now - request._enqueued_at
+        self._grants += 1
+        self._wait_total += waited
+        hist = self._tel_wait
+        if hist is not None:
+            hist.add(waited)
+        request.succeed(waited)

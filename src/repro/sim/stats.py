@@ -50,11 +50,6 @@ class OnlineStats:
         """Sample standard deviation."""
         return math.sqrt(self.variance)
 
-    @property
-    def coefficient_of_variation(self) -> float:
-        """stddev / mean (0.0 when the mean is zero)."""
-        return self.stddev / self.mean if self.mean else 0.0
-
     def merge(self, other: "OnlineStats") -> "OnlineStats":
         """Return a new OnlineStats combining both sample sets."""
         merged = OnlineStats()
@@ -275,25 +270,3 @@ def mean_confidence_interval(
     half_width = critical * math.sqrt(variance / n)
     return mean, half_width
 
-
-def replicate_until(
-    run, target_half_width: float, confidence: float = 0.99,
-    min_replications: int = 3, max_replications: int = 200,
-) -> Tuple[float, float, List[float]]:
-    """Replicate ``run(replication_index)`` until the CI is tight enough.
-
-    Returns (mean, half_width, samples).  ``run`` must return one scalar
-    sample per call.  Mirrors the paper's protocol of repeating
-    experiments until the accuracy is below 1 iteration at 99 %
-    confidence.
-    """
-    samples: List[float] = []
-    half_width = math.inf
-    mean = 0.0
-    while len(samples) < max_replications:
-        samples.append(float(run(len(samples))))
-        if len(samples) >= min_replications:
-            mean, half_width = mean_confidence_interval(samples, confidence)
-            if half_width <= target_half_width:
-                break
-    return mean, half_width, samples

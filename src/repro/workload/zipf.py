@@ -114,7 +114,3 @@ class ZipfPagePicker:
     def pick(self, rng: random.Random) -> int:
         """Draw one page id from the set."""
         return self.pages[self.sampler.sample(rng)]
-
-    def pick_from_uniform(self, u: float) -> int:
-        """Map one pre-drawn uniform variate to a page id."""
-        return self.pages[self.sampler.sample_from_uniform(u)]

@@ -1,10 +1,9 @@
-"""Unit + property tests for the LRU and FIFO pools and the pool ABC."""
+"""Unit + property tests for the LRU pool and the pool ABC."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bufmgr.fifo import FifoPool
 from repro.bufmgr.lru import LruPool
 
 
@@ -23,14 +22,6 @@ def test_lru_insert_of_cached_page_is_touch():
     pool.insert(2)
     pool.insert(1)  # refreshes 1 instead of evicting
     assert pool.insert(3) == [2]
-
-
-def test_fifo_ignores_touches():
-    pool = FifoPool(capacity=2)
-    pool.insert(1)
-    pool.insert(2)
-    pool.touch(1)          # must not save page 1
-    assert pool.insert(3) == [1]
 
 
 def test_zero_capacity_never_stores():
@@ -80,29 +71,6 @@ def test_hit_rate_accounting():
     assert pool.hit_rate == pytest.approx(2 / 3)
 
 
-def test_belady_anomaly_on_fifo():
-    """The paper cites [2]: FIFO can violate 'more buffer = more hits'.
-
-    The classic reference string 1,2,3,4,1,2,5,1,2,3,4,5 yields 9
-    faults with 3 frames but 10 with 4 frames.
-    """
-    reference = [1, 2, 3, 4, 1, 2, 5, 1, 2, 3, 4, 5]
-
-    def fault_count(frames):
-        pool = FifoPool(capacity=frames)
-        faults = 0
-        for page in reference:
-            if page in pool:
-                pool.touch(page)
-            else:
-                faults += 1
-                pool.insert(page)
-        return faults
-
-    assert fault_count(3) == 9
-    assert fault_count(4) == 10
-
-
 @given(
     st.integers(min_value=1, max_value=16),
     st.lists(st.integers(min_value=0, max_value=40),
@@ -110,11 +78,11 @@ def test_belady_anomaly_on_fifo():
 )
 @settings(max_examples=100)
 def test_property_pool_never_exceeds_capacity(capacity, pages):
-    """Invariant: |pool| <= capacity at all times, for both policies."""
-    for pool in (LruPool(capacity), FifoPool(capacity)):
-        for page in pages:
-            pool.insert(page)
-            assert len(pool) <= capacity
+    """Invariant: |pool| <= capacity at all times."""
+    pool = LruPool(capacity)
+    for page in pages:
+        pool.insert(page)
+        assert len(pool) <= capacity
 
 
 @given(

@@ -4,45 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core.simplex import ITERATION_LIMIT, OPTIMAL, solve_lp
-from repro.sim.engine import Environment, Interrupt
-from repro.sim.resources import Resource
+from repro.sim.engine import Environment
 
 
 # -- kernel ---------------------------------------------------------------
-
-
-def test_interrupt_while_waiting_for_resource():
-    """An interrupted waiter must leave the queue cleanly."""
-    env = Environment()
-    resource = Resource(env, capacity=1)
-    log = []
-
-    def holder():
-        with resource.request() as req:
-            yield req
-            yield env.timeout(10.0)
-        log.append(("holder done", env.now))
-
-    def waiter():
-        request = resource.request()
-        try:
-            yield request
-            log.append("waiter got it")
-        except Interrupt:
-            resource.release(request)  # cancel the queued request
-            log.append(("waiter interrupted", env.now))
-
-    def interrupter(target):
-        yield env.timeout(2.0)
-        target.interrupt()
-
-    env.process(holder())
-    target = env.process(waiter())
-    env.process(interrupter(target))
-    env.run()
-    assert ("waiter interrupted", 2.0) in log
-    assert ("holder done", 10.0) in log
-    assert resource.queue_length == 0
 
 
 def test_nested_subgenerators_three_deep():

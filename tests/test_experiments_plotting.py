@@ -1,14 +1,11 @@
 """Unit tests for the ASCII chart and series export helpers."""
 
-import json
-
 import pytest
 
 from repro.experiments.plotting import (
     ascii_chart,
     overlay_chart,
     series_to_csv,
-    series_to_json,
 )
 
 
@@ -78,13 +75,3 @@ def test_series_to_csv_roundtrip(tmp_path):
 def test_series_to_csv_header_mismatch():
     with pytest.raises(ValueError):
         series_to_csv(["a"], [[1], [2]])
-
-
-def test_series_to_json_roundtrip(tmp_path):
-    path = tmp_path / "series.json"
-    text = series_to_json(
-        ["t", "rt"], [[1, 2], [10.0, 20.0]], path=str(path)
-    )
-    data = json.loads(text)
-    assert data == {"t": [1, 2], "rt": [10.0, 20.0]}
-    assert json.loads(path.read_text()) == data

@@ -4,14 +4,7 @@ from itertools import accumulate
 
 import pytest
 
-from repro.sim.engine import (
-    AllOf,
-    AnyOf,
-    Environment,
-    Event,
-    Interrupt,
-    SimulationError,
-)
+from repro.sim.engine import Environment, SimulationError
 
 
 def test_clock_starts_at_zero():
@@ -154,24 +147,24 @@ def test_event_cannot_trigger_twice():
 
 
 def test_event_fail_raises_in_waiter():
+    # A process whose generator raises is a failed event: the exception
+    # is thrown into its waiter, and counts as handled there.
     env = Environment()
-    gate = env.event()
     caught = []
 
     def failer():
         yield env.timeout(1.0)
-        gate.fail(RuntimeError("boom"))
+        raise RuntimeError("boom")
 
-    def waiter():
+    def waiter(failing):
         try:
-            yield gate
+            yield failing
         except RuntimeError as exc:
-            caught.append(str(exc))
+            caught.append((env.now, str(exc)))
 
-    env.process(failer())
-    env.process(waiter())
+    env.process(waiter(env.process(failer())))
     env.run()
-    assert caught == ["boom"]
+    assert caught == [(1.0, "boom")]
 
 
 def test_unhandled_process_failure_propagates():
@@ -186,12 +179,6 @@ def test_unhandled_process_failure_propagates():
         env.run()
 
 
-def test_fail_requires_exception_instance():
-    env = Environment()
-    with pytest.raises(TypeError):
-        env.event().fail("not an exception")
-
-
 def test_yielding_non_event_fails_process():
     env = Environment()
 
@@ -203,104 +190,12 @@ def test_yielding_non_event_fails_process():
         env.run()
 
 
-def test_run_until_event_returns_value():
-    env = Environment()
-
-    def proc():
-        yield env.timeout(2.0)
-        return "finished"
-
-    result = env.run(until=env.process(proc()))
-    assert result == "finished"
-    assert env.now == 2.0
-
-
-def test_interrupt_wakes_process_early():
-    env = Environment()
-    log = []
-
-    def sleeper():
-        try:
-            yield env.timeout(100.0)
-            log.append("slept full")
-        except Interrupt as interrupt:
-            log.append(("interrupted", env.now, interrupt.cause))
-
-    def interrupter(target):
-        yield env.timeout(5.0)
-        target.interrupt("wake up")
-
-    target = env.process(sleeper())
-    env.process(interrupter(target))
-    env.run()
-    assert log == [("interrupted", 5.0, "wake up")]
-
-
-def test_interrupting_dead_process_raises():
-    env = Environment()
-
-    def quick():
-        yield env.timeout(1.0)
-
-    proc = env.process(quick())
-    env.run()
-    with pytest.raises(SimulationError):
-        proc.interrupt()
-
-
-def test_any_of_fires_on_first():
-    env = Environment()
-    log = []
-
-    def proc():
-        result = yield AnyOf(env, [env.timeout(5.0, "slow"),
-                                   env.timeout(1.0, "fast")])
-        log.append((env.now, sorted(result.values())))
-
-    env.process(proc())
-    env.run()
-    assert log == [(1.0, ["fast"])]
-
-
-def test_all_of_waits_for_every_event():
-    env = Environment()
-    log = []
-
-    def proc():
-        result = yield AllOf(env, [env.timeout(5.0, "slow"),
-                                   env.timeout(1.0, "fast")])
-        log.append((env.now, sorted(result.values())))
-
-    env.process(proc())
-    env.run()
-    assert log == [(5.0, ["fast", "slow"])]
-
-
-def test_all_of_empty_fires_immediately():
-    env = Environment()
-    log = []
-
-    def proc():
-        yield AllOf(env, [])
-        log.append(env.now)
-
-    env.process(proc())
-    env.run()
-    assert log == [0.0]
-
-
 def test_peek_reports_next_event_time():
     env = Environment()
     env.timeout(7.0)
     assert env.peek() == 7.0
     env.run()
     assert env.peek() == float("inf")
-
-
-def test_step_without_events_raises():
-    env = Environment()
-    with pytest.raises(SimulationError):
-        env.step()
 
 
 def test_is_alive_transitions():

@@ -1,13 +1,13 @@
-"""Unit tests for the resource primitives (FCFS and priority queues)."""
+"""Unit tests for the single-server FIFO resource."""
 
 import pytest
 
 from repro.sim.engine import Environment
-from repro.sim.resources import PriorityResource, Resource
+from repro.sim.resources import Resource
 
 
-def _hold(env, resource, duration, log, name, priority=0.0):
-    with resource.request(priority) as req:
+def _hold(env, resource, duration, log, name):
+    with resource.request() as req:
         yield req
         log.append(("start", name, env.now))
         yield env.timeout(duration)
@@ -16,7 +16,7 @@ def _hold(env, resource, duration, log, name, priority=0.0):
 
 def test_capacity_one_serializes():
     env = Environment()
-    res = Resource(env, capacity=1)
+    res = Resource(env)
     log = []
     env.process(_hold(env, res, 5.0, log, "a"))
     env.process(_hold(env, res, 5.0, log, "b"))
@@ -31,7 +31,7 @@ def test_capacity_one_serializes():
 
 def test_fcfs_order():
     env = Environment()
-    res = Resource(env, capacity=1)
+    res = Resource(env)
     log = []
 
     def late(name, arrive):
@@ -46,27 +46,9 @@ def test_fcfs_order():
     assert [s[1] for s in starts] == ["first", "second", "third"]
 
 
-def test_capacity_two_runs_in_parallel():
-    env = Environment()
-    res = Resource(env, capacity=2)
-    log = []
-    env.process(_hold(env, res, 5.0, log, "a"))
-    env.process(_hold(env, res, 5.0, log, "b"))
-    env.process(_hold(env, res, 5.0, log, "c"))
-    env.run()
-    assert ("start", "b", 0.0) in log
-    assert ("start", "c", 5.0) in log
-
-
-def test_invalid_capacity_rejected():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Resource(env, capacity=0)
-
-
 def test_queue_length_and_count():
     env = Environment()
-    res = Resource(env, capacity=1)
+    res = Resource(env)
     log = []
     env.process(_hold(env, res, 10.0, log, "a"))
     env.process(_hold(env, res, 10.0, log, "b"))
@@ -78,7 +60,7 @@ def test_queue_length_and_count():
 
 def test_utilization_tracks_busy_time():
     env = Environment()
-    res = Resource(env, capacity=1)
+    res = Resource(env)
     log = []
 
     def user():
@@ -91,7 +73,7 @@ def test_utilization_tracks_busy_time():
 
 def test_mean_wait_accounts_queueing():
     env = Environment()
-    res = Resource(env, capacity=1)
+    res = Resource(env)
     log = []
     env.process(_hold(env, res, 4.0, log, "a"))
     env.process(_hold(env, res, 4.0, log, "b"))
@@ -102,7 +84,7 @@ def test_mean_wait_accounts_queueing():
 
 def test_request_grant_value_is_wait_time():
     env = Environment()
-    res = Resource(env, capacity=1)
+    res = Resource(env)
     waits = []
 
     def proc():
@@ -119,7 +101,7 @@ def test_request_grant_value_is_wait_time():
 
 def test_cancel_waiting_request_frees_queue():
     env = Environment()
-    res = Resource(env, capacity=1)
+    res = Resource(env)
     log = []
 
     def holder():
@@ -136,37 +118,3 @@ def test_cancel_waiting_request_frees_queue():
     env.run()
     assert ("gave up", 1.0) in log
     assert res.queue_length == 0
-
-
-def test_priority_resource_orders_by_priority():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    log = []
-
-    def requester(name, priority, arrive):
-        yield env.timeout(arrive)
-        yield from _hold(env, res, 2.0, log, name, priority)
-
-    env.process(requester("holder", 0, 0.0))
-    env.process(requester("low", 5, 0.1))
-    env.process(requester("high", 1, 0.2))
-    env.run()
-    starts = [entry[1] for entry in log if entry[0] == "start"]
-    assert starts == ["holder", "high", "low"]
-
-
-def test_priority_resource_fifo_within_priority():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    log = []
-
-    def requester(name, arrive):
-        yield env.timeout(arrive)
-        yield from _hold(env, res, 2.0, log, name, priority=1)
-
-    env.process(requester("holder", 0.0))
-    env.process(requester("first", 0.1))
-    env.process(requester("second", 0.2))
-    env.run()
-    starts = [entry[1] for entry in log if entry[0] == "start"]
-    assert starts == ["holder", "first", "second"]

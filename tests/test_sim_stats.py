@@ -12,7 +12,6 @@ from repro.sim.stats import (
     TimeSeries,
     WindowStats,
     mean_confidence_interval,
-    replicate_until,
 )
 
 finite_floats = st.floats(
@@ -82,15 +81,6 @@ def test_merge_with_empty():
     assert merged.count == 2
 
 
-def test_coefficient_of_variation():
-    stats = OnlineStats()
-    for x in (8.0, 12.0):
-        stats.add(x)
-    assert stats.coefficient_of_variation == pytest.approx(
-        stats.stddev / 10.0
-    )
-
-
 def test_reset_clears_everything():
     stats = OnlineStats()
     stats.add(1.0)
@@ -140,25 +130,3 @@ def test_confidence_interval_zero_variance():
     mean, half = mean_confidence_interval([5.0] * 10)
     assert mean == 5.0
     assert half == pytest.approx(0.0)
-
-
-def test_replicate_until_stops_when_tight():
-    mean, half, samples = replicate_until(
-        lambda i: 2.0, target_half_width=0.5
-    )
-    assert mean == 2.0
-    assert half <= 0.5
-    assert len(samples) == 3  # the minimum
-
-
-def test_replicate_until_respects_max():
-    calls = []
-
-    def noisy(i):
-        calls.append(i)
-        return float(i % 2) * 1000.0  # huge variance, never converges
-
-    mean, half, samples = replicate_until(
-        noisy, target_half_width=0.001, max_replications=10
-    )
-    assert len(samples) == 10

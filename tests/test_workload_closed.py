@@ -57,11 +57,12 @@ def test_in_flight_bounded_by_population(fast_config):
         cluster, make_spec(), clients_per_node=3, think_time_ms=10.0
     )
     driver.start()
-    for _ in range(200):
-        if not cluster.env._queue:
-            break
-        cluster.env.step()
+    seen = set()
+    for tick in range(1, 401):
+        cluster.env.run(until=tick * 0.5)
         assert 0 <= driver.in_flight <= population
+        seen.add(driver.in_flight)
+    assert max(seen) > 0
 
 
 def test_throughput_self_regulates(fast_config):
