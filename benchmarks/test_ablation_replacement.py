@@ -50,7 +50,7 @@ def test_costbased_vs_lru(benchmark, bench_config):
     def run():
         return [
             replay(bench_config, records, policy)
-            for policy in ("cost", "lru", "lruk", "clock", "2q")
+            for policy in ("cost", "lru", "lruk")
         ]
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -1,6 +1,6 @@
 """Mean Value Analysis for closed multiclass product-form networks.
 
-The solver family behind the analytic fast path (ROADMAP item 3):
+The solver family behind the analytic fast path (:mod:`repro.analytic`):
 
 * :func:`exact_mva` — the exact multiclass MVA recursion (Reiser &
   Lavenberg).  It walks every population vector ``n <= N`` once, so its

@@ -2,9 +2,7 @@
 per-node multi-pool manager implementing the §6 access protocol."""
 
 from repro.bufmgr.base import BufferPool
-from repro.bufmgr.clock import ClockPool
 from repro.bufmgr.costbased import BenefitModel, CostBasedPool
-from repro.bufmgr.twoq import TwoQPool
 from repro.bufmgr.costs import AccessLevel, CostObserver
 from repro.bufmgr.heat import GlobalHeatRegistry, HeatTracker
 from repro.bufmgr.lru import LruPool
@@ -15,9 +13,7 @@ __all__ = [
     "AccessLevel",
     "BenefitModel",
     "BufferPool",
-    "ClockPool",
     "CostBasedPool",
-    "TwoQPool",
     "CostObserver",
     "GlobalHeatRegistry",
     "HeatTracker",

@@ -16,17 +16,12 @@ from typing import Iterable, List
 class BufferPool(ABC):
     """An in-memory page cache with a pluggable replacement policy."""
 
-    #: Human-readable policy name, overridden by subclasses.
-    policy = "abstract"
-
-    __slots__ = ("_capacity", "hits", "misses")
+    __slots__ = ("_capacity",)
 
     def __init__(self, capacity: int):
         if capacity < 0:
             raise ValueError("capacity must be non-negative")
         self._capacity = capacity
-        self.hits = 0
-        self.misses = 0
 
     # -- policy hooks ------------------------------------------------
 
@@ -102,19 +97,3 @@ class BufferPool(ABC):
             self._discard(victim)
             evicted.append(victim)
         return evicted
-
-    # -- statistics ----------------------------------------------------
-
-    def record_hit(self) -> None:
-        """Account one hit (kept by the manager's access protocol)."""
-        self.hits += 1
-
-    def record_miss(self) -> None:
-        """Account one miss."""
-        self.misses += 1
-
-    @property
-    def hit_rate(self) -> float:
-        """hits / (hits + misses), 0.0 before any access."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

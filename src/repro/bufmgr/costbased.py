@@ -106,8 +106,6 @@ class CostBasedPool(BufferPool):
     benefits, where only the insertion-order tie-break can differ).
     """
 
-    policy = "cost-based"
-
     __slots__ = ("model", "revalidate", "_pages", "_heap", "_seq",
                  "_price")
 
@@ -242,9 +240,3 @@ class CostBasedPool(BufferPool):
 
     def page_ids(self) -> Iterable[int]:
         return iter(self._pages)
-
-    def benefit_of(self, page_id: int) -> float:
-        """Current benefit of a cached page (for inspection/tests)."""
-        if page_id not in self._pages:
-            raise KeyError(page_id)
-        return self.model.benefit(page_id)

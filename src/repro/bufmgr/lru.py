@@ -11,8 +11,6 @@ from repro.bufmgr.base import BufferPool
 class LruPool(BufferPool):
     """Classic LRU: evict the page untouched for the longest time."""
 
-    policy = "lru"
-
     __slots__ = ("_pages",)
 
     def __init__(self, capacity: int):

@@ -10,7 +10,7 @@ algorithm.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, Iterable, Optional
+from typing import Callable, Deque, Dict, Iterable
 
 from repro.bufmgr.base import BufferPool
 
@@ -18,29 +18,24 @@ from repro.bufmgr.base import BufferPool
 class LrukPool(BufferPool):
     """LRU-K pool; ``clock`` supplies the current time for references."""
 
-    policy = "lru-k"
-
     __slots__ = ("k", "_clock", "_history")
 
-    def __init__(self, capacity: int, k: int = 2,
-                 clock: Optional[Callable[[], float]] = None):
+    def __init__(self, capacity: int, clock: Callable[[], float],
+                 k: int = 2):
         if k < 1:
             raise ValueError("k must be >= 1")
         super().__init__(capacity)
         self.k = k
-        self._clock = clock if clock is not None else _counter_clock()
+        self._clock = clock
         #: page id -> deque of the last K reference times (newest last)
         self._history: Dict[int, Deque[float]] = {}
-
-    def _now(self) -> float:
-        return self._clock()
 
     def _record(self, page_id: int) -> None:
         history = self._history.get(page_id)
         if history is None:
             history = deque(maxlen=self.k)
             self._history[page_id] = history
-        history.append(self._now())
+        history.append(self._clock())
 
     def _select_victim(self) -> int:
         # Max backward K-distance == min K-th most recent reference
@@ -71,24 +66,3 @@ class LrukPool(BufferPool):
 
     def page_ids(self) -> Iterable[int]:
         return iter(self._history)
-
-    def backward_k_distance(
-        self, page_id: int, now: Optional[float] = None
-    ) -> float:
-        """Backward K-distance of a cached page (inf if < K references)."""
-        history = self._history[page_id]
-        if len(history) < self.k:
-            return float("inf")
-        now = self._now() if now is None else now
-        return now - history[0]
-
-
-def _counter_clock() -> Callable[[], float]:
-    """Fallback logical clock counting calls (for standalone use)."""
-    state = {"t": 0.0}
-
-    def clock() -> float:
-        state["t"] += 1.0
-        return state["t"]
-
-    return clock

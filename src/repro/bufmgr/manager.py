@@ -63,15 +63,13 @@ class NodeBufferManager:
         costs: CostObserver,
         is_last_copy: Callable[[int, int], bool],
         policy: str = "cost",
-        lruk_k: int = 2,
     ):
-        if policy not in ("cost", "lru", "lruk", "clock", "2q"):
+        if policy not in ("cost", "lru", "lruk"):
             raise ValueError(f"unknown replacement policy {policy!r}")
         self.node_id = node_id
         self.page_size = page_size
         self.total_pages = total_bytes // page_size
         self.policy = policy
-        self.lruk_k = lruk_k
         self.clock = clock
         self.global_heat = global_heat
         self.costs = costs
@@ -101,15 +99,7 @@ class NodeBufferManager:
         if self.policy == "lru":
             return LruPool(capacity)
         if self.policy == "lruk":
-            return LrukPool(capacity, k=self.lruk_k, clock=self.clock)
-        if self.policy == "clock":
-            from repro.bufmgr.clock import ClockPool
-
-            return ClockPool(capacity)
-        if self.policy == "2q":
-            from repro.bufmgr.twoq import TwoQPool
-
-            return TwoQPool(capacity)
+            return LrukPool(capacity, clock=self.clock)
         if class_id == NO_GOAL_CLASS:
             heat_view = self.accumulated_heat
         else:
@@ -140,10 +130,6 @@ class NodeBufferManager:
             for class_id, pool in self._pools.items()
             if class_id != NO_GOAL_CLASS
         )
-
-    def no_goal_bytes(self) -> int:
-        """Current no-goal pool size in bytes."""
-        return self._pools[NO_GOAL_CLASS].capacity * self.page_size
 
     def set_dedicated_bytes(
         self, class_id: int, nbytes: int
@@ -300,13 +286,6 @@ class NodeBufferManager:
     def pool(self, class_id: int) -> Optional[BufferPool]:
         """The pool object for ``class_id`` (None if not present)."""
         return self._pools.get(class_id)
-
-    def hit_rate(self, class_id: int) -> float:
-        """Local buffer hit rate observed for ``class_id``."""
-        hits = self.hits_by_class.get(class_id, 0)
-        misses = self.misses_by_class.get(class_id, 0)
-        total = hits + misses
-        return hits / total if total else 0.0
 
     # -- internals ----------------------------------------------------
 

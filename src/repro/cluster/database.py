@@ -7,8 +7,6 @@ function; both are supported.
 
 from __future__ import annotations
 
-from typing import List
-
 
 class Database:
     """A set of ``num_pages`` pages of ``page_size`` bytes each."""
@@ -38,10 +36,6 @@ class Database:
             return page_id % self.num_nodes
         # Deterministic multiplicative hash, well spread for small ids.
         return (page_id * 2654435761) % (2**32) % self.num_nodes
-
-    def pages_homed_at(self, node_id: int) -> List[int]:
-        """All page ids whose home is ``node_id``."""
-        return [p for p in range(self.num_pages) if self.home(p) == node_id]
 
     def _check(self, page_id: int) -> None:
         if not 0 <= page_id < self.num_pages:

@@ -231,11 +231,6 @@ class PageDirectory:
             and self._lowest[page_id] == node_id
         )
 
-    def copy_count(self, page_id: int) -> int:
-        """Number of cached copies across the cluster."""
-        count = self._count
-        return count[page_id] if page_id < len(count) else 0
-
     # -- anti-entropy ------------------------------------------------
 
     def state(self) -> Dict[int, tuple]:

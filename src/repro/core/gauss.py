@@ -50,17 +50,6 @@ class IndependenceTracker:
                 v = v - (v[pivot] / row[pivot]) * row
         return v
 
-    def is_independent(self, vector) -> bool:
-        """Would adding ``vector`` keep the set linearly independent?"""
-        if self.full:
-            return False
-        v = np.asarray(vector, dtype=float)
-        norm = float(np.linalg.norm(v))
-        if norm == 0.0:
-            return False
-        residual = self.residual(v)
-        return float(np.abs(residual).max()) > self.rtol * norm
-
     def add(self, vector) -> bool:
         """Add ``vector`` if it is independent; return success."""
         if self.full:

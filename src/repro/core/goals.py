@@ -1,16 +1,13 @@
 """Service level agreements and per-class performance goals.
 
 Users express requirements as response time constraints per class
-(§1, [20]): each goal class carries a mean response time goal; the
-*performance index* of a class is the ratio of observed to goal
-response time (used by the dynamic-tuning baseline of [8] and by the
-reporting code).
+(§1, [20]): each goal class carries a mean response time goal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.bufmgr.manager import NO_GOAL_CLASS
 
@@ -28,10 +25,6 @@ class ClassGoal:
         if self.goal_ms <= 0:
             raise ValueError("response time goals must be positive")
 
-    def performance_index(self, observed_ms: float) -> float:
-        """observed / goal; > 1 means the goal is violated."""
-        return observed_ms / self.goal_ms
-
     def satisfied(self, observed_ms: float, tolerance_ms: float = 0.0) -> bool:
         """True if the observed RT is within the goal (+ tolerance)."""
         return observed_ms <= self.goal_ms + tolerance_ms
@@ -43,14 +36,6 @@ class ServiceLevelAgreement:
 
     goals: Dict[int, ClassGoal] = field(default_factory=dict)
 
-    @classmethod
-    def from_pairs(cls, pairs) -> "ServiceLevelAgreement":
-        """Build from an iterable of (class_id, goal_ms)."""
-        sla = cls()
-        for class_id, goal_ms in pairs:
-            sla.set_goal(class_id, goal_ms)
-        return sla
-
     def set_goal(self, class_id: int, goal_ms: float) -> None:
         """Install or change the goal of ``class_id``."""
         self.goals[class_id] = ClassGoal(class_id, goal_ms)
@@ -59,17 +44,3 @@ class ServiceLevelAgreement:
         """Goal of the class in ms, or None for the no-goal class."""
         goal = self.goals.get(class_id)
         return goal.goal_ms if goal else None
-
-    @property
-    def goal_class_ids(self) -> List[int]:
-        """All goal class ids, sorted."""
-        return sorted(self.goals)
-
-    def max_performance_index(self, observed: Dict[int, float]) -> float:
-        """max over classes of observed/goal (dynamic tuning's metric)."""
-        indices = [
-            self.goals[cid].performance_index(rt)
-            for cid, rt in observed.items()
-            if cid in self.goals
-        ]
-        return max(indices) if indices else 0.0

@@ -57,7 +57,6 @@ def measure_static_rt(
     dedicated_fraction: float,
     config: Optional[SystemConfig] = None,
     seed: int = 0,
-    policy: str = "cost",
     warmup_ms: float = CALIBRATION_WARMUP_MS,
     measure_ms: float = 90_000.0,
 ) -> float:
@@ -70,7 +69,7 @@ def measure_static_rt(
     if not 0.0 <= dedicated_fraction <= 1.0:
         raise ValueError("fraction must lie in [0, 1]")
     config = config if config is not None else SystemConfig()
-    cluster = Cluster(config, seed=seed, policy=policy)
+    cluster = Cluster(config, seed=seed)
     generator = WorkloadGenerator(cluster, workload)
     generator.start()
     nbytes = int(dedicated_fraction * config.node.buffer_bytes)
@@ -87,7 +86,6 @@ def calibrate_goal_range(
     class_id: int = 1,
     config: Optional[SystemConfig] = None,
     seed: int = 0,
-    policy: str = "cost",
     warmup_ms: float = CALIBRATION_WARMUP_MS,
     measure_ms: float = 90_000.0,
     jobs: int = 1,
@@ -99,8 +97,7 @@ def calibrate_goal_range(
     path because each anchor is a self-contained seeded simulation.
     """
     tasks = [
-        (workload, class_id, fraction, config, seed, policy,
-         warmup_ms, measure_ms)
+        (workload, class_id, fraction, config, seed, warmup_ms, measure_ms)
         for fraction in (2.0 / 3.0, 1.0 / 3.0)
     ]
     if jobs > 1:

@@ -42,7 +42,6 @@ class ConvergenceSettings:
     goal_class: int = 1
     config: SystemConfig = field(default_factory=SystemConfig)
     arrival_rate_per_node: float = 0.02
-    policy: str = "cost"
     #: Simulated warm time before the controller starts.
     warmup_ms: float = DEFAULT_WARMUP_MS
     #: Intervals allowed for the initial (cold-start) convergence.
@@ -96,7 +95,6 @@ def measure_convergence_run(
         config=settings.config,
         workload=workload,
         seed=seed,
-        policy=settings.policy,
         warmup_ms=settings.warmup_ms,
     )
     sim.run(intervals=settings.initial_intervals)
@@ -180,7 +178,6 @@ def convergence_experiment(
             class_id=settings.goal_class,
             config=settings.config,
             seed=base_seed,
-            policy=settings.policy,
             jobs=jobs,
         )
     worker = functools.partial(

@@ -40,7 +40,6 @@ class Simulation:
         config: Optional[SystemConfig] = None,
         workload: Optional[WorkloadSpec] = None,
         seed: int = 0,
-        policy: str = "cost",
         controller: Optional[GoalOrientedController] = None,
         warmup_ms: float = 0.0,
         recorder=None,
@@ -52,7 +51,7 @@ class Simulation:
         if workload is None:
             raise ValueError("a workload spec is required")
         self.workload = workload
-        self.cluster = Cluster(self.config, seed=seed, policy=policy)
+        self.cluster = Cluster(self.config, seed=seed)
         if controller is None:
             goals = {
                 c.class_id: c.goal_ms for c in workload.goal_classes
@@ -259,7 +258,6 @@ def build_base_experiment(
     goal_ms: float = 3.0,
     skew: float = 0.0,
     config: Optional[SystemConfig] = None,
-    policy: str = "cost",
     arrival_rate_per_node: float = 0.02,
     **controller_kwargs,
 ) -> Simulation:
@@ -275,6 +273,5 @@ def build_base_experiment(
         config=config,
         workload=workload,
         seed=seed,
-        policy=policy,
         **controller_kwargs,
     )

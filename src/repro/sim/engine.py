@@ -222,11 +222,6 @@ class Process(Event):
         self._generator = generator
         Initialize(env, self)
 
-    @property
-    def is_alive(self) -> bool:
-        """True while the underlying generator has not terminated."""
-        return self._ok is None
-
     def _resume(self, event: Event) -> None:
         env = self.env
         generator = self._generator
@@ -365,10 +360,6 @@ class Environment:
     def pending_events(self) -> int:
         """Number of scheduled-but-undispatched events."""
         return len(self._queue)
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        return self._queue[0][0] if self._queue else float("inf")
 
     def run(self, until: Optional[float] = None) -> None:
         """Run the simulation.

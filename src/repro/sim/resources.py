@@ -39,11 +39,6 @@ class Request(Event):
     def __exit__(self, exc_type, exc_value, traceback) -> None:
         self.resource.release(self)
 
-    @property
-    def wait_time(self) -> float:
-        """Time between request creation and grant (valid once granted)."""
-        return self.value  # the grant triggers with the wait time
-
 
 class Resource:
     """One server with a FIFO wait queue.

@@ -155,17 +155,6 @@ class TelemetryBus:
         for sub in subscribers:
             sub.close()
 
-    @property
-    def subscriber_count(self) -> int:
-        """Number of live subscriptions."""
-        with self._lock:
-            return len(self._subscribers)
-
-    def total_dropped(self) -> int:
-        """Records dropped across current subscribers."""
-        with self._lock:
-            return sum(sub.dropped for sub in self._subscribers)
-
 
 class SnapshotSampler:
     """TraceLog listener: publish records plus sim-time metric deltas.

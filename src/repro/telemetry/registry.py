@@ -29,10 +29,6 @@ class Counter:
     def __init__(self):
         self.value = 0
 
-    def inc(self, amount: int = 1) -> None:
-        """Add ``amount`` (default 1) to the count."""
-        self.value += amount
-
 
 class Gauge:
     """A point-in-time value, either set directly or sampled via ``fn``."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import islice
-from typing import Iterator, List
+from typing import Iterator
 
 
 class RingLog:
@@ -53,10 +53,6 @@ class RingLog:
     def evicted(self) -> int:
         """How many entries have been evicted so far."""
         return self.appended - len(self._items)
-
-    def to_list(self) -> List:
-        """The retained entries as a list, oldest first."""
-        return list(self._items)
 
     def __len__(self) -> int:
         return len(self._items)

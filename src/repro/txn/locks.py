@@ -211,13 +211,3 @@ class LockManager:
         """True if ``txn_id`` holds any lock on ``page_id``."""
         state = self._locks.get(page_id)
         return bool(state and txn_id in state.holders)
-
-    def mode_of(self, txn_id: int, page_id: int):
-        """The held lock mode, or None."""
-        state = self._locks.get(page_id)
-        return state.holders.get(txn_id) if state else None
-
-    def waiting_count(self, page_id: int) -> int:
-        """Transactions queued on the page's lock."""
-        state = self._locks.get(page_id)
-        return len(state.queue) if state else 0

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional, Set
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.messages import MessageKind
@@ -221,14 +221,3 @@ class TransactionManager:
                     manager.pool(pool_id).remove(page_id)
                     manager._where.pop(page_id, None)
                 self.cluster.directory.unregister(page_id, node_id)
-
-    # -- introspection -----------------------------------------------------
-
-    def locks_held(self, txn: Transaction) -> List[int]:
-        """Pages on which the transaction currently holds locks."""
-        held = []
-        for node_id in self.locks:
-            for page_id in set(txn.read_set) | set(txn.write_set):
-                if self.locks[node_id].holds(txn.txn_id, page_id):
-                    held.append(page_id)
-        return sorted(set(held))

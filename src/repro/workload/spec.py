@@ -69,11 +69,6 @@ class ClassSpec:
         """True for classes 1..K (classes with a response time goal)."""
         return self.class_id != NO_GOAL_CLASS
 
-    @property
-    def mean_interarrival_ms(self) -> float:
-        """Mean time between arrivals at one node (scalar rate)."""
-        return 1.0 / self.arrival_rate_per_node
-
     def rate_for(self, node_id: int) -> float:
         """Arrival rate at ``node_id`` (per-node override or scalar)."""
         if self.node_rates is not None and node_id < len(self.node_rates):
@@ -99,14 +94,6 @@ class WorkloadSpec:
             (c for c in self.classes if c.is_goal_class),
             key=lambda c: c.class_id,
         )
-
-    @property
-    def no_goal_class(self) -> Optional[ClassSpec]:
-        """The no-goal class spec if present."""
-        for spec in self.classes:
-            if not spec.is_goal_class:
-                return spec
-        return None
 
     def spec_for(self, class_id: int) -> ClassSpec:
         """Look up the spec of ``class_id``."""

@@ -124,13 +124,6 @@ def test_pool_heap_compaction_keeps_consistency():
     assert set(pool.page_ids()) <= set(range(16))
 
 
-def test_benefit_of_requires_cached_page():
-    model, *_ = make_model()
-    pool = CostBasedPool(capacity=2, model=model)
-    with pytest.raises(KeyError):
-        pool.benefit_of(1)
-
-
 def test_revalidate_must_be_positive():
     model, *_ = make_model()
     with pytest.raises(ValueError):

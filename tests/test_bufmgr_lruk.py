@@ -40,27 +40,32 @@ def test_lru_among_underreferenced_pages():
 
 
 def test_backward_k_distance_inf_without_k_references():
-    pool = LrukPool(capacity=4, k=2, clock=make_clock())
-    pool.insert(1)
-    assert pool.backward_k_distance(1) == float("inf")
-    pool.touch(1)
-    assert pool.backward_k_distance(1, now=10.0) == 9.0
+    pool = LrukPool(capacity=2, k=2, clock=make_clock())
+    pool.insert(1)      # t=1
+    pool.touch(1)       # t=2 -> finite distance, K-th reference at t=1
+    pool.insert(2)      # t=3 -> one reference: infinite distance
+    # The more recent page goes first: its distance is infinite.
+    assert pool.insert(3) == [2]
 
 
 def test_k_must_be_positive():
     import pytest
 
     with pytest.raises(ValueError):
-        LrukPool(capacity=2, k=0)
+        LrukPool(capacity=2, k=0, clock=make_clock())
 
 
 def test_discard_forgets_history():
     pool = LrukPool(capacity=2, k=2, clock=make_clock())
-    pool.insert(1)
+    pool.insert(2)      # t=1
+    pool.touch(2)       # t=2 -> history 2: [1, 2]
+    pool.insert(1)      # t=3
+    pool.touch(1)       # t=4
     pool.remove(1)
     assert 1 not in pool
-    pool.insert(1)  # re-insert starts fresh
-    assert pool.backward_k_distance(1) == float("inf")
+    pool.insert(1)      # t=5: re-insert starts fresh with one reference
+    # With its old history page 1 ([4, 5]) would outrank page 2.
+    assert pool.insert(3) == [1]
 
 
 def test_k1_behaves_like_lru():

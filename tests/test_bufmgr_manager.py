@@ -33,9 +33,13 @@ def make_manager(total_pages=8, policy="cost"):
     )
 
 
+def no_goal_bytes(mgr):
+    return mgr.pool(NO_GOAL_CLASS).capacity * PAGE
+
+
 def test_everything_starts_in_no_goal_pool():
     mgr = make_manager()
-    assert mgr.no_goal_bytes() == 8 * PAGE
+    assert no_goal_bytes(mgr) == 8 * PAGE
     assert mgr.total_dedicated_bytes() == 0
 
 
@@ -104,9 +108,9 @@ def test_no_goal_pool_is_complement_of_dedicated():
     mgr = make_manager(total_pages=10)
     mgr.set_dedicated_bytes(1, 3 * PAGE)
     mgr.set_dedicated_bytes(2, 4 * PAGE)
-    assert mgr.no_goal_bytes() == 3 * PAGE
+    assert no_goal_bytes(mgr) == 3 * PAGE
     mgr.set_dedicated_bytes(1, 1 * PAGE)
-    assert mgr.no_goal_bytes() == 5 * PAGE
+    assert no_goal_bytes(mgr) == 5 * PAGE
 
 
 def test_allocation_conflict_grants_partial():
@@ -135,7 +139,7 @@ def test_dedicated_pool_to_zero_removes_pool():
     assert mgr.has_dedicated(2)
     mgr.set_dedicated_bytes(2, 0)
     assert not mgr.has_dedicated(2)
-    assert mgr.no_goal_bytes() == 8 * PAGE
+    assert no_goal_bytes(mgr) == 8 * PAGE
 
 
 def test_no_goal_shrink_drops_pages_on_dedicated_growth():
@@ -160,9 +164,10 @@ def test_negative_allocation_rejected():
         mgr.set_dedicated_bytes(1, -1)
 
 
-def test_unknown_policy_rejected():
+@pytest.mark.parametrize("policy", ["random", "clock", "2q"])
+def test_unknown_policy_rejected(policy):
     with pytest.raises(ValueError):
-        make_manager(policy="random")
+        make_manager(policy=policy)
 
 
 def test_hit_rate_per_class():
@@ -170,8 +175,9 @@ def test_hit_rate_per_class():
     mgr.admit(1, class_id=0)
     mgr.probe(1, class_id=0)   # hit
     mgr.probe(2, class_id=0)   # miss
-    assert mgr.hit_rate(0) == pytest.approx(0.5)
-    assert mgr.hit_rate(9) == 0.0
+    assert mgr.hits_by_class == {0: 1}
+    assert mgr.misses_by_class == {0: 1}
+    assert 9 not in mgr.hits_by_class and 9 not in mgr.misses_by_class
 
 
 def test_class_heat_created_on_demand():

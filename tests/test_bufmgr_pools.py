@@ -62,15 +62,6 @@ def test_remove_present_and_absent():
     assert len(pool) == 0
 
 
-def test_hit_rate_accounting():
-    pool = LruPool(capacity=2)
-    assert pool.hit_rate == 0.0
-    pool.record_hit()
-    pool.record_hit()
-    pool.record_miss()
-    assert pool.hit_rate == pytest.approx(2 / 3)
-
-
 @given(
     st.integers(min_value=1, max_value=16),
     st.lists(st.integers(min_value=0, max_value=40),

@@ -50,7 +50,7 @@ def test_dedicated_memory_never_exceeds_total(fast_config, fast_workload):
         for node in cluster.nodes:
             assert (
                 node.buffers.total_dedicated_bytes()
-                + node.buffers.no_goal_bytes()
+                + node.buffers.pool(0).capacity * node.buffers.page_size
                 == fast_config.node.buffer_bytes
             )
 

@@ -18,22 +18,23 @@ def test_first_nonzero_vector_accepted():
 def test_zero_vector_rejected():
     tracker = IndependenceTracker(3)
     assert not tracker.add([0.0, 0.0, 0.0])
-    assert not tracker.is_independent([0.0, 0.0, 0.0])
+    assert tracker.rank == 0
 
 
 def test_scalar_multiple_rejected():
     tracker = IndependenceTracker(3)
     tracker.add([1.0, 2.0, 3.0])
-    assert not tracker.is_independent([2.0, 4.0, 6.0])
+    assert not tracker.add([2.0, 4.0, 6.0])
     assert not tracker.add([-0.5, -1.0, -1.5])
+    assert tracker.rank == 1
 
 
 def test_linear_combination_rejected():
     tracker = IndependenceTracker(3)
     tracker.add([1.0, 0.0, 0.0])
     tracker.add([0.0, 1.0, 0.0])
-    assert not tracker.is_independent([3.0, -2.0, 0.0])
-    assert tracker.is_independent([0.0, 0.0, 1.0])
+    assert not tracker.add([3.0, -2.0, 0.0])
+    assert tracker.add([0.0, 0.0, 1.0])
 
 
 def test_full_rank_rejects_everything():
@@ -42,7 +43,7 @@ def test_full_rank_rejects_everything():
     tracker.add([0.0, 1.0])
     assert tracker.full
     assert not tracker.add([1.0, 1.0])
-    assert not tracker.is_independent([5.0, -7.0])
+    assert not tracker.add([5.0, -7.0])
 
 
 def test_wrong_shape_rejected():
@@ -55,7 +56,7 @@ def test_nearly_dependent_rejected():
     """Vectors dependent up to tiny noise must be treated as dependent."""
     tracker = IndependenceTracker(2, rtol=1e-6)
     tracker.add([1.0, 1.0])
-    assert not tracker.is_independent([1.0 + 1e-12, 1.0])
+    assert not tracker.add([1.0 + 1e-12, 1.0])
 
 
 def test_copy_is_independent_object():

@@ -15,12 +15,6 @@ def test_goal_must_be_positive():
         ClassGoal(class_id=1, goal_ms=0.0)
 
 
-def test_performance_index():
-    goal = ClassGoal(class_id=1, goal_ms=10.0)
-    assert goal.performance_index(5.0) == 0.5
-    assert goal.performance_index(20.0) == 2.0
-
-
 def test_satisfied_with_tolerance():
     goal = ClassGoal(class_id=1, goal_ms=10.0)
     assert goal.satisfied(10.0)
@@ -28,31 +22,10 @@ def test_satisfied_with_tolerance():
     assert not goal.satisfied(11.5, tolerance_ms=1.0)
 
 
-def test_sla_from_pairs():
-    sla = ServiceLevelAgreement.from_pairs([(1, 5.0), (2, 10.0)])
-    assert sla.goal_of(1) == 5.0
-    assert sla.goal_of(2) == 10.0
-    assert sla.goal_of(0) is None
-    assert sla.goal_class_ids == [1, 2]
-
-
 def test_sla_set_goal_overwrites():
-    sla = ServiceLevelAgreement.from_pairs([(1, 5.0)])
+    sla = ServiceLevelAgreement()
+    sla.set_goal(1, 5.0)
+    assert sla.goal_of(1) == 5.0
+    assert sla.goal_of(0) is None
     sla.set_goal(1, 8.0)
     assert sla.goal_of(1) == 8.0
-
-
-def test_max_performance_index():
-    sla = ServiceLevelAgreement.from_pairs([(1, 10.0), (2, 20.0)])
-    observed = {1: 5.0, 2: 30.0}  # indices 0.5 and 1.5
-    assert sla.max_performance_index(observed) == 1.5
-
-
-def test_max_performance_index_ignores_unknown_classes():
-    sla = ServiceLevelAgreement.from_pairs([(1, 10.0)])
-    assert sla.max_performance_index({1: 10.0, 9: 1000.0}) == 1.0
-
-
-def test_max_performance_index_empty():
-    sla = ServiceLevelAgreement()
-    assert sla.max_performance_index({}) == 0.0

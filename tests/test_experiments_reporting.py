@@ -72,6 +72,57 @@ def test_no_stray_prints_in_library():
     assert result.returncode == 0, result.stderr
 
 
+def _run_unreferenced(root=None):
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    argv = [sys.executable,
+            os.path.join(repo, "tools", "check_unreferenced.py")]
+    if root is not None:
+        argv.append(root)
+    return subprocess.run(argv, capture_output=True, text=True)
+
+
+def test_no_unreferenced_library_code():
+    """Every src/repro definition is named by the program itself."""
+    result = _run_unreferenced()
+    assert result.returncode == 0, result.stderr
+
+
+def test_unreferenced_lint_flags_test_only_function(tmp_path):
+    """A function only a test calls fails with file:line; one an
+    example calls, and an allow-listed override, pass."""
+    pkg = tmp_path / "src" / "repro"
+    pkg.mkdir(parents=True)
+    (pkg / "mod.py").write_text(
+        "def used():\n"
+        "    return 1\n"
+        "\n"
+        "\n"
+        "def only_tested():\n"
+        "    return 2\n"
+        "\n"
+        "\n"
+        "class Handler:\n"
+        "    def do_GET(self):\n"
+        "        return used()\n"
+    )
+    (tmp_path / "examples").mkdir()
+    (tmp_path / "examples" / "demo.py").write_text(
+        "from repro.mod import Handler\n"
+    )
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_mod.py").write_text(
+        "from repro.mod import only_tested\n"
+        "assert only_tested() == 2\n"
+    )
+    result = _run_unreferenced(str(tmp_path))
+    assert result.returncode == 1
+    rel = os.path.join("src", "repro", "mod.py")
+    assert f"{rel}:5: only_tested" in result.stderr
+    assert ": used" not in result.stderr
+    assert ": do_GET" not in result.stderr
+    assert ": Handler" not in result.stderr
+
+
 def _run_lint(root):
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     return subprocess.run(

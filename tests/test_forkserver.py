@@ -386,7 +386,7 @@ def test_calibrate_goal_range_respects_passed_warmup(
     seen = []
 
     def fake_measure(workload, class_id, fraction, config, seed,
-                     policy, warmup_ms, measure_ms):
+                     warmup_ms, measure_ms):
         seen.append(warmup_ms)
         return 3.0 if fraction > 0.5 else 9.0
 

@@ -48,7 +48,7 @@ def test_total_memory_invariant_with_three_classes(fast_config):
         for node in sim.cluster.nodes:
             assert (
                 node.buffers.total_dedicated_bytes()
-                + node.buffers.no_goal_bytes()
+                + node.buffers.pool(0).capacity * node.buffers.page_size
                 == fast_config.node.buffer_bytes
             )
 

@@ -190,14 +190,6 @@ def test_yielding_non_event_fails_process():
         env.run()
 
 
-def test_peek_reports_next_event_time():
-    env = Environment()
-    env.timeout(7.0)
-    assert env.peek() == 7.0
-    env.run()
-    assert env.peek() == float("inf")
-
-
 def test_is_alive_transitions():
     env = Environment()
 
@@ -205,9 +197,9 @@ def test_is_alive_transitions():
         yield env.timeout(1.0)
 
     proc = env.process(quick())
-    assert proc.is_alive
+    assert not proc.triggered
     env.run()
-    assert not proc.is_alive
+    assert proc.triggered
 
 
 def test_many_processes_complete():

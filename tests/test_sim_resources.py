@@ -82,7 +82,7 @@ def test_mean_wait_accounts_queueing():
     assert res.mean_wait == pytest.approx(2.0)
 
 
-def test_request_grant_value_is_wait_time():
+def test_request_grant_value_is_queueing_delay():
     env = Environment()
     res = Resource(env)
     waits = []

@@ -30,6 +30,15 @@ def drive(cluster, generator):
     return result.get("value")
 
 
+def locked_pages(manager, txn):
+    """Pages of the transaction still locked at any node."""
+    pages = set(txn.read_set) | set(txn.write_set)
+    return {
+        page for locks in manager.locks.values() for page in pages
+        if locks.holds(txn.txn_id, page)
+    }
+
+
 def test_read_only_transaction_commits_without_2pc(cluster):
     manager = TransactionManager(cluster)
     txn = manager.begin(node_id=0)
@@ -42,7 +51,7 @@ def test_read_only_transaction_commits_without_2pc(cluster):
     assert drive(cluster, work()) is True
     assert txn.status is TxnStatus.COMMITTED
     assert manager.two_phase.commits == 0  # no 2PC needed
-    assert manager.locks_held(txn) == []
+    assert not locked_pages(manager, txn)
 
 
 def test_write_commit_runs_2pc_and_forces_logs(cluster):
@@ -204,7 +213,7 @@ def test_abort_logs_and_releases(cluster):
 
     drive(cluster, work())
     assert txn.status is TxnStatus.ABORTED
-    assert manager.locks_held(txn) == []
+    assert not locked_pages(manager, txn)
     kinds = [r.kind for r in manager.logs[0]._records]
     assert LogRecordKind.ABORT in kinds
 

@@ -32,7 +32,7 @@ def test_uniform_multiclass_builds_k_classes():
     workload = uniform_multiclass(config, goals_ms=[3.0, 6.0, 12.0])
     assert [c.class_id for c in workload.goal_classes] == [1, 2, 3]
     assert workload.spec_for(2).goal_ms == 6.0
-    assert workload.no_goal_class is not None
+    assert any(not c.is_goal_class for c in workload.classes)
 
 
 def test_uniform_multiclass_covers_database():

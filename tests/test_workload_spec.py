@@ -46,11 +46,6 @@ def test_invalid_class_spec_rejected(overrides):
         goal_class(**overrides)
 
 
-def test_mean_interarrival():
-    spec = goal_class(arrival_rate_per_node=0.02)
-    assert spec.mean_interarrival_ms == pytest.approx(50.0)
-
-
 def test_workload_spec_goal_classes_sorted():
     spec = WorkloadSpec(classes=[
         goal_class(class_id=2),
@@ -58,7 +53,7 @@ def test_workload_spec_goal_classes_sorted():
         goal_class(class_id=1),
     ])
     assert [c.class_id for c in spec.goal_classes] == [1, 2]
-    assert spec.no_goal_class.class_id == 0
+    assert [c.class_id for c in spec.classes if not c.is_goal_class] == [0]
 
 
 def test_duplicate_class_ids_rejected():
