@@ -16,7 +16,7 @@ Run::
 from repro.cluster.cluster import Cluster
 from repro.cluster.config import SystemConfig
 from repro.cluster.messages import MessageKind
-from repro.txn import DeadlockError, TransactionManager
+from repro.txn import DeadlockError, TransactionManager, recover_all
 
 NUM_TRANSFERS = 120
 HOT_PAGES = 24  # small hot set -> real lock contention
@@ -67,9 +67,11 @@ def main() -> None:
         print(f"{kind.value:>22} : "
               f"{acc.messages_by_kind.get(kind, 0)} messages")
 
+    # Restart every node from its durable log; a participant that
+    # forced PREPARE but not COMMIT learns the outcome from the others.
     print("\ndurable state after simulated crash (redo from WAL):")
-    for node_id, log in sorted(manager.logs.items()):
-        state = log.replay_updates()
+    for node_id, report in sorted(recover_all(manager.logs).items()):
+        state = report.redone_pages
         sample = dict(sorted(state.items())[:4])
         print(f"  node {node_id}: {len(state)} pages recovered, "
               f"e.g. {sample}")

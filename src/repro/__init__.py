@@ -30,7 +30,7 @@ Package layout:
 
 from repro.bufmgr import AccessLevel, NO_GOAL_CLASS
 from repro.cluster import Cluster, SystemConfig
-from repro.core import GoalOrientedController, ServiceLevelAgreement
+from repro.core import GoalOrientedController
 from repro.experiments.runner import Simulation, build_base_experiment
 from repro.workload import ClassSpec, WorkloadGenerator, WorkloadSpec
 
@@ -42,7 +42,6 @@ __all__ = [
     "Cluster",
     "GoalOrientedController",
     "NO_GOAL_CLASS",
-    "ServiceLevelAgreement",
     "Simulation",
     "SystemConfig",
     "WorkloadGenerator",

@@ -32,7 +32,6 @@ from repro.analytic.mva import (
     MvaSolution,
     Station,
     exact_mva,
-    machine_repairman,
     schweitzer_mva,
     solve,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "default_cases",
     "exact_mva",
     "hit_profile",
-    "machine_repairman",
     "pair_grid",
     "predict_response",
     "prescreen_goal_pairs",

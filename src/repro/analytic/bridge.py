@@ -33,10 +33,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.analytic.mva import (
-    DELAY,
     QUEUE,
     ClosedNetwork,
-    MvaSolution,
     Station,
     solve,
 )

@@ -26,8 +26,8 @@ selecting the cells where feasibility flips.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analytic.bridge import predict_response
 from repro.cluster.config import SystemConfig

@@ -24,9 +24,8 @@ grids in well under a second (the ``--prescreen`` path).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 #: Station kinds: a queueing station (single load-independent server)
 #: or a pure delay (infinite-server) station.
@@ -129,11 +128,6 @@ class MvaSolution:
     queue_length: Dict[str, float]
     queue_by_class: List[List[float]] = field(default_factory=list)
     iterations: int = 1
-
-    def bottleneck(self) -> Tuple[str, float]:
-        """The most utilized station and its utilization."""
-        name = max(self.utilization, key=self.utilization.get)
-        return name, self.utilization[name]
 
 
 def _finalize(
@@ -342,33 +336,3 @@ def solve(
     if method == "exact":
         return exact_mva(network)
     return schweitzer_mva(network)
-
-
-def machine_repairman(
-    population: int, demand_ms: float, think_ms: float
-) -> Tuple[float, float]:
-    """Closed-form M/M/1//N ("machine repairman") solution.
-
-    The single-class, single-queueing-station, delay-source special
-    case has an independent closed form via the Erlang-like product:
-    ``pi_k ∝ N!/(N-k)! * (D/Z)^k``.  Returns ``(response_ms,
-    throughput_per_ms)`` — the cross-check for :func:`exact_mva` in the
-    property tests.
-    """
-    if population < 1:
-        raise ValueError("need at least one customer")
-    if demand_ms <= 0 or think_ms <= 0:
-        raise ValueError("demand and think time must be positive")
-    rho = demand_ms / think_ms
-    # Unnormalized queue-length distribution at the station.
-    weights = []
-    w = 1.0
-    for k in range(population + 1):
-        if k:
-            w *= (population - k + 1) * rho
-        weights.append(w)
-    total = math.fsum(weights)
-    p0 = weights[0] / total
-    throughput = (1.0 - p0) / demand_ms
-    response = population / throughput - think_ms
-    return response, throughput

@@ -1,16 +1,12 @@
 """Baseline partitioning strategies the paper compares against or
-builds upon: static partitioning, fragment fencing [5], class fencing
-[6], and dynamic tuning [8]."""
+builds upon: fragment fencing [5], class fencing [6], and dynamic
+tuning [8]."""
 
 from typing import Dict
 
 from repro.baselines.class_fencing import ClassFencingCoordinator
 from repro.baselines.dynamic_tuning import DynamicTuningCoordinator
 from repro.baselines.fragment_fencing import FragmentFencingCoordinator
-from repro.baselines.static import (
-    StaticCoordinator,
-    StaticPartitioningController,
-)
 from repro.cluster.cluster import Cluster
 from repro.core.controller import GoalOrientedController
 
@@ -24,7 +20,7 @@ COORDINATOR_TYPES = {
 
 
 def make_controller(
-    name: str, cluster: Cluster, goals: Dict[int, float], **kwargs
+    name: str, cluster: Cluster, goals: Dict[int, float]
 ) -> GoalOrientedController:
     """Build a controller running the named partitioning strategy.
 
@@ -37,7 +33,7 @@ def make_controller(
             f"unknown strategy {name!r}; choose from "
             f"{sorted(COORDINATOR_TYPES)}"
         )
-    controller = GoalOrientedController(cluster, goals, **kwargs)
+    controller = GoalOrientedController(cluster, goals)
     coordinator_cls = COORDINATOR_TYPES[name]
     if coordinator_cls is not None:
         for class_id, old in list(controller.coordinators.items()):
@@ -55,7 +51,5 @@ __all__ = [
     "ClassFencingCoordinator",
     "DynamicTuningCoordinator",
     "FragmentFencingCoordinator",
-    "StaticCoordinator",
-    "StaticPartitioningController",
     "make_controller",
 ]

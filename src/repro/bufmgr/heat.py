@@ -231,11 +231,6 @@ class GlobalHeatRegistry:
         """True if any access to ``page_id`` is on record."""
         return self._tracker.tracked(page_id)
 
-    @property
-    def column_slots(self) -> int:
-        """Allocated tracker column length (churn-boundedness probe)."""
-        return self._tracker.column_slots
-
     def __len__(self) -> int:
         return len(self._tracker)
 

@@ -741,6 +741,3 @@ def main(argv: Optional[List[str]] = None) -> None:
     finally:
         _stop_live(service)
 
-
-if __name__ == "__main__":
-    main(sys.argv[1:])

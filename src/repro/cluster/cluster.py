@@ -579,9 +579,9 @@ class Cluster:
         self-advancing events and resumes this generator once, when the
         last page is done.  A crashed origin node stalls each access
         until its restart delay has elapsed (the response time spike
-        the loop reacts to).  The trace replayer and the closed-loop
-        clients feed whole operations through here; the open-system
-        generator arms the chain itself (:meth:`_chain`).
+        the loop reacts to).  The trace replayer feeds whole
+        operations through here; the open-system generator arms the
+        chain itself (:meth:`_chain`).
         """
         if not page_ids:
             return None

@@ -113,8 +113,3 @@ class SystemConfig:
     def buffer_pages_per_node(self) -> int:
         """How many page frames fit into one node's reserved memory."""
         return self.node.buffer_bytes // self.page_size
-
-    @property
-    def total_buffer_bytes(self) -> int:
-        """Aggregate reserved cache memory across all nodes."""
-        return self.node.buffer_bytes * self.num_nodes

@@ -6,7 +6,6 @@ from repro.core.agent import AgentReport, ClassAgent
 from repro.core.controller import ClassSeries, GoalOrientedController
 from repro.core.coordinator import Coordinator, CoordinatorDecision
 from repro.core.gauss import IndependenceTracker, select_independent
-from repro.core.goals import ClassGoal, ServiceLevelAgreement
 from repro.core.hyperplane import (
     Hyperplane,
     SingularFitError,
@@ -35,7 +34,6 @@ from repro.core.tolerance import GoalTolerance
 __all__ = [
     "AgentReport",
     "ClassAgent",
-    "ClassGoal",
     "ClassSeries",
     "Coordinator",
     "CoordinatorDecision",
@@ -50,7 +48,6 @@ __all__ = [
     "OPTIMAL",
     "PartitioningProblem",
     "PartitioningSolution",
-    "ServiceLevelAgreement",
     "SimplexResult",
     "SingularFitError",
     "UNBOUNDED",

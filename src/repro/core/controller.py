@@ -43,13 +43,16 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.messages import MessageKind
 from repro.core.agent import AgentReport, ClassAgent
 from repro.core.coordinator import Coordinator, CoordinatorDecision
-from repro.core.tolerance import GoalTolerance
 from repro.sim.stats import P2Quantile, TimeSeries
 
 #: Quantiles tracked per goal class when telemetry is attached (see
 #: :meth:`GoalOrientedController.track_extended_quantiles`), exported
 #: as Prometheus ``quantile=`` labels and surfaced in result tables.
 EXTENDED_QUANTILES: Tuple[float, ...] = (0.5, 0.9, 0.95, 0.99)
+
+#: Measure points older than this many observation intervals age out
+#: of a coordinator's window (DESIGN.md §5).
+MAX_POINT_AGE_INTERVALS = 40
 
 
 class ClassSeries:
@@ -71,11 +74,6 @@ class GoalOrientedController:
         self,
         cluster: Cluster,
         goals: Dict[int, float],
-        interval_ms: Optional[float] = None,
-        tolerance_factory: Callable[[], GoalTolerance] = GoalTolerance,
-        warmup_fraction: float = 0.25,
-        warmup_step: float = 0.125,
-        max_point_age_intervals: Optional[int] = 40,
         auto_balance: bool = False,
         degraded_after: int = 3,
         rejoin_after: int = 2,
@@ -85,18 +83,9 @@ class GoalOrientedController:
         if rejoin_after < 1:
             raise ValueError("rejoin_after must be >= 1")
         self.cluster = cluster
-        self.interval_ms = (
-            interval_ms
-            if interval_ms is not None
-            else cluster.config.observation_interval_ms
-        )
+        self.interval_ms = cluster.config.observation_interval_ms
         n = cluster.num_nodes
         node_sizes = [cluster.config.node.buffer_bytes] * n
-        max_age = (
-            max_point_age_intervals * self.interval_ms
-            if max_point_age_intervals is not None
-            else None
-        )
         self.coordinators: Dict[int, Coordinator] = {}
         self.coordinator_home: Dict[int, int] = {}
         for class_id, goal_ms in sorted(goals.items()):
@@ -105,10 +94,7 @@ class GoalOrientedController:
                 node_sizes=node_sizes,
                 goal_ms=goal_ms,
                 page_size=cluster.config.page_size,
-                tolerance=tolerance_factory(),
-                warmup_fraction=warmup_fraction,
-                warmup_step=warmup_step,
-                max_point_age=max_age,
+                max_point_age=MAX_POINT_AGE_INTERVALS * self.interval_ms,
             )
             self.coordinator_home[class_id] = class_id % n
         self.agents: Dict[Tuple[int, int], ClassAgent] = {}
@@ -486,7 +472,6 @@ class GoalOrientedController:
 
     def _loop(self):
         env = self.cluster.env
-        network = self.cluster.network
         while True:
             yield env.timeout(self.interval_ms)
             self.interval_index += 1
@@ -535,46 +520,15 @@ class GoalOrientedController:
                 agent.mark_reported(report)
                 if class_id == NO_GOAL_CLASS:
                     for goal_id, coordinator in self.coordinators.items():
-                        delivered = True
-                        if self.coordinator_home[goal_id] != node_id:
-                            delivered = network.send_control(
-                                MessageKind.AGENT_REPORT
-                            )
-                        if telemetry is not None:
-                            telemetry.emit(
-                                "agent_report", now, class_id=class_id,
-                                node=node_id, coordinator_class=goal_id,
-                                delivered=delivered,
-                                completions=report.completions,
-                                mean_response_ms=report.mean_response_ms,
-                                arrival_rate=report.arrival_rate,
-                            )
-                        if not delivered:
-                            self.reports_dropped += 1
-                            continue
-                        coordinator.receive_nogoal_report(report)
-                else:
-                    coordinator = self.coordinators.get(class_id)
-                    if coordinator is None:
-                        continue
-                    delivered = True
-                    if self.coordinator_home[class_id] != node_id:
-                        delivered = network.send_control(
-                            MessageKind.AGENT_REPORT
+                        self._deliver_report(
+                            report, class_id, node_id, goal_id,
+                            coordinator.receive_nogoal_report, now,
                         )
-                    if telemetry is not None:
-                        telemetry.emit(
-                            "agent_report", now, class_id=class_id,
-                            node=node_id, coordinator_class=class_id,
-                            delivered=delivered,
-                            completions=report.completions,
-                            mean_response_ms=report.mean_response_ms,
-                            arrival_rate=report.arrival_rate,
-                        )
-                    if not delivered:
-                        self.reports_dropped += 1
-                        continue
-                    coordinator.receive_goal_report(report)
+                elif class_id in self.coordinators:
+                    self._deliver_report(
+                        report, class_id, node_id, class_id,
+                        self.coordinators[class_id].receive_goal_report, now,
+                    )
 
             # Local hit/miss deltas for estimators that need them
             # (e.g. the class-fencing baseline).
@@ -613,6 +567,40 @@ class GoalOrientedController:
                     "interval", now, index=self.interval_index,
                     duration_ms=self.interval_ms,
                 )
+
+    def _deliver_report(
+        self,
+        report: AgentReport,
+        class_id: int,
+        node_id: int,
+        goal_id: int,
+        receive: Callable[[AgentReport], None],
+        now: float,
+    ) -> None:
+        """Send one agent report to ``goal_id``'s coordinator.
+
+        Local delivery is reliable; a report from another node rides
+        the control channel, where a loss episode can drop it.
+        """
+        delivered = True
+        if self.coordinator_home[goal_id] != node_id:
+            delivered = self.cluster.network.send_control(
+                MessageKind.AGENT_REPORT
+            )
+        telemetry = self.telemetry
+        if telemetry is not None:
+            telemetry.emit(
+                "agent_report", now, class_id=class_id,
+                node=node_id, coordinator_class=goal_id,
+                delivered=delivered,
+                completions=report.completions,
+                mean_response_ms=report.mean_response_ms,
+                arrival_rate=report.arrival_rate,
+            )
+        if delivered:
+            receive(report)
+        else:
+            self.reports_dropped += 1
 
     def _other_dedicated(self, class_id: int) -> List[int]:
         """Per node: bytes dedicated to goal classes other than this one."""

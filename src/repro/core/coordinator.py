@@ -149,15 +149,6 @@ class Coordinator:
         #: structured trace when attached.
         self.telemetry = None
 
-    @property
-    def decision_log_limit(self) -> int:
-        """Cap of :attr:`decision_log` (assignable, evicts on shrink)."""
-        return self.decision_log.limit
-
-    @decision_log_limit.setter
-    def decision_log_limit(self, value: int) -> None:
-        self.decision_log.limit = value
-
     def _log_decision(
         self, now: float, decision: "CoordinatorDecision"
     ) -> "CoordinatorDecision":

@@ -66,13 +66,6 @@ class IndependenceTracker:
         self._pivots.append(pivot)
         return True
 
-    def copy(self) -> "IndependenceTracker":
-        """Deep copy (used when tentatively re-selecting points)."""
-        clone = IndependenceTracker(self.dim, self.rtol)
-        clone._rows = [row.copy() for row in self._rows]
-        clone._pivots = list(self._pivots)
-        return clone
-
 
 def select_independent(
     reference: np.ndarray,

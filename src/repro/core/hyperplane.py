@@ -40,10 +40,6 @@ class Hyperplane:
         x = np.asarray(x, dtype=float)
         return float(self.coefficients @ x + self.intercept)
 
-    def gradient(self) -> np.ndarray:
-        """The per-node slopes (response time per byte)."""
-        return self.coefficients.copy()
-
 
 def fit_hyperplane(
     points: Sequence[Tuple[np.ndarray, float]],

@@ -2,8 +2,8 @@
 
 This is the one-shot reproduction driver::
 
-    python -m repro.experiments.all            # full protocol (slow)
-    python -m repro.experiments.all --quick    # reduced replication
+    python -m repro all                        # full protocol (slow)
+    python -m repro all --quick | tee all.txt  # reduced replication
 
 The output contains, for each table and figure, the regenerated rows
 next to the paper's published values, ready to be pasted into
@@ -12,30 +12,30 @@ EXPERIMENTS.md.
 
 from __future__ import annotations
 
-import argparse
-import sys
 import time
+
 from repro.cluster.config import SystemConfig
 from repro.experiments.calibration import calibrate_goal_range
 from repro.experiments.convergence import ConvergenceSettings
 from repro.experiments.figure2 import run_figure2
 from repro.experiments.multiclass import run_sharing_sweep
 from repro.experiments.overhead import run_overhead
+from repro.experiments.reporting import emit
 from repro.experiments.runner import default_workload
 from repro.experiments import table1, table2
 
 
-def run_all(quick: bool = False, out=sys.stdout) -> None:
+def run_all(quick: bool = False) -> None:
     """Run table1, figure2, table2, §7.4 and §7.5 in sequence."""
     config = SystemConfig()
     t_start = time.time()
 
     def section(title: str) -> None:
-        out.write(f"\n{'=' * 70}\n{title}\n{'=' * 70}\n")
+        emit(f"\n{'=' * 70}\n{title}\n{'=' * 70}")
 
     section("Table 1 — coordinator CPU time per task")
     rows = table1.run_table1(repetitions=20 if quick else 50)
-    out.write(table1.to_text(rows) + "\n")
+    emit(table1.to_text(rows))
 
     section("Calibration — goal range (§7.3 anchors)")
     workload = default_workload(config)
@@ -44,9 +44,9 @@ def run_all(quick: bool = False, out=sys.stdout) -> None:
         warmup_ms=30_000 if quick else 60_000,
         measure_ms=45_000 if quick else 90_000,
     )
-    out.write(
+    emit(
         f"goal_min (2/3 dedicated): {goal_range.goal_min_ms:.2f} ms\n"
-        f"goal_max (1/3 dedicated): {goal_range.goal_max_ms:.2f} ms\n"
+        f"goal_max (1/3 dedicated): {goal_range.goal_max_ms:.2f} ms"
     )
 
     section("Figure 2 — base experiment")
@@ -56,10 +56,10 @@ def run_all(quick: bool = False, out=sys.stdout) -> None:
         config=config,
         goal_range=goal_range,
     )
-    out.write(data.to_text() + "\n")
-    out.write(
+    emit(data.to_text())
+    emit(
         f"satisfaction ratio: {data.satisfaction_ratio():.2f}\n"
-        f"corr(RT, dedicated memory): {data.rt_tracks_memory():.2f}\n"
+        f"corr(RT, dedicated memory): {data.rt_tracks_memory():.2f}"
     )
 
     section("Table 2 — convergence speed vs. skew")
@@ -75,63 +75,26 @@ def run_all(quick: bool = False, out=sys.stdout) -> None:
         max_replications=3 if quick else 12,
         base_seed=100,
     )
-    out.write(table2.to_text(results) + "\n")
+    emit(table2.to_text(results))
 
     section("Section 7.4 — data sharing between goal classes")
     sweep = run_sharing_sweep(
         sharings=(0.0, 0.5, 1.0) if quick else (0.0, 0.25, 0.5, 0.75, 1.0),
         intervals=40 if quick else 60,
     )
-    out.write(sweep.to_text() + "\n")
-    out.write(
+    emit(sweep.to_text())
+    emit(
         "k2 dedicated memory decreases with sharing: "
-        f"{sweep.k2_dedicated_decreases()}\n"
+        f"{sweep.k2_dedicated_decreases()}"
     )
 
     section("Section 7.5 — overhead")
     overhead = run_overhead(
         seed=1, intervals=20 if quick else 40, config=config
     )
-    out.write(overhead.to_text() + "\n")
+    emit(overhead.to_text())
 
-    out.write(
+    emit(
         f"\nall experiments finished in "
-        f"{time.time() - t_start:.0f} s wall-clock\n"
+        f"{time.time() - t_start:.0f} s wall-clock"
     )
-
-
-def main(argv=None) -> None:
-    """CLI entry point."""
-    parser = argparse.ArgumentParser(
-        description="Run every experiment of the paper."
-    )
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="reduced replication for a fast smoke run",
-    )
-    parser.add_argument(
-        "--output", metavar="PATH",
-        help="also write the report to a file",
-    )
-    args = parser.parse_args(argv)
-    if args.output:
-        import io
-
-        buffer = io.StringIO()
-
-        class Tee:
-            """Write to stdout and the buffer simultaneously."""
-
-            def write(self, text):
-                sys.stdout.write(text)
-                buffer.write(text)
-
-        run_all(quick=args.quick, out=Tee())
-        with open(args.output, "w") as handle:
-            handle.write(buffer.getvalue())
-    else:
-        run_all(quick=args.quick)
-
-
-if __name__ == "__main__":
-    main()

@@ -35,9 +35,7 @@ fault-free pair of simulations and asserts their end states are
 bit-identical — the control-plane machinery must cost nothing when no
 fault fires.
 
-Run standalone::
-
-    python -m repro.experiments.chaos
+Run it with ``python -m repro chaos``.
 """
 
 from __future__ import annotations
@@ -46,17 +44,13 @@ import functools
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.cluster.config import SystemConfig
 from repro.experiments.parallel import derive_replicate_seed, run_tasks
-from repro.experiments.reporting import emit, format_table
-from repro.experiments.resilience import GOAL_CLASS, quick_config
-from repro.experiments.runner import (
-    RESILIENCE_WARMUP_MS,
-    Simulation,
-    default_workload,
-)
+from repro.experiments.reporting import format_table
+from repro.experiments.resilience import GOAL_CLASS, _build_resilience_sim
+from repro.experiments.runner import RESILIENCE_WARMUP_MS, Simulation
 
 #: Fraction of the measured horizon by which every fault has ended;
 #: the remainder is the fault-free quiesce tail the properties need.
@@ -276,24 +270,6 @@ class ChaosMatrix:
             fh.write("\n")
 
 
-def _build_chaos_sim(
-    config: SystemConfig,
-    goal_ms: float,
-    warmup_ms: float,
-    arrival_rate_per_node: float,
-    seed: int,
-    faults: Optional[str],
-) -> Simulation:
-    workload = default_workload(
-        config, goal_ms=goal_ms,
-        arrival_rate_per_node=arrival_rate_per_node,
-    )
-    return Simulation(
-        config=config, workload=workload, seed=seed,
-        warmup_ms=warmup_ms, faults=faults,
-    )
-
-
 def run_chaos_seed(
     seed: int,
     config: SystemConfig,
@@ -307,8 +283,8 @@ def run_chaos_seed(
         seed, intervals, config.observation_interval_ms,
         config.num_nodes, warmup_ms,
     )
-    sim = _build_chaos_sim(
-        config, goal_ms, warmup_ms, arrival_rate_per_node, seed, spec,
+    sim = _build_resilience_sim(
+        config, goal_ms, warmup_ms, spec, arrival_rate_per_node, seed,
     )
     sim.run(intervals=intervals)
 
@@ -414,9 +390,8 @@ def _identity_pair_ok(
     """Two fault-free runs of the same seed end bit-identically."""
     digests = []
     for _ in range(2):
-        sim = _build_chaos_sim(
-            config, goal_ms, warmup_ms, arrival_rate_per_node,
-            seed, None,
+        sim = _build_resilience_sim(
+            config, goal_ms, warmup_ms, None, arrival_rate_per_node, seed,
         )
         sim.run(intervals=intervals)
         digests.append(run_digest(sim))
@@ -458,12 +433,3 @@ def run_chaos(
         derive_replicate_seed(base_seed, 0), identity_intervals,
     )
     return matrix
-
-
-def main() -> None:
-    """CLI entry point: print the chaos matrix (quick configuration)."""
-    emit(run_chaos(config=quick_config()).to_text())
-
-
-if __name__ == "__main__":
-    main()

@@ -8,9 +8,7 @@ partitions, as in the paper).  The output is the triple of series the
 paper plots: observed response time, response time goal, and total
 systemwide dedicated cache.
 
-Run standalone::
-
-    python -m repro.experiments.figure2
+Run it with ``python -m repro figure2``.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ from repro.experiments.calibration import GoalRange, calibrate_goal_range
 from repro.experiments.convergence import _next_goal
 from repro.experiments.forkserver import WarmDelta, WarmGroup, run_sweep
 from repro.experiments.parallel import derive_replicate_seed
-from repro.experiments.reporting import emit, format_series, format_table
+from repro.experiments.reporting import format_series, format_table
 from repro.experiments.runner import (
     DEFAULT_WARMUP_MS,
     Simulation,
@@ -423,22 +421,3 @@ def run_goal_sweep(
         points=[point for group in results for point in group],
         prescreen=prescreen_report,
     )
-
-
-def main() -> None:
-    """CLI entry point: print the Figure 2 series."""
-    data = run_figure2()
-    emit(data.to_text())
-    emit()
-    emit(f"goal range: [{data.goal_range.goal_min_ms:.2f}, "
-         f"{data.goal_range.goal_max_ms:.2f}] ms")
-    emit(f"satisfaction ratio: {data.satisfaction_ratio():.2f}")
-    if data.p95_rt_ms is not None:
-        emit(f"p95 response time: {data.p95_rt_ms:.2f} ms")
-    if data.quantiles_text() is not None:
-        emit(data.quantiles_text())
-    emit(f"corr(RT, dedicated memory): {data.rt_tracks_memory():.2f}")
-
-
-if __name__ == "__main__":
-    main()

@@ -14,9 +14,7 @@ cache memory per node.
     shrinks gradually and eventually disappears, while k2 still meets
     its goal purely through k1's buffers — the Example 2 effect of §3.
 
-Run standalone::
-
-    python -m repro.experiments.multiclass
+Run it with ``python -m repro multiclass``.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.config import NodeParameters, SystemConfig
 from repro.experiments.forkserver import WarmDelta, WarmGroup, run_sweep
-from repro.experiments.reporting import emit, format_table
+from repro.experiments.reporting import format_table
 from repro.experiments.runner import DEFAULT_WARMUP_MS, Simulation
 from repro.workload.spec import (
     ClassSpec,
@@ -457,18 +455,3 @@ def run_goal_sweep(
         sharing=sharing, runner=mode, points=points,
         prescreen=prescreen_report,
     )
-
-
-def main() -> None:
-    """CLI entry point: print the §7.4 sharing sweep."""
-    result = run_sharing_sweep()
-    emit(result.to_text())
-    emit()
-    emit(
-        "k2 dedicated memory decreases with sharing: "
-        f"{result.k2_dedicated_decreases()}"
-    )
-
-
-if __name__ == "__main__":
-    main()

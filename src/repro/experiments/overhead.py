@@ -8,9 +8,7 @@ and breaks the simulated traffic down by message kind, estimates the
 coordinator CPU time from the Table 1 task measurements, and sizes the
 coordinator's memory footprint.
 
-Run standalone::
-
-    python -m repro.experiments.overhead
+Run it with ``python -m repro overhead``.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from typing import Dict, Optional
 
 from repro.cluster.config import SystemConfig
 from repro.cluster.messages import CONTROL_KINDS, MessageKind
-from repro.experiments.reporting import emit, format_table
+from repro.experiments.reporting import format_table
 from repro.experiments.runner import Simulation, default_workload
 from repro.experiments.table1 import measure_row
 
@@ -116,12 +114,3 @@ def run_overhead(
         coordinator_memory_bytes=point_bytes + report_bytes,
         simulated_ms=simulated_ms,
     )
-
-
-def main() -> None:
-    """CLI entry point: print the overhead breakdown."""
-    emit(run_overhead().to_text())
-
-
-if __name__ == "__main__":
-    main()

@@ -23,9 +23,7 @@ with ``derive_replicate_seed(base, i)`` and replicates are farmed out
 by the sweep executor (:func:`repro.experiments.forkserver.run_sweep`),
 so ``--jobs N`` is bit-identical to ``--jobs 1``.
 
-Run standalone::
-
-    python -m repro.experiments.resilience
+Run it with ``python -m repro resilience``.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.cluster.config import NodeParameters, SystemConfig
 from repro.experiments.forkserver import WarmDelta, WarmGroup, run_sweep
 from repro.experiments.parallel import derive_replicate_seed
-from repro.experiments.reporting import emit, format_table
+from repro.experiments.reporting import format_table
 from repro.experiments.runner import (
     RESILIENCE_WARMUP_MS,
     Simulation,
@@ -448,11 +446,12 @@ def _build_resilience_sim(
     config: SystemConfig,
     goal_ms: float,
     warmup_ms: float,
-    fault_spec: str,
+    fault_spec: Optional[str],
     arrival_rate_per_node: float,
     seed: int,
 ) -> Simulation:
-    """Assemble one seeded resilience simulation (not yet warmed)."""
+    """Assemble one seeded resilience simulation (not yet warmed);
+    ``fault_spec=None`` builds the fault-free twin."""
     workload = default_workload(
         config, goal_ms=goal_ms,
         arrival_rate_per_node=arrival_rate_per_node,
@@ -656,13 +655,3 @@ def run_goal_sweep(
             replicates=[results[g] for results in per_seed],
         ))
     return sweep
-
-
-def main() -> None:
-    """CLI entry point: print the resilience report."""
-    data = run_resilience()
-    emit(data.to_text())
-
-
-if __name__ == "__main__":
-    main()

@@ -2,9 +2,8 @@
 
 :class:`Simulation` is the top-level convenience object of the library:
 it wires a :class:`~repro.cluster.Cluster`, a
-:class:`~repro.workload.WorkloadGenerator`, and a controller (the
-goal-oriented one by default, or any baseline implementing the same
-interface) and runs the feedback loop for a number of observation
+:class:`~repro.workload.WorkloadGenerator`, and the goal-oriented
+controller, and runs the feedback loop for a number of observation
 intervals.  :func:`build_base_experiment` reproduces the §7.1/§7.2
 setup exactly.
 """
@@ -40,26 +39,20 @@ class Simulation:
         config: Optional[SystemConfig] = None,
         workload: Optional[WorkloadSpec] = None,
         seed: int = 0,
-        controller: Optional[GoalOrientedController] = None,
         warmup_ms: float = 0.0,
         recorder=None,
         faults=None,
         telemetry=None,
-        **controller_kwargs,
     ):
         self.config = config if config is not None else SystemConfig()
         if workload is None:
             raise ValueError("a workload spec is required")
         self.workload = workload
         self.cluster = Cluster(self.config, seed=seed)
-        if controller is None:
-            goals = {
-                c.class_id: c.goal_ms for c in workload.goal_classes
-            }
-            controller = GoalOrientedController(
-                self.cluster, goals, **controller_kwargs
-            )
-        self.controller = controller
+        self.controller = GoalOrientedController(
+            self.cluster,
+            {c.class_id: c.goal_ms for c in workload.goal_classes},
+        )
         #: Created automatically when the workload contains writes.
         self.txn_manager = None
         if any(c.write_fraction > 0 for c in workload.classes):
@@ -67,7 +60,7 @@ class Simulation:
 
             self.txn_manager = TransactionManager(self.cluster)
         self.generator = WorkloadGenerator(
-            self.cluster, workload, sink=controller,
+            self.cluster, workload, sink=self.controller,
             recorder=recorder, txn_manager=self.txn_manager,
         )
         #: Fault injector (``faults`` may be a spec string, a
@@ -140,7 +133,6 @@ class Simulation:
 
         if (
             self._telemetry_spec is not None
-            or telemetry_mod.is_enabled()
             or telemetry_mod.live_installed()
         ):
             if self.telemetry is None:
@@ -259,7 +251,7 @@ def build_base_experiment(
     skew: float = 0.0,
     config: Optional[SystemConfig] = None,
     arrival_rate_per_node: float = 0.02,
-    **controller_kwargs,
+    warmup_ms: float = 0.0,
 ) -> Simulation:
     """Assemble the paper's base experiment (§7.1/§7.2)."""
     config = config if config is not None else SystemConfig()
@@ -273,5 +265,5 @@ def build_base_experiment(
         config=config,
         workload=workload,
         seed=seed,
-        **controller_kwargs,
+        warmup_ms=warmup_ms,
     )

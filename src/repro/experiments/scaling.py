@@ -22,9 +22,7 @@ structures.  ``tools/node_flatness.py`` (run in CI) fails when the
 host cost per page access at 256 nodes exceeds a fixed multiple of
 the cost at 8 nodes.
 
-Run standalone::
-
-    python -m repro.experiments.scaling
+Run it with ``python -m repro scaling``.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.cluster.config import SystemConfig
 from repro.experiments.forkserver import WarmDelta, WarmGroup, run_sweep
-from repro.experiments.reporting import emit, format_table
+from repro.experiments.reporting import format_table
 from repro.experiments.runner import Simulation, default_workload
 
 
@@ -234,12 +232,3 @@ def run_scaling(
             "Scaling: operation complexity",
         ))
     return "\n\n".join(sections)
-
-
-def main() -> None:
-    """CLI entry point: run both scaling axes."""
-    emit(run_scaling())
-
-
-if __name__ == "__main__":
-    main()

@@ -15,9 +15,7 @@ Absolute milliseconds are hardware-bound; the reproduction measures the
 same three tasks on the present machine and checks the paper's *shape*:
 all three grow with N and the total stays small (low milliseconds).
 
-Run standalone::
-
-    python -m repro.experiments.table1
+Run it with ``python -m repro table1``.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ import numpy as np
 from repro.core.hyperplane import fit_hyperplane
 from repro.core.lp import PartitioningProblem, solve_partitioning
 from repro.core.measure import MeasureWindow
-from repro.experiments.reporting import emit, format_table
+from repro.experiments.reporting import format_table
 
 #: The node counts of the paper's Table 1.
 PAPER_NODE_COUNTS = (5, 10, 20, 30, 40, 50)
@@ -193,12 +191,3 @@ def to_text(rows: List[Table1Row]) -> str:
         body,
         title="Table 1: coordinator CPU time per task",
     )
-
-
-def main() -> None:
-    """CLI entry point: print the measured Table 1."""
-    emit(to_text(run_table1()))
-
-
-if __name__ == "__main__":
-    main()

@@ -7,9 +7,7 @@ hyperplane, so the linear approximation needs more iterations — the
 paper reports 1.84 iterations at theta = 0 rising monotonically to
 3.95 at theta = 1.
 
-Run standalone::
-
-    python -m repro.experiments.table2
+Run it with ``python -m repro table2``.
 """
 
 from __future__ import annotations
@@ -17,13 +15,12 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import List, Optional, Sequence
 
-from repro.cluster.config import SystemConfig
 from repro.experiments.convergence import (
     ConvergenceResult,
     ConvergenceSettings,
     convergence_experiment,
 )
-from repro.experiments.reporting import emit, format_table
+from repro.experiments.reporting import format_table
 
 #: The skew values of the paper's Table 2.
 PAPER_SKEWS = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -79,14 +76,3 @@ def to_text(results: List[ConvergenceResult]) -> str:
         rows,
         title="Table 2: convergence speed under varying skew",
     )
-
-
-def main() -> None:
-    """CLI entry point: print the measured Table 2."""
-    config = SystemConfig()
-    settings = ConvergenceSettings(config=config)
-    emit(to_text(run_table2(settings=settings)))
-
-
-if __name__ == "__main__":
-    main()

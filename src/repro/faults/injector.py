@@ -141,17 +141,6 @@ class FaultLayer:
             if until_ms > current:
                 self._partition_until[node_id] = until_ms
 
-    def partitioned(self, node_id: int, now: float) -> bool:
-        """Is ``node_id`` cut off the control network at ``now``?
-        (Self-clearing: expired entries are removed on query.)"""
-        until = self._partition_until.get(node_id)
-        if until is None:
-            return False
-        if until <= now:
-            del self._partition_until[node_id]
-            return False
-        return True
-
     def partitioned_nodes(self, now: float) -> Tuple[int, ...]:
         """Sorted node ids currently cut off the control network.
         (Self-clearing: expired entries are removed on query.)"""

@@ -39,7 +39,7 @@ this down):
   records instead of allocating — the dominant allocation on the page
   access path at large node counts.  Timeouts with extra callbacks, or
   with no fused waiter, are never pooled, so late reads of
-  ``.value``/``.processed`` on a retained reference keep working.
+  ``.value``/``.ok`` on a retained reference keep working.
 
 Handlers
 --------
@@ -103,16 +103,6 @@ class Event:
         self._fast_proc: Optional["Process"] = None
 
     @property
-    def triggered(self) -> bool:
-        """True once the event has been scheduled to fire."""
-        return self._ok is not None
-
-    @property
-    def processed(self) -> bool:
-        """True once all callbacks have run."""
-        return self.callbacks is None
-
-    @property
     def ok(self) -> bool:
         """True if the event fired successfully (not failed)."""
         if self._ok is None:
@@ -140,7 +130,7 @@ class Timeout(Event):
     """An event that fires at a fixed simulated time.
 
     Created by :func:`pooled_timeout` / :func:`pooled_timeout_at`
-    (``env.timeout`` / ``env.timeout_at``), never directly.
+    (``env.timeout``), never directly.
     """
 
     __slots__ = ()
@@ -325,14 +315,6 @@ class Environment:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create a :class:`Timeout` firing ``delay`` time units from now."""
         return pooled_timeout(self, delay, value)
-
-    def timeout_at(self, when: float, value: Any = None) -> Timeout:
-        """Create a :class:`Timeout` firing at absolute time ``when``.
-
-        Unlike ``timeout(when - now)`` the event lands on the exact
-        float ``when`` (no ``now + delta`` re-rounding).
-        """
-        return pooled_timeout_at(self, when, value)
 
     @property
     def event_pool_size(self) -> int:

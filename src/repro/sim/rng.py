@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 import zlib
-from typing import Dict, Sequence
+from typing import Dict
 
 
 class RandomStreams:
@@ -45,10 +45,6 @@ class RandomStreams:
     def randint(self, name: str, low: int, high: int) -> int:
         """Draw an integer uniformly from [low, high] inclusive."""
         return self.stream(name).randint(low, high)
-
-    def choice(self, name: str, items: Sequence):
-        """Pick one element of ``items`` uniformly."""
-        return self.stream(name).choice(items)
 
     def random(self, name: str) -> float:
         """Draw uniformly from [0, 1)."""

@@ -50,25 +50,6 @@ class OnlineStats:
         """Sample standard deviation."""
         return math.sqrt(self.variance)
 
-    def merge(self, other: "OnlineStats") -> "OnlineStats":
-        """Return a new OnlineStats combining both sample sets."""
-        merged = OnlineStats()
-        merged.count = self.count + other.count
-        if merged.count == 0:
-            return merged
-        delta = other._mean - self._mean
-        merged._mean = (
-            self._mean * self.count + other._mean * other.count
-        ) / merged.count
-        merged._m2 = (
-            self._m2
-            + other._m2
-            + delta * delta * self.count * other.count / merged.count
-        )
-        merged.minimum = min(self.minimum, other.minimum)
-        merged.maximum = max(self.maximum, other.maximum)
-        return merged
-
     def reset(self) -> None:
         """Discard all samples."""
         self.__init__()

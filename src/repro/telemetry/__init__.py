@@ -5,8 +5,10 @@ keeps a ``telemetry`` attribute (or a ``_tel_wait`` histogram slot on
 resources) that is ``None`` until :func:`attach_simulation` installs a
 pipeline, so the hot paths pay a single attribute check — the same
 discipline as the idle fault layer.  Attachment is opt-in per
-simulation (``Simulation(telemetry=...)`` / ``--telemetry DIR``) or
-globally via the module-level switch below.
+simulation: ``Simulation(telemetry=DIR)`` / ``--telemetry DIR`` exports
+to a directory, ``Simulation(telemetry=True)`` keeps the pipeline in
+memory only, and an installed live bus (``--live-port``) attaches one
+to every simulation activated while it runs.
 
 Telemetry never draws from RNG streams, never schedules events, and
 never reads the wall clock: all timestamps are simulated milliseconds,
@@ -38,31 +40,6 @@ from repro.telemetry.registry import (
 from repro.telemetry.ring import RingLog
 from repro.telemetry.trace import TraceLog
 
-#: Module-level master switch.  When False (the default) simulations
-#: attach telemetry only when explicitly configured; flipping it to
-#: True via :func:`enable` makes every subsequently activated
-#: simulation attach an in-memory pipeline even without an export
-#: directory (useful for interactive inspection via ``sim.telemetry``).
-_enabled = False
-
-
-def is_enabled() -> bool:
-    """Whether the module-level telemetry switch is on."""
-    return _enabled
-
-
-def enable() -> None:
-    """Turn the module-level telemetry switch on."""
-    global _enabled
-    _enabled = True
-
-
-def disable() -> None:
-    """Turn the module-level telemetry switch off (the default)."""
-    global _enabled
-    _enabled = False
-
-
 def live_installed() -> bool:
     """Whether a live streaming bus is installed (``--live-port``).
 
@@ -87,9 +64,6 @@ __all__ = [
     "attach_cluster",
     "attach_simulation",
     "chrome_trace",
-    "disable",
-    "enable",
-    "is_enabled",
     "live_installed",
     "merge_point_dirs",
     "prometheus_text",

@@ -12,9 +12,9 @@ GET.  The page drives everything through the service's own endpoints —
   ``coord_restart``, ``fault``, ``interval`` records),
 * event-pool / scheduler gauges (``metrics`` frames).
 
-Run ``python -m repro.telemetry.dashboard > dashboard.html`` to dump
-the asset for standalone hacking; the module is on the no-print lint
-allow-list for exactly that entry point.
+To hack on the asset standalone, save it from a running service:
+``curl -s http://127.0.0.1:8799/ > dashboard.html`` after
+``python -m repro serve``.
 """
 
 from __future__ import annotations
@@ -293,12 +293,3 @@ document.getElementById("go").addEventListener("click", watch);
 </body>
 </html>
 """
-
-
-def main() -> None:
-    """Dump the dashboard asset to stdout (dev preview entry point)."""
-    print(DASHBOARD_HTML)
-
-
-if __name__ == "__main__":
-    main()

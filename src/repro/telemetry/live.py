@@ -271,39 +271,7 @@ def sse_format(event: str, data: Dict) -> str:
     """One Server-Sent-Events frame: ``event:`` + canonical JSON data.
 
     ``json.dumps`` never emits raw newlines, so the frame is always a
-    single ``data:`` line — but :func:`parse_sse` still implements the
-    multi-line join for spec compliance.
+    single ``data:`` line.
     """
     payload = json.dumps(data, sort_keys=True)
     return f"event: {event}\ndata: {payload}\n\n"
-
-
-def parse_sse(text: str) -> List[Tuple[str, Dict]]:
-    """Parse SSE frames back into ``(event, data)`` pairs.
-
-    The inverse of :func:`sse_format` (round-trip pinned by tests):
-    frames are separated by blank lines, ``:`` comment lines (the
-    keepalives) are ignored, and multiple ``data:`` lines concatenate
-    with newlines per the SSE specification.  A trailing partial frame
-    (no terminating blank line yet) is ignored rather than raised on,
-    since callers typically parse a truncated live stream.
-    """
-    frames: List[Tuple[str, Dict]] = []
-    for block in text.split("\n\n"):
-        event = "message"
-        data_lines: List[str] = []
-        for line in block.split("\n"):
-            if not line or line.startswith(":"):
-                continue
-            if line.startswith("event:"):
-                event = line[len("event:"):].strip()
-            elif line.startswith("data:"):
-                data_lines.append(line[len("data:"):].lstrip())
-        if not data_lines:
-            continue
-        try:
-            data = json.loads("\n".join(data_lines))
-        except ValueError:
-            continue  # truncated tail of a live stream
-        frames.append((event, data))
-    return frames

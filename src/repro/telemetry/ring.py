@@ -11,19 +11,17 @@ append once full).
 from __future__ import annotations
 
 from collections import deque
-from itertools import islice
 from typing import Iterator
 
 
 class RingLog:
     """Keep the newest ``limit`` appended entries, oldest first."""
 
-    __slots__ = ("_items", "_limit", "appended")
+    __slots__ = ("_items", "appended")
 
     def __init__(self, limit: int = 512):
         if limit < 1:
             raise ValueError("ring limit must be >= 1")
-        self._limit = limit
         self._items: deque = deque(maxlen=limit)
         #: Total entries ever appended (evictions included).
         self.appended = 0
@@ -32,22 +30,6 @@ class RingLog:
         """Append ``item``, evicting the oldest entry when full."""
         self._items.append(item)
         self.appended += 1
-
-    @property
-    def limit(self) -> int:
-        """Maximum number of retained entries."""
-        return self._limit
-
-    @limit.setter
-    def limit(self, value: int) -> None:
-        if value < 1:
-            raise ValueError("ring limit must be >= 1")
-        if value != self._limit:
-            self._limit = value
-            self._items = deque(
-                islice(self._items, max(0, len(self._items) - value), None),
-                maxlen=value,
-            )
 
     @property
     def evicted(self) -> int:
@@ -70,6 +52,6 @@ class RingLog:
 
     def __repr__(self) -> str:
         return (
-            f"RingLog(limit={self._limit}, len={len(self._items)}, "
+            f"RingLog(limit={self._items.maxlen}, len={len(self._items)}, "
             f"appended={self.appended})"
         )

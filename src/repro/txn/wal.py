@@ -7,17 +7,16 @@ keeps its own log on its local disk; log appends are buffered in
 memory and :meth:`WriteAheadLog.force` writes everything up to a given
 LSN sequentially (cheap — no seek).
 
-Recovery (:meth:`WriteAheadLog.committed_transactions` /
-:meth:`WriteAheadLog.replay_updates`) derives the durable state from
-the flushed prefix only, so tests can crash a node mid-protocol and
-check exactly what survives.
+Recovery (:mod:`repro.txn.recovery`) derives the durable state from
+the flushed prefix only (:meth:`WriteAheadLog.durable_records`), so a
+node can crash mid-protocol and exactly what survives is redone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Set
+from typing import List, Optional, Set
 
 from repro.cluster.disk import Disk
 from repro.sim.engine import Environment
@@ -121,19 +120,6 @@ class WriteAheadLog:
                                  LogRecordKind.ABORT):
                 prepared.discard(record.txn_id)
         return prepared
-
-    def replay_updates(self) -> Dict[int, str]:
-        """Redo: page -> last durable payload of a committed txn."""
-        committed = self.committed_transactions()
-        state: Dict[int, str] = {}
-        for record in self.durable_records():
-            if (
-                record.kind is LogRecordKind.UPDATE
-                and record.txn_id in committed
-                and record.page_id is not None
-            ):
-                state[record.page_id] = record.payload
-        return state
 
     def __len__(self) -> int:
         return len(self._records)

@@ -1,9 +1,8 @@
 """Multiclass synthetic workloads: specs, Zipf sampling, generators,
 and trace record/replay."""
 
-from repro.workload.closed import ClosedLoopDriver
 from repro.workload.generator import NullSink, WorkloadGenerator, WorkloadSink
-from repro.workload.presets import oltp_dss_mix, uniform_multiclass
+from repro.workload.presets import oltp_dss_mix
 from repro.workload.spec import (
     ClassSpec,
     WorkloadSpec,
@@ -15,7 +14,6 @@ from repro.workload.zipf import ZipfPagePicker, ZipfSampler
 
 __all__ = [
     "ClassSpec",
-    "ClosedLoopDriver",
     "NullSink",
     "TraceRecord",
     "TraceRecorder",
@@ -28,5 +26,4 @@ __all__ = [
     "oltp_dss_mix",
     "partition_pages",
     "shared_pages",
-    "uniform_multiclass",
 ]

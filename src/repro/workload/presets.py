@@ -47,37 +47,3 @@ def oltp_dss_mix(
             arrival_rate_per_node=dss_rate, name="dss",
         ),
     ])
-
-
-def uniform_multiclass(
-    config: SystemConfig,
-    goals_ms,
-    pages_per_op: int = 4,
-    skew: float = 0.0,
-    arrival_rate_per_node: float = 0.02,
-) -> WorkloadSpec:
-    """K goal classes with identical shapes on disjoint page sets.
-
-    ``goals_ms`` is a sequence of response time goals; class ids are
-    1..K and a no-goal class 0 takes the last page partition.
-    """
-    goals = list(goals_ms)
-    sets = partition_pages(config.num_pages, len(goals) + 1)
-    classes = [
-        ClassSpec(
-            class_id=0, goal_ms=None, pages=sets[-1], skew=skew,
-            pages_per_op=pages_per_op,
-            arrival_rate_per_node=arrival_rate_per_node,
-            name="no-goal",
-        )
-    ]
-    for i, goal_ms in enumerate(goals, start=1):
-        classes.append(
-            ClassSpec(
-                class_id=i, goal_ms=goal_ms, pages=sets[i - 1],
-                skew=skew, pages_per_op=pages_per_op,
-                arrival_rate_per_node=arrival_rate_per_node,
-                name=f"class-{i}",
-            )
-        )
-    return WorkloadSpec(classes=classes)

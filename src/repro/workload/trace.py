@@ -37,25 +37,10 @@ class TraceRecorder:
         """Append one operation to the trace."""
         self.records.append(TraceRecord(time, node_id, class_id, pages))
 
-    def save(self, path: str) -> None:
-        """Write the trace to ``path`` as JSON lines."""
-        with open(path, "w") as handle:
-            for rec in self.records:
-                handle.write(
-                    json.dumps(
-                        {
-                            "time": rec.time,
-                            "node": rec.node_id,
-                            "class": rec.class_id,
-                            "pages": list(rec.pages),
-                        }
-                    )
-                    + "\n"
-                )
-
     @classmethod
     def load(cls, path: str) -> "TraceRecorder":
-        """Read a trace previously written by :meth:`save`."""
+        """Read a JSON-lines trace: one ``time``/``node``/``class``/
+        ``pages`` object per record (the golden trace's format)."""
         recorder = cls()
         with open(path) as handle:
             for line in handle:

@@ -110,7 +110,3 @@ class ZipfPagePicker:
     def __init__(self, pages: Sequence[int], theta: float):
         self.pages = list(pages)
         self.sampler = ZipfSampler(len(self.pages), theta)
-
-    def pick(self, rng: random.Random) -> int:
-        """Draw one page id from the set."""
-        return self.pages[self.sampler.sample(rng)]

@@ -16,6 +16,7 @@ RNG semantics) with::
 
 from __future__ import annotations
 
+import json
 import os
 
 from repro.cluster.config import NodeParameters, SystemConfig
@@ -55,11 +56,28 @@ def generate_trace() -> TraceRecorder:
     return recorder
 
 
+def save_trace(recorder: TraceRecorder, path: str) -> None:
+    """Write a trace as the JSON lines :meth:`TraceRecorder.load` reads."""
+    with open(path, "w") as handle:
+        for rec in recorder.records:
+            handle.write(
+                json.dumps(
+                    {
+                        "time": rec.time,
+                        "node": rec.node_id,
+                        "class": rec.class_id,
+                        "pages": list(rec.pages),
+                    }
+                )
+                + "\n"
+            )
+
+
 def main() -> None:
     """Regenerate the golden file from the current kernel."""
     recorder = generate_trace()
     os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
-    recorder.save(GOLDEN_PATH)
+    save_trace(recorder, GOLDEN_PATH)
     print(f"{len(recorder.records)} records written to {GOLDEN_PATH}")
 
 

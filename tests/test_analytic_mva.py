@@ -9,10 +9,11 @@ from repro.analytic.mva import (
     ClosedNetwork,
     Station,
     exact_mva,
-    machine_repairman,
     schweitzer_mva,
     solve,
 )
+
+from tests.mva_reference import machine_repairman
 
 
 def single_class_network(population=5, demand=2.0, think=50.0):
@@ -124,8 +125,8 @@ def test_exact_utilization_is_throughput_times_demand():
     assert sol.utilization["s0"] == pytest.approx(
         sol.throughput_per_ms[0] * 2.0
     )
-    name, util = sol.bottleneck()
-    assert name == "s0" and 0.0 < util < 1.0
+    assert list(sol.utilization) == ["s0"]
+    assert 0.0 < sol.utilization["s0"] < 1.0
 
 
 def test_exact_empty_class_is_ignored():

@@ -23,9 +23,10 @@ from repro.analytic.mva import (
     ClosedNetwork,
     Station,
     exact_mva,
-    machine_repairman,
     schweitzer_mva,
 )
+
+from tests.mva_reference import machine_repairman
 
 #: Service demands and think times drawn over two orders of magnitude
 #: so both near-idle and contended stations appear.
@@ -156,7 +157,7 @@ def test_schweitzer_accuracy_tracks_utilization():
                     )
                     exact = exact_mva(net)
                     approx = schweitzer_mva(net)
-                    util = exact.bottleneck()[1]
+                    util = max(exact.utilization.values())
                     worst = max(
                         abs(approx.response_ms[c] - exact.response_ms[c])
                         / exact.response_ms[c]

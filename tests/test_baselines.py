@@ -8,7 +8,6 @@ from repro.baselines import (
     ClassFencingCoordinator,
     DynamicTuningCoordinator,
     FragmentFencingCoordinator,
-    StaticPartitioningController,
     make_controller,
 )
 from repro.cluster.cluster import Cluster
@@ -187,23 +186,3 @@ def test_registry_contains_all_strategies():
         "goal-oriented", "fragment-fencing", "class-fencing",
         "dynamic-tuning",
     }
-
-
-def test_static_controller_applies_fixed_allocation(
-    fast_config, fast_workload
-):
-    from repro.workload.generator import WorkloadGenerator
-
-    cluster = Cluster(fast_config, seed=0)
-    fixed = [16 * 4096] * 3
-    controller = StaticPartitioningController(
-        cluster, goals={1: 5.0}, allocations={1: fixed}
-    )
-    generator = WorkloadGenerator(cluster, fast_workload, sink=controller)
-    generator.start()
-    controller.start()
-    cluster.env.run(until=6 * fast_config.observation_interval_ms + 1)
-    assert cluster.dedicated_bytes(1) == fixed
-    # And it stays fixed.
-    cluster.env.run(until=10 * fast_config.observation_interval_ms + 1)
-    assert cluster.dedicated_bytes(1) == fixed

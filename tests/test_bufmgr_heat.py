@@ -254,7 +254,7 @@ def test_registry_churn_keeps_columns_and_pending_bounded():
         if generation >= 64:
             registry.forget(generation - 64)
     assert len(registry) == 64
-    assert registry.column_slots <= 65
+    assert registry._tracker.column_slots <= 65
     # Two accesses per page, threshold 8: every page stays pending and
     # forget reclaims its counter, so pending tracks the live window.
     assert registry.pending_count == 64

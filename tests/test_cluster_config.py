@@ -28,11 +28,6 @@ def test_buffer_pages_per_node():
     assert config.buffer_pages_per_node == 512
 
 
-def test_total_buffer_bytes():
-    config = SystemConfig()
-    assert config.total_buffer_bytes == 3 * 2 * 1024 * 1024
-
-
 def test_cpu_service_time():
     cpu = CpuParameters(mips=100.0)
     # 100 MIPS = 100_000 instructions per ms.

@@ -3,6 +3,7 @@
 import numpy as np
 
 from repro.core.coordinator import Coordinator, DecisionRecord
+from repro.telemetry.ring import RingLog
 from tests.test_core_coordinator import feed, make_coordinator
 
 
@@ -31,7 +32,7 @@ def test_log_records_allocation_totals():
 
 def test_log_is_bounded():
     coordinator = make_coordinator(goal_ms=10.0)
-    coordinator.decision_log_limit = 5
+    coordinator.decision_log = RingLog(5)
     for i in range(12):
         feed(coordinator, [10.0] * 3, [1.0] * 3, time=float(i))
         coordinator.evaluate(now=float(i), other_dedicated=[0, 0, 0])
@@ -42,7 +43,6 @@ def test_log_is_bounded():
 def test_log_caps_at_512_as_a_ring():
     """The default cap holds, evicting oldest-first without growth."""
     coordinator = make_coordinator(goal_ms=10.0)
-    assert coordinator.decision_log_limit == 512
     for i in range(520):
         feed(coordinator, [10.0] * 3, [1.0] * 3, time=float(i))
         coordinator.evaluate(now=float(i), other_dedicated=[0, 0, 0])

@@ -59,15 +59,6 @@ def test_nearly_dependent_rejected():
     assert not tracker.add([1.0 + 1e-12, 1.0])
 
 
-def test_copy_is_independent_object():
-    tracker = IndependenceTracker(2)
-    tracker.add([1.0, 0.0])
-    clone = tracker.copy()
-    clone.add([0.0, 1.0])
-    assert tracker.rank == 1
-    assert clone.rank == 2
-
-
 @given(
     arrays(
         np.float64,

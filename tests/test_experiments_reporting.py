@@ -1,8 +1,9 @@
 """Unit tests for the plain-text reporting helpers."""
 
+import importlib.util
+import os
 import subprocess
 import sys
-import os
 
 from repro.experiments.reporting import _fmt, emit, format_series, format_table
 
@@ -123,6 +124,185 @@ def test_unreferenced_lint_flags_test_only_function(tmp_path):
     assert ": Handler" not in result.stderr
 
 
+def _load_tool(name):
+    """Import one of ``tools/*.py`` as a module (for its ALLOWED)."""
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(repo, "tools", name + ".py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _allowed_line(tool, needle):
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(repo, "tools", tool + ".py")) as fh:
+        for lineno, line in enumerate(fh, 1):
+            if needle in line:
+                return lineno
+    raise AssertionError(f"{needle} not in tools/{tool}.py")
+
+
+def _clean_tree(tmp_path):
+    """A tree the unreferenced lint passes: one used function, and a
+    stub for every allow-listed name (defined, never referenced)."""
+    allowed = _load_tool("check_unreferenced").ALLOWED
+    pkg = tmp_path / "src" / "repro"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("")
+    (pkg / "allowed.py").write_text(
+        "class Stubs:\n"
+        + "".join(f"    def {name}(self):\n        pass\n"
+                  for name in allowed)
+    )
+    (pkg / "mod.py").write_text("def used():\n    return 1\n")
+    (tmp_path / "examples").mkdir()
+    (tmp_path / "examples" / "demo.py").write_text(
+        "from repro.allowed import Stubs\n"
+        "from repro.mod import used\n"
+        "used()\n"
+    )
+    (tmp_path / "tests").mkdir()
+    return pkg
+
+
+def test_unreferenced_lint_passes_clean_tree(tmp_path):
+    _clean_tree(tmp_path)
+    result = _run_unreferenced(str(tmp_path))
+    assert result.returncode == 0, result.stderr
+
+
+def test_unreferenced_lint_ignores_reexports(tmp_path):
+    """A function only an ``__init__.py`` re-exports (and lists in
+    ``__all__``) and only a test calls is unreferenced."""
+    pkg = _clean_tree(tmp_path)
+    sub = pkg / "sub"
+    sub.mkdir()
+    (sub / "__init__.py").write_text(
+        "from repro.sub.helpers import exported\n"
+        "\n"
+        '__all__ = ["exported"]\n'
+    )
+    (sub / "helpers.py").write_text("def exported():\n    return 2\n")
+    (tmp_path / "tests" / "test_sub.py").write_text(
+        "from repro.sub import exported\n"
+        "assert exported() == 2\n"
+    )
+    result = _run_unreferenced(str(tmp_path))
+    assert result.returncode == 1
+    rel = os.path.join("src", "repro", "sub", "helpers.py")
+    assert f"{rel}:1: exported" in result.stderr
+
+
+def test_unreferenced_lint_ignores_prose(tmp_path):
+    """A method named only in a docstring and a comment elsewhere is
+    unreferenced, even though its class is used."""
+    pkg = _clean_tree(tmp_path)
+    (pkg / "shapes.py").write_text(
+        "class Shape:\n"
+        "    def area(self):\n"
+        "        return 0\n"
+    )
+    (pkg / "docs.py").write_text(
+        '"""Call ``Shape.area`` for the area."""\n'
+        "\n"
+        "\n"
+        "def describe():\n"
+        '    """Mentions area in prose only."""\n'
+        "    return 1  # area\n"
+    )
+    (tmp_path / "examples" / "shapes.py").write_text(
+        "from repro.docs import describe\n"
+        "from repro.shapes import Shape\n"
+        "Shape()\n"
+        "describe()\n"
+    )
+    result = _run_unreferenced(str(tmp_path))
+    assert result.returncode == 1
+    rel = os.path.join("src", "repro", "shapes.py")
+    assert f"{rel}:2: area" in result.stderr
+    assert ": Shape" not in result.stderr
+    assert ": describe" not in result.stderr
+
+
+def test_unreferenced_lint_follows_dead_callers(tmp_path):
+    """A def that only an unreferenced def calls is unreferenced too,
+    and recursion inside a def's own body does not keep it alive."""
+    pkg = _clean_tree(tmp_path)
+    (pkg / "chain.py").write_text(
+        "def leaf():\n"
+        "    return 1\n"
+        "\n"
+        "\n"
+        "def caller(n):\n"
+        "    return leaf() if n == 0 else caller(n - 1)\n"
+    )
+    result = _run_unreferenced(str(tmp_path))
+    assert result.returncode == 1
+    rel = os.path.join("src", "repro", "chain.py")
+    assert f"{rel}:1: leaf" in result.stderr
+    assert f"{rel}:5: caller" in result.stderr
+
+
+def test_unreferenced_lint_flags_main_guard(tmp_path):
+    """Only ``repro/__main__.py`` may hold a ``__main__`` guard; a
+    ``main()`` that only another module's guard calls is unreferenced."""
+    pkg = _clean_tree(tmp_path)
+    (pkg / "__main__.py").write_text(
+        "from repro.tool import run\n"
+        "\n"
+        'if __name__ == "__main__":\n'
+        "    run()\n"
+    )
+    (pkg / "tool.py").write_text(
+        "def run():\n"
+        "    return 0\n"
+        "\n"
+        "\n"
+        "def main():\n"
+        "    return run()\n"
+        "\n"
+        "\n"
+        'if __name__ == "__main__":\n'
+        "    main()\n"
+    )
+    result = _run_unreferenced(str(tmp_path))
+    assert result.returncode == 1
+    rel = os.path.join("src", "repro", "tool.py")
+    assert f"{rel}:9: if __name__" in result.stderr
+    assert f"{rel}:5: main" in result.stderr
+    assert ": run" not in result.stderr
+    assert "__main__.py:" not in result.stderr
+
+
+def test_unreferenced_lint_flags_stale_allow_entry(tmp_path):
+    """An allow-listed name the program now references, or one that is
+    no longer defined, fails: the allow-list cannot go stale."""
+    pkg = _clean_tree(tmp_path)
+    # The first allow-listed name: its stub is line 2 of allowed.py.
+    name = next(iter(_load_tool("check_unreferenced").ALLOWED))
+    (tmp_path / "examples" / "calls.py").write_text(
+        f"from repro.allowed import Stubs\nStubs().{name}()\n"
+    )
+    result = _run_unreferenced(str(tmp_path))
+    assert result.returncode == 1
+    rel = os.path.join("src", "repro", "allowed.py")
+    assert f"{rel}:2: stale ALLOWED entry {name!r}" in result.stderr
+
+    (tmp_path / "examples" / "calls.py").unlink()
+    (pkg / "allowed.py").write_text(
+        (pkg / "allowed.py").read_text().replace(f"def {name}(", "def x(")
+    )
+    result = _run_unreferenced(str(tmp_path))
+    assert result.returncode == 1
+    line = _allowed_line("check_unreferenced", f'"{name}":')
+    tool = os.path.join("tools", "check_unreferenced.py")
+    assert f"{tool}:{line}: stale ALLOWED entry {name!r}: not defined" in (
+        result.stderr
+    )
+
+
 def _run_lint(root):
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     return subprocess.run(
@@ -144,19 +324,31 @@ def test_no_print_lint_flags_stray_print(tmp_path):
     assert f"{rel}:1" in result.stderr
 
 
-def test_no_print_lint_allows_dashboard_asset(tmp_path):
-    """The embedded dashboard module's print stays allow-listed, and
-    a same-named file elsewhere fails with the allow-list reason."""
-    pkg = tmp_path / "src" / "repro" / "telemetry"
+def test_no_print_lint_allows_cli_boundary(tmp_path):
+    """The CLI's prints stay allow-listed, and a same-named file
+    elsewhere fails with the allow-list reason."""
+    pkg = tmp_path / "src" / "repro"
     pkg.mkdir(parents=True)
-    (pkg / "dashboard.py").write_text(
-        'HTML = "<html></html>"\nprint(HTML)\n'
-    )
+    (pkg / "cli.py").write_text("print('result')\n")
     assert _run_lint(str(tmp_path)).returncode == 0
-    stray = tmp_path / "src" / "repro" / "dashboard.py"
+    stray = pkg / "experiments" / "cli.py"
+    stray.parent.mkdir()
     stray.write_text("print('nope')\n")
     result = _run_lint(str(tmp_path))
     assert result.returncode == 1
     # The near-miss hint names the sanctioned path and its reason.
-    assert os.path.join("telemetry", "dashboard.py") in result.stderr
-    assert "dev preview" in result.stderr
+    assert f"{os.path.join('experiments', 'cli.py')}:1" in result.stderr
+    assert "stdout boundary" in result.stderr
+
+
+def test_no_print_lint_flags_stale_allow_entry(tmp_path):
+    """An allow-listed file that no longer prints fails at its entry."""
+    pkg = tmp_path / "src" / "repro"
+    pkg.mkdir(parents=True)
+    (pkg / "cli.py").write_text("import sys\nsys.stdout.write('x')\n")
+    result = _run_lint(str(tmp_path))
+    assert result.returncode == 1
+    line = _allowed_line("check_no_prints", '"src", "repro", "cli.py"')
+    tool = os.path.join("tools", "check_no_prints.py")
+    assert f"{tool}:{line}" in result.stderr
+    assert "stale ALLOWED entry" in result.stderr

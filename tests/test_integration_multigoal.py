@@ -7,7 +7,8 @@ from repro.cluster.cluster import Cluster
 from repro.core.controller import GoalOrientedController
 from repro.experiments.runner import Simulation, default_workload
 from repro.workload.generator import WorkloadGenerator
-from repro.workload.presets import uniform_multiclass
+
+from tests.workload_reference import uniform_multiclass
 
 
 def test_three_goal_classes_all_progress(fast_config):

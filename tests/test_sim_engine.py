@@ -197,9 +197,10 @@ def test_is_alive_transitions():
         yield env.timeout(1.0)
 
     proc = env.process(quick())
-    assert not proc.triggered
+    with pytest.raises(SimulationError):
+        proc.ok
     env.run()
-    assert proc.triggered
+    assert proc.ok
 
 
 def test_many_processes_complete():

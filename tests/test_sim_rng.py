@@ -60,11 +60,3 @@ def test_randint_inclusive_bounds():
     streams = RandomStreams(seed=5)
     draws = {streams.randint("i", 0, 3) for _ in range(500)}
     assert draws == {0, 1, 2, 3}
-
-
-def test_choice_draws_from_items():
-    streams = RandomStreams(seed=5)
-    items = ["a", "b", "c"]
-    assert all(
-        streams.choice("c", items) in items for _ in range(50)
-    )

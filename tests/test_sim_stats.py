@@ -47,40 +47,6 @@ def test_welford_matches_numpy(samples):
     )
 
 
-@given(
-    st.lists(finite_floats, min_size=1, max_size=50),
-    st.lists(finite_floats, min_size=1, max_size=50),
-)
-@settings(max_examples=100)
-def test_merge_equals_combined(xs, ys):
-    a = OnlineStats()
-    b = OnlineStats()
-    combined = OnlineStats()
-    for x in xs:
-        a.add(x)
-        combined.add(x)
-    for y in ys:
-        b.add(y)
-        combined.add(y)
-    merged = a.merge(b)
-    assert merged.count == combined.count
-    assert merged.mean == pytest.approx(combined.mean, abs=1e-6, rel=1e-9)
-    assert merged.variance == pytest.approx(
-        combined.variance, abs=1e-3, rel=1e-5
-    )
-    assert merged.minimum == combined.minimum
-    assert merged.maximum == combined.maximum
-
-
-def test_merge_with_empty():
-    a = OnlineStats()
-    a.add(1.0)
-    a.add(3.0)
-    merged = a.merge(OnlineStats())
-    assert merged.mean == 2.0
-    assert merged.count == 2
-
-
 def test_reset_clears_everything():
     stats = OnlineStats()
     stats.add(1.0)

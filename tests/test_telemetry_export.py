@@ -15,7 +15,6 @@ import os
 
 import pytest
 
-import repro.telemetry as telemetry_mod
 from repro.telemetry.exporters import (
     METRICS_JSON_FILE,
     METRICS_TEXT_FILE,
@@ -99,12 +98,8 @@ def test_golden_trace_bit_identical_with_telemetry(tmp_path):
     assert recorder.records == golden
 
 
-def test_module_flag_attaches_pipeline_without_exports():
-    telemetry_mod.enable()
-    try:
-        data_on = _short_figure2()
-    finally:
-        telemetry_mod.disable()
+def test_in_memory_telemetry_leaves_results_unchanged():
+    data_on = _short_figure2(telemetry=True)
     data_off = _short_figure2()
     assert data_on.observed_rt == data_off.observed_rt
     assert data_on.dedicated_bytes == data_off.dedicated_bytes

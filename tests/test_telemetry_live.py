@@ -13,6 +13,7 @@ import http.client
 import json
 import os
 import threading
+from typing import Dict, List, Tuple
 
 import pytest
 
@@ -22,7 +23,6 @@ from repro.telemetry.live import (
     SnapshotSampler,
     Subscription,
     TelemetryBus,
-    parse_sse,
     sse_format,
 )
 from repro.telemetry.pipeline import Telemetry
@@ -36,6 +36,37 @@ from tests.golden_trace import (
     SEED,
     WARMUP_MS,
 )
+
+
+def parse_sse(text: str) -> List[Tuple[str, Dict]]:
+    """Parse SSE frames back into ``(event, data)`` pairs.
+
+    The inverse of :func:`~repro.telemetry.live.sse_format`:
+    frames are separated by blank lines, ``:`` comment lines (the
+    keepalives) are ignored, and multiple ``data:`` lines concatenate
+    with newlines per the SSE specification.  A trailing partial frame
+    (no terminating blank line yet) is ignored rather than raised on,
+    since callers typically parse a truncated live stream.
+    """
+    frames: List[Tuple[str, Dict]] = []
+    for block in text.split("\n\n"):
+        event = "message"
+        data_lines: List[str] = []
+        for line in block.split("\n"):
+            if not line or line.startswith(":"):
+                continue
+            if line.startswith("event:"):
+                event = line[len("event:"):].strip()
+            elif line.startswith("data:"):
+                data_lines.append(line[len("data:"):].lstrip())
+        if not data_lines:
+            continue
+        try:
+            data = json.loads("\n".join(data_lines))
+        except ValueError:
+            continue  # truncated tail of a live stream
+        frames.append((event, data))
+    return frames
 
 
 @pytest.fixture(autouse=True)

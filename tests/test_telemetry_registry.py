@@ -87,16 +87,6 @@ def test_ring_log_is_a_true_ring():
     assert ring[1:] == [5, 6]
 
 
-def test_ring_log_limit_shrink_keeps_newest():
-    ring = RingLog(10)
-    for i in range(6):
-        ring.append(i)
-    ring.limit = 2
-    assert list(ring) == [4, 5]
-    ring.append(6)
-    assert list(ring) == [5, 6]
-
-
 def test_ring_log_rejects_nonpositive_limit():
     with pytest.raises(ValueError):
         RingLog(0)

@@ -7,6 +7,7 @@ from repro.cluster.config import NodeParameters, SystemConfig
 from repro.cluster.messages import MessageKind
 from repro.txn.locks import DeadlockError
 from repro.txn.manager import TransactionManager, TxnStatus
+from repro.txn.recovery import recover_all, recover_node
 from repro.txn.wal import LogRecordKind
 
 
@@ -69,9 +70,10 @@ def test_write_commit_runs_2pc_and_forces_logs(cluster):
     # Both participants hold durable COMMIT records.
     assert 1 in manager.logs[1].committed_transactions()
     assert 1 in manager.logs[2].committed_transactions()
-    # The updates replay from the durable logs.
-    assert manager.logs[1].replay_updates() == {1: "a"}
-    assert manager.logs[2].replay_updates() == {2: "b"}
+    # The updates are redone from the durable logs.
+    reports = recover_all(manager.logs)
+    assert reports[1].redone_pages == {1: "a"}
+    assert reports[2].redone_pages == {2: "b"}
 
 
 def test_2pc_messages_accounted(cluster):
@@ -107,7 +109,7 @@ def test_no_vote_aborts_globally(cluster):
     # No participant may have a durable COMMIT for the transaction.
     for log in manager.logs.values():
         assert 1 not in log.committed_transactions()
-    assert manager.logs[2].replay_updates() == {}
+    assert recover_node(manager.logs, 2).redone_pages == {}
 
 
 def test_locks_released_after_commit(cluster):

@@ -5,6 +5,7 @@ import pytest
 from repro.cluster.config import DiskParameters
 from repro.cluster.disk import Disk
 from repro.sim.engine import Environment
+from repro.txn.recovery import recover_node
 from repro.txn.wal import LogRecordKind, WriteAheadLog
 
 from tests.test_cluster_batch import disk_read
@@ -105,7 +106,7 @@ def test_replay_updates_applies_committed_only():
         yield from wal.force()
 
     run(env, proc())
-    state = wal.replay_updates()
+    state = recover_node({0: wal}, 0).redone_pages
     assert state == {5: "committed"}
 
 
@@ -120,7 +121,7 @@ def test_replay_uses_last_committed_payload():
         yield from wal.force()
 
     run(env, proc())
-    assert wal.replay_updates() == {5: "v2"}
+    assert recover_node({0: wal}, 0).redone_pages == {5: "v2"}
 
 
 def test_prepared_transactions_in_doubt():

@@ -157,7 +157,7 @@ def _reference_arrivals(generator, node_id, class_spec):
         )
         yield env.timeout(delay)
         pages = [
-            picker.pick(rng.stream(page_stream))
+            picker.pages[picker.sampler.sample(rng.stream(page_stream))]
             for _ in range(spec.pages_per_op)
         ]
         env.process(reference_operation(generator, node_id, spec, pages))

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.cluster.config import SystemConfig
-from repro.workload.presets import oltp_dss_mix, uniform_multiclass
+from repro.workload.presets import oltp_dss_mix
+
+from tests.workload_reference import uniform_multiclass
 
 
 def test_oltp_dss_mix_shape():

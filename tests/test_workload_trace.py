@@ -6,6 +6,8 @@ from repro.cluster.cluster import Cluster
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.trace import TraceRecord, TraceRecorder, TraceReplayer
 
+from tests.golden_trace import save_trace
+
 
 def test_recorder_collects_operations(fast_config, fast_workload):
     cluster = Cluster(fast_config, seed=2)
@@ -25,7 +27,7 @@ def test_save_and_load_roundtrip(tmp_path):
     recorder.record(1.5, 0, 1, (10, 20))
     recorder.record(2.5, 2, 0, (30,))
     path = tmp_path / "trace.jsonl"
-    recorder.save(str(path))
+    save_trace(recorder, str(path))
     loaded = TraceRecorder.load(str(path))
     assert loaded.records == recorder.records
 

@@ -67,7 +67,7 @@ def test_invalid_parameters_rejected():
 def test_page_picker_maps_ranks_to_pages():
     picker = ZipfPagePicker(pages=[100, 200, 300], theta=1.0)
     rng = random.Random(0)
-    draws = {picker.pick(rng) for _ in range(200)}
+    draws = {picker.pages[picker.sampler.sample(rng)] for _ in range(200)}
     assert draws <= {100, 200, 300}
     assert 100 in draws  # the hottest page must appear
 

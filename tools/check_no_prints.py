@@ -14,7 +14,8 @@ when an offending file is *almost* allowed (same basename) to make
 accidental near-misses debuggable; the lint itself writes through
 ``sys.stdout`` directly, which the AST check does not flag —
 ``print`` is the lint target because it is the idiom stray debug
-output arrives in.
+output arrives in.  An entry whose file is gone or no longer prints
+is itself a finding, so the allow-list cannot outlive its reason.
 
 Usage::
 
@@ -34,10 +35,6 @@ import sys
 ALLOWED = {
     os.path.join("src", "repro", "cli.py"):
         "the CLI is the stdout boundary",
-    os.path.join("src", "repro", "experiments", "reporting.py"):
-        "home of the sanctioned emit() path",
-    os.path.join("src", "repro", "telemetry", "dashboard.py"):
-        "embedded HTML/JS asset; main() dumps it for dev preview",
 }
 
 
@@ -54,6 +51,16 @@ def find_prints(path: str):
             yield node.lineno
 
 
+def _allowed_line(rel: str) -> int:
+    """Line of the ``ALLOWED`` entry for ``rel`` in this file."""
+    parts = ", ".join(f'"{part}"' for part in rel.split(os.sep))
+    with open(os.path.abspath(__file__), "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if parts in line:
+                return lineno
+    return 0
+
+
 def main(argv) -> int:
     root = argv[1] if len(argv) > 1 else os.path.dirname(
         os.path.dirname(os.path.abspath(__file__))
@@ -64,6 +71,7 @@ def main(argv) -> int:
         os.path.join(root, "tools"),
     ]
     failures = []
+    printing = set()
     for tree in roots:
         for dirpath, dirnames, filenames in os.walk(tree):
             dirnames.sort()
@@ -72,10 +80,17 @@ def main(argv) -> int:
                     continue
                 path = os.path.join(dirpath, name)
                 rel = os.path.relpath(path, root)
-                if rel in ALLOWED:
-                    continue
                 for lineno in find_prints(path):
-                    failures.append((rel, lineno))
+                    if rel in ALLOWED:
+                        printing.add(rel)
+                    else:
+                        failures.append((rel, lineno, ""))
+    tool = os.path.join("tools", os.path.basename(__file__))
+    for rel in ALLOWED:
+        if rel not in printing:
+            failures.append((tool, _allowed_line(rel),
+                             f"  (stale ALLOWED entry {rel}: it no "
+                             "longer prints)"))
     if failures:
         sys.stderr.write(
             "bare print() calls found (use repro.telemetry or "
@@ -85,10 +100,9 @@ def main(argv) -> int:
             os.path.basename(allowed): (allowed, reason)
             for allowed, reason in ALLOWED.items()
         }
-        for rel, lineno in failures:
+        for rel, lineno, note in failures:
             hint = by_basename.get(os.path.basename(rel))
-            note = ""
-            if hint is not None and hint[0] != rel:
+            if not note and hint is not None and hint[0] != rel:
                 note = f"  (only {hint[0]} is allowed: {hint[1]})"
             sys.stderr.write(f"  {rel}:{lineno}{note}\n")
         return 1
