@@ -7,10 +7,7 @@ load: one node receives most of the goal-class arrivals, so the default
 objective happily leaves the response times uneven across nodes.
 """
 
-import numpy as np
-
 from repro.cluster.cluster import Cluster
-from repro.cluster.config import SystemConfig
 from repro.core.controller import GoalOrientedController
 from repro.experiments.reporting import emit, format_table
 from repro.experiments.runner import default_workload

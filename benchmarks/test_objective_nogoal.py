@@ -15,7 +15,6 @@ from repro.core.controller import GoalOrientedController
 from repro.core.coordinator import Coordinator
 from repro.experiments.multiclass import multiclass_workload
 from repro.experiments.reporting import emit, format_table
-from repro.experiments.runner import Simulation
 from repro.workload.generator import WorkloadGenerator
 from repro.cluster.cluster import Cluster
 

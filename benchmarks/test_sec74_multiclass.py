@@ -10,7 +10,6 @@
 from repro.experiments.multiclass import (
     doubled_cache_config,
     multiclass_workload,
-    run_sharing_point,
     run_sharing_sweep,
 )
 from repro.experiments.reporting import emit

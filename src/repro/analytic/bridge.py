@@ -197,7 +197,7 @@ def service_demands(
     a request wire, message+lookup CPU at the holder, a page ship, and
     page-handling CPU.  A disk access adds the disk read and handling,
     plus — when the home is remote, probability ``(n-1)/n`` under
-    round-robin placement and uniform access — the request/ship wires
+    round-robin page homes and uniform access — the request/ship wires
     and the home's message CPU.
     """
     cpu = config.cpu

@@ -24,6 +24,9 @@ from repro.bufmgr.base import BufferPool
 from repro.bufmgr.costs import CostObserver
 from repro.bufmgr.heat import GlobalHeatRegistry, HeatTracker
 
+#: Cheapest heap candidates re-priced at each eviction.
+REVALIDATE = 8
+
 
 class BenefitModel:
     """Everything needed to price a cached page on one node.
@@ -60,8 +63,8 @@ class BenefitModel:
         """:meth:`benefit` priced at an explicit ``now``.
 
         Simulated time is frozen while an eviction runs, so a victim
-        scan pricing ``revalidate`` candidates can read the clock once
-        and share it — the values are exactly those ``benefit`` would
+        scan pricing :data:`REVALIDATE` candidates can read the clock
+        once and share it — the values are exactly those ``benefit`` would
         return.  Both spreads are clamped at zero.
         """
         costs = self.costs
@@ -84,9 +87,9 @@ class CostBasedPool(BufferPool):
     Mirrors the paper's implementation, which keeps pages in a priority
     queue ordered by benefit.  Benefits drift as heat and measured
     costs change, so the queue holds *estimates*; at eviction time the
-    ``revalidate`` lowest candidates are re-priced and the cheapest
+    :data:`REVALIDATE` lowest candidates are re-priced and the cheapest
     fresh one is evicted.  This bounds the per-eviction work to
-    O(revalidate · log n) instead of a full O(n) re-scan while staying
+    O(REVALIDATE · log n) instead of a full O(n) re-scan while staying
     very close to the exact minimum.
 
     Hits are O(1) in the common case: ``touch`` refreshes the page's
@@ -106,16 +109,11 @@ class CostBasedPool(BufferPool):
     benefits, where only the insertion-order tie-break can differ).
     """
 
-    __slots__ = ("model", "revalidate", "_pages", "_heap", "_seq",
-                 "_price")
+    __slots__ = ("model", "_pages", "_heap", "_seq", "_price")
 
-    def __init__(self, capacity: int, model: BenefitModel,
-                 revalidate: int = 8):
-        if revalidate < 1:
-            raise ValueError("revalidate must be >= 1")
+    def __init__(self, capacity: int, model: BenefitModel):
         super().__init__(capacity)
         self.model = model
-        self.revalidate = revalidate
         self._pages: Dict[int, int] = {}  # page id -> newest entry seq
         self._heap: list = []             # (benefit, seq, page id)
         self._seq = 0
@@ -131,7 +129,7 @@ class CostBasedPool(BufferPool):
         heapq.heappush(self._heap, (benefit, self._seq, page_id))
 
     def _select_victim(self) -> int:
-        """Re-price the ``revalidate`` cheapest candidates and evict one.
+        """Re-price the :data:`REVALIDATE` cheapest candidates, evict one.
 
         Each candidate is priced exactly once: the fresh benefit drives
         both the victim comparison and the re-push of the survivors, so
@@ -149,7 +147,7 @@ class CostBasedPool(BufferPool):
         pages_get = pages.get
         pop = heapq.heappop
         candidates = []
-        limit = min(self.revalidate, len(pages))
+        limit = min(REVALIDATE, len(pages))
         for _ in range(limit):
             # Drop superseded entries, re-sync price-drifted ones (the
             # page was touched since the entry was pushed) at the

@@ -36,6 +36,9 @@ from typing import Callable, Dict, Hashable, List, Optional
 #: time and is self-identifying via ``x != x``.
 _ONE_ACCESS = float("nan")
 
+#: Recorded accesses per page between two dissemination updates.
+UPDATE_THRESHOLD = 8
+
 
 class HeatTracker:
     """LRU-2 heat estimates for a set of keys.
@@ -138,10 +141,6 @@ class HeatTracker:
         self._t0 = array("d")
         self._t1 = array("d")
 
-    def tracked(self, key: Hashable) -> bool:
-        """True if any access to ``key`` is on record."""
-        return key in self._slots
-
     @property
     def column_slots(self) -> int:
         """Allocated column length (live keys + free-list slots)."""
@@ -156,7 +155,7 @@ class GlobalHeatRegistry:
 
     The real system uses threshold-based update protocols [27, 26]; the
     simulation keeps the registry exact but invokes ``on_update`` once
-    per ``update_threshold`` recorded accesses per page (the cluster
+    per :data:`UPDATE_THRESHOLD` recorded accesses per page (the cluster
     wires this to HEAT_UPDATE message accounting), so the §7.5 traffic
     accounting reflects the dissemination cost.
 
@@ -166,14 +165,11 @@ class GlobalHeatRegistry:
     in steady state.
     """
 
-    __slots__ = ("_tracker", "_on_update", "_threshold", "_pending_col",
-                 "_pending_n")
+    __slots__ = ("_tracker", "_on_update", "_pending_col", "_pending_n")
 
-    def __init__(self, on_update: Optional[Callable[[], None]] = None,
-                 update_threshold: int = 8):
+    def __init__(self, on_update: Optional[Callable[[], None]] = None):
         self._tracker = HeatTracker()
         self._on_update = on_update
-        self._threshold = max(1, update_threshold)
         self._pending_col = array("i")
         self._pending_n = 0
 
@@ -187,7 +183,7 @@ class GlobalHeatRegistry:
             # allocated slots start at a zero counter).
             pend.extend(bytes(4 * (slot + 1 - npend)))
         count = pend[slot] + 1
-        if count >= self._threshold:
+        if count >= UPDATE_THRESHOLD:
             pend[slot] = 0
             if count > 1:
                 self._pending_n -= 1
@@ -226,10 +222,6 @@ class GlobalHeatRegistry:
         self._tracker.clear()
         self._pending_col = array("i")
         self._pending_n = 0
-
-    def tracked(self, page_id: int) -> bool:
-        """True if any access to ``page_id`` is on record."""
-        return self._tracker.tracked(page_id)
 
     def __len__(self) -> int:
         return len(self._tracker)

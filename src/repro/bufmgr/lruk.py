@@ -1,10 +1,10 @@
-"""LRU-K replacement (O'Neil, O'Neil & Weikum, SIGMOD '93).
+"""LRU-2 replacement (O'Neil, O'Neil & Weikum, SIGMOD '93; K = 2).
 
 The victim is the page with the largest *backward K-distance*: the page
 whose K-th most recent reference lies furthest in the past.  Pages with
 fewer than K recorded references have infinite backward K-distance and
 are evicted first (LRU order among themselves), as in the original
-algorithm.
+algorithm.  K = 2 is the heat estimate §6 uses.
 """
 
 from __future__ import annotations
@@ -14,18 +14,17 @@ from typing import Callable, Deque, Dict, Iterable
 
 from repro.bufmgr.base import BufferPool
 
+#: References remembered per page (LRU-2).
+K = 2
+
 
 class LrukPool(BufferPool):
-    """LRU-K pool; ``clock`` supplies the current time for references."""
+    """LRU-2 pool; ``clock`` supplies the current time for references."""
 
-    __slots__ = ("k", "_clock", "_history")
+    __slots__ = ("_clock", "_history")
 
-    def __init__(self, capacity: int, clock: Callable[[], float],
-                 k: int = 2):
-        if k < 1:
-            raise ValueError("k must be >= 1")
+    def __init__(self, capacity: int, clock: Callable[[], float]):
         super().__init__(capacity)
-        self.k = k
         self._clock = clock
         #: page id -> deque of the last K reference times (newest last)
         self._history: Dict[int, Deque[float]] = {}
@@ -33,7 +32,7 @@ class LrukPool(BufferPool):
     def _record(self, page_id: int) -> None:
         history = self._history.get(page_id)
         if history is None:
-            history = deque(maxlen=self.k)
+            history = deque(maxlen=K)
             self._history[page_id] = history
         history.append(self._clock())
 
@@ -43,7 +42,7 @@ class LrukPool(BufferPool):
         # K-th reference time is -inf), LRU among themselves.
         def key(page_id: int):
             history = self._history[page_id]
-            if len(history) < self.k:
+            if len(history) < K:
                 return (0, history[-1])  # infinite distance bucket
             return (1, history[0])       # K-th most recent reference
 

@@ -92,7 +92,7 @@ def _cmd_figure2(args) -> None:
         sweep = run_goal_sweep(
             points=args.sweep or 8, seed=args.seed,
             intervals=args.intervals,
-            warmup_ms=args.warmup_ms, jobs=args.jobs, runner=args.runner,
+            warmup_ms=args.warmup_ms, jobs=args.jobs,
             telemetry=args.telemetry, prescreen=args.prescreen or None,
         )
         _note_prescreen(sweep.prescreen)
@@ -150,7 +150,7 @@ def _cmd_multiclass(args) -> None:
     if args.goal_pairs or args.prescreen:
         kwargs = dict(
             intervals=args.intervals, warmup_ms=args.warmup_ms,
-            jobs=args.jobs, runner=args.runner,
+            jobs=args.jobs,
             telemetry=args.telemetry, prescreen=args.prescreen or None,
         )
         if args.goal_pairs:
@@ -161,7 +161,7 @@ def _cmd_multiclass(args) -> None:
         _note_telemetry(args)
         return
     result = run_sharing_sweep(
-        intervals=args.intervals, jobs=args.jobs, runner=args.runner,
+        intervals=args.intervals, jobs=args.jobs,
         warmup_ms=args.warmup_ms, telemetry=args.telemetry,
     )
     print(result.to_text())
@@ -203,7 +203,6 @@ def _cmd_resilience(args) -> None:
             replications=args.replications,
             warmup_ms=args.warmup_ms,
             jobs=args.jobs,
-            runner=args.runner,
             telemetry=args.telemetry,
         )
         print(sweep.to_text())
@@ -473,16 +472,6 @@ SHARED_FLAGS = {
             "(0 = all cores); results are identical for any value"
         ),
     ),
-    "--runner": dict(
-        choices=("auto", "fork", "cold"), default="auto",
-        help=(
-            "sweep execution strategy: 'fork' shares one warmed "
-            "simulation per replicate via os.fork (bit-identical to "
-            "'cold', which runs every point from scratch); 'auto' "
-            "forks whenever the sweep shares warm state and the "
-            "platform allows it"
-        ),
-    ),
     "--telemetry": dict(
         metavar="DIR", default=None,
         help=(
@@ -564,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "goals across the calibrated range (amortized "
                         "by the warm-state fork server)")
     _add_shared_flags(
-        p, "--prescreen", "--warmup-ms", "--runner", "--jobs",
+        p, "--prescreen", "--warmup-ms", "--jobs",
         "--telemetry", "--live-port", warmup_ms=DEFAULT_WARMUP_MS,
     )
     p.set_defaults(func=_cmd_figure2)
@@ -583,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(goal k1, goal k2) pairs off one warmed "
                         "simulation, e.g. --goal-pairs 3:8 4:10 5:12")
     _add_shared_flags(
-        p, "--prescreen", "--warmup-ms", "--runner", "--jobs",
+        p, "--prescreen", "--warmup-ms", "--jobs",
         "--telemetry", "--live-port", warmup_ms=DEFAULT_WARMUP_MS,
     )
     p.set_defaults(func=_cmd_multiclass)
@@ -619,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "the same fault schedule (amortized by the "
                         "warm-state fork server)")
     _add_shared_flags(
-        p, "--warmup-ms", "--runner", "--jobs", "--telemetry",
+        p, "--warmup-ms", "--jobs", "--telemetry",
         "--live-port", warmup_ms=RESILIENCE_WARMUP_MS,
     )
     p.set_defaults(func=_cmd_resilience)

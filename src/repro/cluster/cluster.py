@@ -462,7 +462,6 @@ class Cluster:
             self.config.num_pages,
             self.config.page_size,
             self.config.num_nodes,
-            self.config.placement,
         )
         self.directory = PageDirectory(
             self.network, capacity=self.config.num_pages

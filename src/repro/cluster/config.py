@@ -92,8 +92,6 @@ class SystemConfig:
     disk: DiskParameters = field(default_factory=DiskParameters)
     network: NetworkParameters = field(default_factory=NetworkParameters)
     node: NodeParameters = field(default_factory=NodeParameters)
-    #: 'round_robin' (paper §7.1) or 'hash' home placement.
-    placement: str = "round_robin"
     #: Length of one observation interval in ms (§7.1: 5000 ms).
     observation_interval_ms: float = 5000.0
 
@@ -104,8 +102,6 @@ class SystemConfig:
             raise ValueError("need at least one page")
         if self.page_size < 1:
             raise ValueError("page size must be positive")
-        if self.placement not in ("round_robin", "hash"):
-            raise ValueError(f"unknown placement {self.placement!r}")
         if self.observation_interval_ms <= 0:
             raise ValueError("observation interval must be positive")
 

@@ -23,7 +23,3 @@ class Cpu:
         # Same divisor service_ms uses, precomputed once; dividing by it
         # keeps the float results identical to params.service_ms.
         self._mips_ms = params.mips * 1_000.0
-
-    def utilization(self) -> float:
-        """Fraction of elapsed time this CPU was busy."""
-        return self.resource.utilization()

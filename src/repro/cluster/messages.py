@@ -45,10 +45,6 @@ class MessageKind(Enum):
     ALLOCATION = "allocation"
     #: Agent -> coordinator allocation-conflict feedback (control path).
     ALLOCATION_ACK = "allocation_ack"
-    #: Coordinator migration announcement to agents (control path).
-    MIGRATION = "migration"
-    #: Coordinator state transfer on migration (control path).
-    MIGRATION_STATE = "migration_state"
 
 
 #: Wire sizes in bytes (headers included) for non-page messages.
@@ -66,8 +62,6 @@ MESSAGE_BYTES: Dict[MessageKind, int] = {
     MessageKind.AGENT_REPORT: 64,
     MessageKind.ALLOCATION: 64,
     MessageKind.ALLOCATION_ACK: 32,
-    MessageKind.MIGRATION: 48,
-    MessageKind.MIGRATION_STATE: 1024,
 }
 
 #: Header bytes added on top of the page payload for a page ship.
@@ -79,8 +73,6 @@ CONTROL_KINDS = frozenset(
         MessageKind.AGENT_REPORT,
         MessageKind.ALLOCATION,
         MessageKind.ALLOCATION_ACK,
-        MessageKind.MIGRATION,
-        MessageKind.MIGRATION_STATE,
     }
 )
 
@@ -127,9 +119,3 @@ class TrafficAccounting:
             for kind, nbytes in self.bytes_by_kind.items()
             if kind in CONTROL_KINDS
         )
-
-    @property
-    def control_fraction(self) -> float:
-        """control bytes / total bytes (0.0 when nothing was sent)."""
-        total = self.total_bytes
-        return self.control_bytes / total if total else 0.0

@@ -16,6 +16,10 @@ from typing import Optional
 
 from repro.sim.stats import P2Quantile, WindowStats
 
+#: Relative change in mean RT or arrival rate that counts as
+#: "significant" and triggers a report.
+REPORT_THRESHOLD = 0.05
+
 
 @dataclass(frozen=True)
 class AgentReport:
@@ -38,17 +42,9 @@ class AgentReport:
 class ClassAgent:
     """Collects per-interval statistics for one (class, node) pair."""
 
-    def __init__(
-        self,
-        node_id: int,
-        class_id: int,
-        report_threshold: float = 0.05,
-    ):
+    def __init__(self, node_id: int, class_id: int):
         self.node_id = node_id
         self.class_id = class_id
-        #: Relative change in mean RT or arrival rate that counts as
-        #: "significant" and triggers a report.
-        self.report_threshold = report_threshold
         self._arrivals = 0
         self._window = WindowStats()
         #: Streaming tail-latency estimate over the whole run.
@@ -93,9 +89,9 @@ class ClassAgent:
             return False
         return (
             _rel_change(report.mean_response_ms, last.mean_response_ms)
-            > self.report_threshold
+            > REPORT_THRESHOLD
             or _rel_change(report.arrival_rate, last.arrival_rate)
-            > self.report_threshold
+            > REPORT_THRESHOLD
         )
 
     def mark_reported(self, report: AgentReport) -> None:

@@ -2,8 +2,8 @@
 
 :class:`GoalOrientedController` instantiates one agent per (class,
 node) — including no-goal agents — and one coordinator per goal class,
-placed round-robin across the nodes (§5 allows any placement; spreading
-them balances load).  Every observation interval it runs the five
+placed round-robin across the nodes (§5 allows any node; spreading them
+balances load).  Every observation interval it runs the five
 phases: agents snapshot their windows (a), reports travel to the
 coordinators (b) — as network messages when agent and coordinator live
 on different nodes, significant-change-filtered as in the paper —
@@ -23,13 +23,13 @@ directory.  A ``partition`` cuts nodes off the control network: their
 reports fail fast, allocations addressed to them are deferred (stamped
 with the epoch they were computed under, rejected at delivery if that
 epoch died in the meantime), and a node that misses coordinator
-contact for ``degraded_after`` consecutive intervals enters *degraded
-mode* — frozen at its last-acked allocation, running purely local
-cost-based replacement — until ``rejoin_after`` consecutive intervals
-of restored contact rejoin it.  All of this is polled from the fault
-layer once per interval and costs nothing when no fault layer is
-attached (or no control-plane fault ever fires), so no-fault runs stay
-bit-identical.
+contact for :data:`DEGRADED_AFTER` consecutive intervals enters
+*degraded mode* — frozen at its last-acked allocation, running purely
+local cost-based replacement — until :data:`REJOIN_AFTER` consecutive
+intervals of restored contact rejoin it.  All of this is polled from
+the fault layer once per interval and costs nothing when no fault
+layer is attached (or no control-plane fault ever fires), so no-fault
+runs stay bit-identical.
 """
 
 from __future__ import annotations
@@ -54,6 +54,14 @@ EXTENDED_QUANTILES: Tuple[float, ...] = (0.5, 0.9, 0.95, 0.99)
 #: of a coordinator's window (DESIGN.md §5).
 MAX_POINT_AGE_INTERVALS = 40
 
+#: Consecutive intervals without coordinator contact after which a node
+#: enters degraded mode (frozen at its last-acked allocation).
+DEGRADED_AFTER = 3
+
+#: Consecutive intervals of restored contact that rejoin a degraded
+#: node (hysteresis against a flapping link).
+REJOIN_AFTER = 2
+
 
 class ClassSeries:
     """Recorded per-interval series for one goal class."""
@@ -70,18 +78,7 @@ class ClassSeries:
 class GoalOrientedController:
     """Drives the goal-oriented partitioning inside a cluster simulation."""
 
-    def __init__(
-        self,
-        cluster: Cluster,
-        goals: Dict[int, float],
-        auto_balance: bool = False,
-        degraded_after: int = 3,
-        rejoin_after: int = 2,
-    ):
-        if degraded_after < 1:
-            raise ValueError("degraded_after must be >= 1")
-        if rejoin_after < 1:
-            raise ValueError("rejoin_after must be >= 1")
+    def __init__(self, cluster: Cluster, goals: Dict[int, float]):
         self.cluster = cluster
         self.interval_ms = cluster.config.observation_interval_ms
         n = cluster.num_nodes
@@ -110,10 +107,6 @@ class GoalOrientedController:
         self._interval_hooks: List[Callable[["GoalOrientedController", int], None]] = []
         self._started = False
         self._hit_counts: Dict[Tuple[int, int], Tuple[int, int]] = {}
-        #: §5 load balancing: when True, at most one coordinator per
-        #: interval is moved from the busiest CPU node to the idlest.
-        self.auto_balance = auto_balance
-        self.migrations = 0
         #: Failure-aware loop bookkeeping: agent reports lost on the
         #: wire, allocation exchanges retried, exchanges that stayed
         #: unconfirmed after the retry (their conflicts fold into the
@@ -122,12 +115,8 @@ class GoalOrientedController:
         self.allocation_retries = 0
         self.allocation_unconfirmed = 0
         self.restarts_observed = 0
-        #: Control-plane fault domain (degraded-mode state machine).
-        #: A node that misses coordinator contact for ``degraded_after``
-        #: consecutive intervals freezes at its last-acked allocation;
-        #: ``rejoin_after`` consecutive contact intervals rejoin it.
-        self.degraded_after = degraded_after
-        self.rejoin_after = rejoin_after
+        #: Control-plane fault domain (degraded-mode state machine, see
+        #: :data:`DEGRADED_AFTER` and :data:`REJOIN_AFTER`).
         self.degraded: List[bool] = [False] * n
         self._missed = [0] * n
         self._streak = [0] * n
@@ -311,30 +300,30 @@ class GoalOrientedController:
             self.cluster.reconcile_directory("partition_heal")
         self._cut_prev = cut
 
-        # Degraded-mode state machine: enter after ``degraded_after``
+        # Degraded-mode state machine: enter after DEGRADED_AFTER
         # consecutive intervals without contact, rejoin (hysteresis)
-        # after ``rejoin_after`` consecutive intervals with contact.
+        # after REJOIN_AFTER consecutive intervals with contact.
         telemetry = self.telemetry
         for node_id in range(self.cluster.num_nodes):
             if not coord_down and node_id not in cut:
                 self._missed[node_id] = 0
                 if self.degraded[node_id]:
                     self._streak[node_id] += 1
-                    if self._streak[node_id] >= self.rejoin_after:
+                    if self._streak[node_id] >= REJOIN_AFTER:
                         self.degraded[node_id] = False
                         self._streak[node_id] = 0
                         self.degraded_exits += 1
                         if telemetry is not None:
                             telemetry.emit(
                                 "degraded_exit", now, node=node_id,
-                                contact_streak=self.rejoin_after,
+                                contact_streak=REJOIN_AFTER,
                             )
             else:
                 self._streak[node_id] = 0
                 self._missed[node_id] += 1
                 if (
                     not self.degraded[node_id]
-                    and self._missed[node_id] >= self.degraded_after
+                    and self._missed[node_id] >= DEGRADED_AFTER
                 ):
                     self.degraded[node_id] = True
                     self.degraded_entries += 1
@@ -428,46 +417,6 @@ class GoalOrientedController:
                     epoch=epoch,
                 )
 
-    # -- coordinator placement (§5) -----------------------------------
-
-    def migrate_coordinator(self, class_id: int, new_home: int) -> None:
-        """Move a class's coordinator to ``new_home``.
-
-        §5: a coordinator can be placed on any node and even migrate,
-        as long as all corresponding agents are informed — every other
-        node receives a MIGRATION announcement, and the coordinator's
-        state (measure points and remembered reports) crosses the
-        network once.
-        """
-        if class_id not in self.coordinators:
-            raise KeyError(class_id)
-        if not 0 <= new_home < self.cluster.num_nodes:
-            raise ValueError(f"no node {new_home}")
-        old_home = self.coordinator_home[class_id]
-        if new_home == old_home:
-            return
-        network = self.cluster.network
-        for node_id in range(self.cluster.num_nodes):
-            if node_id != new_home:
-                network.account_only(MessageKind.MIGRATION)
-        network.account_only(MessageKind.MIGRATION_STATE)
-        self.coordinator_home[class_id] = new_home
-        self.migrations += 1
-
-    def _rebalance(self) -> None:
-        """Move one coordinator off the busiest CPU, if clearly busier."""
-        utilizations = [
-            node.cpu.utilization() for node in self.cluster.nodes
-        ]
-        busiest = max(range(len(utilizations)), key=utilizations.__getitem__)
-        idlest = min(range(len(utilizations)), key=utilizations.__getitem__)
-        if utilizations[busiest] - utilizations[idlest] < 0.10:
-            return
-        for class_id, home in self.coordinator_home.items():
-            if home == busiest:
-                self.migrate_coordinator(class_id, idlest)
-                return
-
     # -- the feedback loop ---------------------------------------------
 
     def _loop(self):
@@ -555,9 +504,6 @@ class GoalOrientedController:
                     decision = coordinator.evaluate(now, other)
                     self._apply(class_id, coordinator, decision, cut)
                 self._record(class_id, coordinator, decision, now)
-
-            if self.auto_balance:
-                self._rebalance()
 
             for hook in self._interval_hooks:
                 hook(self, self.interval_index)

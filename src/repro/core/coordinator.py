@@ -36,6 +36,13 @@ from repro.core.measure import MeasureWindow
 from repro.core.tolerance import GoalTolerance
 from repro.telemetry.ring import RingLog
 
+#: The warm-up heuristic's first proposal: this fraction of each
+#: node's unclaimed memory.
+WARMUP_FRACTION = 0.25
+
+#: Each later warm-up step moves one node by this fraction of its
+#: buffer, so every proposal adds an independent measure point.
+WARMUP_STEP = 0.125
 
 @dataclass
 class CoordinatorDecision:
@@ -83,17 +90,12 @@ class Coordinator:
         goal_ms: float,
         page_size: int = 4096,
         tolerance: Optional[GoalTolerance] = None,
-        warmup_fraction: float = 0.25,
-        warmup_step: float = 0.125,
         max_point_age: Optional[float] = None,
         settle_intervals: int = 1,
         shrink_damping: float = 0.5,
-        objective: str = "nogoal",
     ):
         if not 0.0 < shrink_damping <= 1.0:
             raise ValueError("shrink damping must lie in (0, 1]")
-        if objective not in ("nogoal", "variance"):
-            raise ValueError(f"unknown objective {objective!r}")
         if class_id <= 0:
             raise ValueError("coordinators exist for goal classes only")
         self.class_id = class_id
@@ -102,8 +104,6 @@ class Coordinator:
         self.goal_ms = goal_ms
         self.page_size = page_size
         self.tolerance = tolerance if tolerance is not None else GoalTolerance()
-        self.warmup_fraction = warmup_fraction
-        self.warmup_step = warmup_step
         self.window = MeasureWindow(self.num_nodes, max_age=max_point_age)
         #: Most recent report per class-k agent (phase (b) memory).
         self.goal_reports: Dict[int, AgentReport] = {}
@@ -121,7 +121,7 @@ class Coordinator:
         self._settle = 0
         #: 'nogoal' (the paper's objective, eq. 9) or 'variance' (the
         #: §8 future-work objective: even per-node response times).
-        self.objective = objective
+        self.objective = "nogoal"
         #: Fraction of a proposed *reduction* applied per iteration.
         #: The response surface is convex, so linear extrapolation
         #: overshoots when giving memory back; damping the shrink keeps
@@ -553,13 +553,13 @@ class Coordinator:
         """Exploratory allocations until N + 1 measure points exist."""
         if not self._warmup.started:
             self._warmup.started = True
-            return self.warmup_fraction * upper
+            return WARMUP_FRACTION * upper
         proposal = self.current_allocation.copy()
         too_slow = rt_goal > self.goal_ms
         for _ in range(self.num_nodes):
             axis = self._warmup.axis % self.num_nodes
             self._warmup.axis += 1
-            step = self.warmup_step * max(upper[axis], float(self.node_sizes[axis]))
+            step = WARMUP_STEP * max(upper[axis], float(self.node_sizes[axis]))
             delta = step if too_slow else -step
             candidate = min(max(proposal[axis] + delta, 0.0), upper[axis])
             if abs(candidate - proposal[axis]) >= self.page_size:

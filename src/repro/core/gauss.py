@@ -16,15 +16,17 @@ from typing import List, Optional
 
 import numpy as np
 
+#: A residual this small relative to the vector's norm counts as zero.
+RTOL = 1e-9
+
 
 class IndependenceTracker:
     """A growing set of linearly independent vectors in R^dim."""
 
-    def __init__(self, dim: int, rtol: float = 1e-9):
+    def __init__(self, dim: int):
         if dim < 1:
             raise ValueError("dimension must be >= 1")
         self.dim = dim
-        self.rtol = rtol
         #: Eliminated rows; ``_pivots[i]`` is the pivot column of row i.
         self._rows: List[np.ndarray] = []
         self._pivots: List[int] = []
@@ -60,7 +62,7 @@ class IndependenceTracker:
             return False
         residual = self.residual(v)
         pivot = int(np.abs(residual).argmax())
-        if abs(residual[pivot]) <= self.rtol * norm:
+        if abs(residual[pivot]) <= RTOL * norm:
             return False
         self._rows.append(residual)
         self._pivots.append(pivot)
@@ -71,7 +73,6 @@ def select_independent(
     reference: np.ndarray,
     candidates: List[np.ndarray],
     limit: Optional[int] = None,
-    rtol: float = 1e-9,
 ) -> List[int]:
     """Greedy selection of candidates with independent differences.
 
@@ -85,7 +86,7 @@ def select_independent(
     reference = np.asarray(reference, dtype=float)
     dim = reference.shape[0]
     limit = dim if limit is None else min(limit, dim)
-    tracker = IndependenceTracker(dim, rtol)
+    tracker = IndependenceTracker(dim)
     chosen: List[int] = []
     for index, candidate in enumerate(candidates):
         if len(chosen) >= limit:

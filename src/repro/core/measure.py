@@ -49,8 +49,8 @@ class MeasurePoint:
 class MeasureWindow:
     """The retained measure points of one coordinator."""
 
-    def __init__(self, num_nodes: int, history_limit: Optional[int] = None,
-                 max_age: Optional[float] = None, smoothing: float = 0.5):
+    def __init__(self, num_nodes: int, max_age: Optional[float] = None,
+                 smoothing: float = 0.5):
         if num_nodes < 1:
             raise ValueError("need at least one node")
         if not 0.0 < smoothing <= 1.0:
@@ -61,9 +61,7 @@ class MeasureWindow:
         self.smoothing = smoothing
         #: Raw history, newest first; bounded so stale workload regimes
         #: eventually age out even without allocation changes.
-        self.history_limit = (
-            history_limit if history_limit is not None else 4 * (num_nodes + 1)
-        )
+        self.history_limit = 4 * (num_nodes + 1)
         #: Optional absolute age bound (simulation time units).
         self.max_age = max_age
         self._history: List[MeasurePoint] = []

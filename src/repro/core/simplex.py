@@ -41,11 +41,6 @@ class SimplexResult:
     objective: Optional[float]
     iterations: int
 
-    @property
-    def ok(self) -> bool:
-        """True when an optimal solution was found."""
-        return self.status == OPTIMAL
-
 
 def solve_lp(
     c,

@@ -20,38 +20,36 @@ import math
 from typing import List
 
 
+#: The band never narrows below this fraction of the goal.
+RELATIVE_FLOOR = 0.10
+
+#: Stable intervals needed before the band replaces the floor.
+MIN_SAMPLES = 3
+
+#: Most recent stable intervals the band is estimated from.
+MAX_SAMPLES = 20
+
+#: Normal quantile of the confidence band (~99 %).
+CRITICAL = 2.576
+
+
 class GoalTolerance:
     """Adaptive tolerance band for one goal class."""
 
-    def __init__(
-        self,
-        relative_floor: float = 0.10,
-        low_side_slack: float = 0.30,
-        min_samples: int = 3,
-        max_samples: int = 20,
-        critical: float = 2.576,  # ~99 % normal quantile
-    ):
-        if relative_floor < 0:
-            raise ValueError("relative floor must be non-negative")
+    def __init__(self, low_side_slack: float = 0.30):
         if low_side_slack < 0:
             raise ValueError("low-side slack must be non-negative")
-        if min_samples < 2:
-            raise ValueError("need at least two samples to estimate spread")
-        self.relative_floor = relative_floor
         #: Extra slack below the goal.  Exceeding the goal breaks the
         #: SLA (hard); merely being faster than the goal only means the
         #: no-goal class could profit from freed memory (soft), so the
         #: band is asymmetric to avoid give-back/take-back oscillation.
         self.low_side_slack = low_side_slack
-        self.min_samples = min_samples
-        self.max_samples = max_samples
-        self.critical = critical
         self._samples: List[float] = []
 
     def record_stable_interval(self, mean_rt: float) -> None:
         """Record an interval mean observed under unchanged conditions."""
         self._samples.append(mean_rt)
-        if len(self._samples) > self.max_samples:
+        if len(self._samples) > MAX_SAMPLES:
             self._samples.pop(0)
 
     def reset(self) -> None:
@@ -61,17 +59,17 @@ class GoalTolerance:
     @property
     def calibrated(self) -> bool:
         """True once enough stable intervals back the estimate."""
-        return len(self._samples) >= self.min_samples
+        return len(self._samples) >= MIN_SAMPLES
 
     def tolerance(self, goal_ms: float) -> float:
         """Current tolerance delta in ms for a goal of ``goal_ms``."""
-        floor = self.relative_floor * goal_ms
+        floor = RELATIVE_FLOOR * goal_ms
         if not self.calibrated:
             return floor
         n = len(self._samples)
         mean = sum(self._samples) / n
         variance = sum((x - mean) ** 2 for x in self._samples) / (n - 1)
-        band = self.critical * math.sqrt(variance / n)
+        band = CRITICAL * math.sqrt(variance / n)
         return max(floor, band)
 
     def violated(self, observed_ms: float, goal_ms: float) -> bool:

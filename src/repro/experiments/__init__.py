@@ -16,7 +16,6 @@ from repro.experiments.calibration import (
     measure_static_rt,
 )
 from repro.experiments.forkserver import (
-    ForkUnavailableError,
     WarmDelta,
     WarmGroup,
     WarmupInvarianceError,
@@ -74,7 +73,6 @@ __all__ = [
     "ConvergenceSettings",
     "DEFAULT_WARMUP_MS",
     "Figure2Data",
-    "ForkUnavailableError",
     "GoalRange",
     "GoalSweepData",
     "MulticlassGoalSweep",

@@ -29,10 +29,6 @@ class GoalRange:
     goal_min_ms: float  # RT with 2/3 of the aggregate cache dedicated
     goal_max_ms: float  # RT with 1/3 of the aggregate cache dedicated
 
-    def contains(self, goal_ms: float) -> bool:
-        """Is ``goal_ms`` satisfiable per the calibration?"""
-        return self.goal_min_ms <= goal_ms <= self.goal_max_ms
-
 
 class _MeanSink:
     """Workload sink recording per-class response time means."""

@@ -364,21 +364,6 @@ def run_chaos_seed(
     return result
 
 
-def _chaos_seed_task(
-    config: SystemConfig,
-    goal_ms: float,
-    intervals: int,
-    warmup_ms: float,
-    arrival_rate_per_node: float,
-    seed: int,
-) -> ChaosSeedResult:
-    """One chaos seed (module-level: picklable for ``jobs > 1``)."""
-    return run_chaos_seed(
-        seed, config, goal_ms, intervals, warmup_ms,
-        arrival_rate_per_node,
-    )
-
-
 def _identity_pair_ok(
     config: SystemConfig,
     goal_ms: float,
@@ -420,8 +405,9 @@ def run_chaos(
     """
     config = config if config is not None else SystemConfig()
     worker = functools.partial(
-        _chaos_seed_task, config, goal_ms, intervals, warmup_ms,
-        arrival_rate_per_node,
+        run_chaos_seed, config=config, goal_ms=goal_ms,
+        intervals=intervals, warmup_ms=warmup_ms,
+        arrival_rate_per_node=arrival_rate_per_node,
     )
     tasks = [derive_replicate_seed(base_seed, i) for i in range(seeds)]
     results = run_tasks(worker, tasks, jobs=jobs)

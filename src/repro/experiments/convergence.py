@@ -145,7 +145,6 @@ def convergence_experiment(
     settings: Optional[ConvergenceSettings] = None,
     goal_range: Optional[GoalRange] = None,
     target_half_width: float = 1.0,
-    confidence: float = 0.99,
     min_replications: int = 3,
     max_replications: int = 12,
     base_seed: int = 100,
@@ -153,8 +152,8 @@ def convergence_experiment(
 ) -> ConvergenceResult:
     """Replicated convergence measurement for one skew setting.
 
-    Replication stops once the confidence interval half-width of the
-    mean drops below ``target_half_width`` iterations (the paper's
+    Replication stops once the 99 % confidence interval half-width of
+    the mean drops below ``target_half_width`` iterations (the paper's
     "accuracy of less than 1 iteration ... with a statistical
     confidence of 99 percent"), or at ``max_replications``.
 
@@ -186,14 +185,14 @@ def convergence_experiment(
 
     def stop(runs: List[List[int]]) -> bool:
         merged = [sample for run in runs for sample in run]
-        _, half = mean_confidence_interval(merged, confidence)
+        _, half = mean_confidence_interval(merged)
         return half <= target_half_width
 
     runs = replicate_with_stopping(
         worker, min_replications, max_replications, stop, jobs=jobs
     )
     samples = [sample for run in runs for sample in run]
-    mean, half = mean_confidence_interval(samples, confidence)
+    mean, half = mean_confidence_interval(samples)
     return ConvergenceResult(
         skew=settings.skew,
         mean_iterations=mean,

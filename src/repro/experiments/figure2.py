@@ -336,7 +336,6 @@ def run_goal_sweep(
     arrival_rate_per_node: float = 0.02,
     warmup_ms: float = DEFAULT_WARMUP_MS,
     jobs: int = 1,
-    runner: str = "auto",
     telemetry: Optional[str] = None,
     prescreen: Optional[int] = None,
 ) -> GoalSweepData:
@@ -347,14 +346,14 @@ def run_goal_sweep(
     coordinator — never the workload or the caches — so each replicate
     is one warm group of :func:`repro.experiments.forkserver.run_sweep`:
     it warms **once** and forks the points from the warmed image.
-    Results are bit-identical to the cold per-point path that
-    ``runner='cold'`` (or any platform without ``os.fork``) runs.
+    Results are bit-identical to the cold per-point path that a
+    platform without ``os.fork`` runs.
     ``goals`` defaults to ``points`` goals evenly spaced across the
     calibrated range.
     ``telemetry`` (a directory path) exports per-point telemetry to
     ``<dir>/rep<r>-goal<g>/`` and a merged trace at the top level; the
-    point directories are named by replicate and goal index, so fork
-    and cold runners produce identical artifact trees.
+    point directories are named by replicate and goal index, so the fork
+    and cold paths produce identical artifact trees.
 
     ``prescreen`` arms the analytic fast path
     (:func:`repro.analytic.frontier.prescreen_goals`): the goal grid is
@@ -415,7 +414,7 @@ def run_goal_sweep(
         )
         for rep in range(replicates)
     ]
-    mode, results = run_sweep(groups, jobs, runner, telemetry, records)
+    mode, results = run_sweep(groups, jobs, telemetry, records)
     return GoalSweepData(
         goal_range=goal_range, runner=mode,
         points=[point for group in results for point in group],

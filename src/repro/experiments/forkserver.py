@@ -24,7 +24,7 @@ same point run cold from scratch.
 
 :func:`run_sweep` does each of these jobs exactly once:
 
-* plans the mode with :func:`plan_sweep` ('auto' | 'fork' | 'cold');
+* plans the mode with :func:`plan_sweep` ('fork' or 'cold');
 * forks every group of more than one point off its warmed parent,
   ``jobs`` children at a time;
 * runs every other point cold through
@@ -42,7 +42,7 @@ same point run cold from scratch.
 fingerprints the simulation (clock, event-heap occupancy, scheduling
 sequence, every RNG-stream state) before and after the delta and
 raises :class:`WarmupInvarianceError` on any perturbation.  On
-platforms without ``os.fork`` 'auto' falls back to the cold path.
+platforms without ``os.fork`` every point runs cold.
 """
 
 from __future__ import annotations
@@ -72,10 +72,6 @@ _PIPE_CHUNK = 1 << 16
 
 class WarmupInvarianceError(RuntimeError):
     """A sweep-point delta touched state that feeds the warm-up."""
-
-
-class ForkUnavailableError(RuntimeError):
-    """``runner='fork'`` was demanded but the fork path cannot run."""
 
 
 def supports_fork() -> bool:
@@ -181,36 +177,18 @@ def apply_delta(
 # -- planning ---------------------------------------------------------
 
 
-def plan_sweep(runner: str, warm_keys: Sequence) -> str:
-    """Resolve ``runner`` ('auto' | 'fork' | 'cold') to a concrete mode.
+def plan_sweep(warm_keys: Sequence) -> str:
+    """The sweep's mode: 'fork' or 'cold'.
 
     ``warm_keys`` carries one hashable key per sweep point; points
     share a warmed parent exactly when their keys are equal.  The fork
     path is selected only when the platform supports ``os.fork`` and
     at least one key occurs more than once (otherwise there is no
-    warm-up to amortize).  ``runner='fork'`` raises
-    :class:`ForkUnavailableError` instead of silently degrading;
-    ``'auto'`` falls back to ``'cold'``.
+    warm-up to amortize, e.g. every replicate has its own seed).
     """
-    if runner not in ("auto", "fork", "cold"):
-        raise ValueError(f"unknown runner {runner!r}")
-    if runner == "cold":
-        return "cold"
-    reason = None
-    if not supports_fork():
-        reason = "platform has no os.fork"
-    else:
-        keys = list(warm_keys)
-        if len(keys) == len(set(keys)):
-            reason = (
-                "no two sweep points share a warm key, so there is no "
-                "warm-up to amortize (e.g. every replicate has its own "
-                "seed)"
-            )
-    if reason is None:
+    keys = list(warm_keys)
+    if supports_fork() and len(keys) != len(set(keys)):
         return "fork"
-    if runner == "fork":
-        raise ForkUnavailableError(f"fork runner unavailable: {reason}")
     return "cold"
 
 
@@ -337,13 +315,12 @@ def _fork_group(
 def run_sweep(
     groups: Sequence[WarmGroup],
     jobs: int = 1,
-    runner: str = "auto",
     telemetry: Optional[str] = None,
     records: Sequence[Dict] = (),
 ) -> Tuple[str, List[List[Any]]]:
     """Run every point of every group; return ``(mode, results)``.
 
-    ``mode`` is the planned runner ('fork' or 'cold'); ``results`` holds
+    ``mode`` is the planned mode ('fork' or 'cold'); ``results`` holds
     one list per group, in point order.  In fork mode each group of
     more than one point warms once and forks its points; every other
     point runs cold — fresh build, warm, the same delta — through
@@ -355,7 +332,6 @@ def run_sweep(
     """
     jobs = resolve_jobs(jobs)
     mode = plan_sweep(
-        runner,
         [key for key, group in enumerate(groups) for _ in group.deltas],
     )
 

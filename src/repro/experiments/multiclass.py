@@ -241,7 +241,6 @@ def _summarize_sharing_point(
 def run_sharing_sweep(
     sharings: Sequence[float] = (0.0, 0.25, 0.5, 0.75, 1.0),
     jobs: int = 1,
-    runner: str = "auto",
     telemetry: Optional[str] = None,
     **kwargs,
 ) -> MulticlassResult:
@@ -252,12 +251,12 @@ def run_sharing_sweep(
     :func:`repro.experiments.forkserver.run_sweep` runs them cold,
     farmed to worker processes by ``jobs``, in ``sharings`` order.
     (Contrast :func:`run_goal_sweep`, whose points fork off one warmed
-    image.)  ``runner='fork'`` therefore raises; pass ``'auto'``.
+    image.)
     ``kwargs`` are those of :func:`sharing_group`.
     """
     _, results = run_sweep(
         [sharing_group(sharing, **kwargs) for sharing in sharings],
-        jobs, runner, telemetry,
+        jobs, telemetry,
     )
     return MulticlassResult(points=[point for [point] in results])
 
@@ -376,7 +375,6 @@ def run_goal_sweep(
     skew: float = 0.0,
     warmup_ms: float = DEFAULT_WARMUP_MS,
     jobs: int = 1,
-    runner: str = "auto",
     telemetry: Optional[str] = None,
     prescreen: Optional[int] = None,
 ) -> MulticlassGoalSweep:
@@ -384,9 +382,9 @@ def run_goal_sweep(
 
     Goals feed only the coordinators, never the warm-up, so the pairs
     form one warm group: :func:`repro.experiments.forkserver.run_sweep`
-    warms once and forks the pairs from the warmed image
-    (``runner='cold'`` and non-fork platforms run independent per-pair
-    simulations instead — bit-identical results either way).
+    warms once and forks the pairs from the warmed image (platforms
+    without ``os.fork`` run independent per-pair simulations instead —
+    bit-identical results either way).
 
     ``prescreen`` arms the analytic fast path: the bounding box of
     ``goal_pairs`` is densified to a ~sqrt(prescreen)-per-side grid,
@@ -450,7 +448,7 @@ def run_goal_sweep(
             tail=tail,
         ),
     )
-    mode, [points] = run_sweep([group], jobs, runner, telemetry, records)
+    mode, [points] = run_sweep([group], jobs, telemetry, records)
     return MulticlassGoalSweep(
         sharing=sharing, runner=mode, points=points,
         prescreen=prescreen_report,

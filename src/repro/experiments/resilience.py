@@ -554,7 +554,7 @@ def run_resilience(
         )
         for i in range(replications)
     ]
-    _, results = run_sweep(groups, jobs, "auto", telemetry)
+    _, results = run_sweep(groups, jobs, telemetry)
     return ResilienceData(
         fault_spec=faults,
         goal_ms=goal_ms,
@@ -568,7 +568,7 @@ class ResilienceGoalSweep:
     """Recovery metrics as a function of goal tightness.
 
     One :class:`ResilienceData` per swept goal, all under the *same*
-    fault schedule and seeds — with the fork runner, literally the same
+    fault schedule and seeds — on the fork path, literally the same
     warmed memory image per replicate, so differences between goals are
     purely the controller's doing.
     """
@@ -607,7 +607,6 @@ def run_goal_sweep(
     warmup_ms: float = RESILIENCE_WARMUP_MS,
     arrival_rate_per_node: float = 0.02,
     jobs: int = 1,
-    runner: str = "auto",
     telemetry: Optional[str] = None,
 ) -> ResilienceGoalSweep:
     """Measure recovery under the same fault schedule at several goals.
@@ -617,8 +616,8 @@ def run_goal_sweep(
     injector, so all goals of a replicate share one warmed image: each
     replicate seed is one warm group, warmed (workload **and** armed
     injector) once, with the goal points forked from it.  The cold path
-    (``runner='cold'`` or platforms without ``os.fork``) runs one
-    simulation per (seed, goal) — bit-identical.
+    (platforms without ``os.fork``) runs one simulation per
+    (seed, goal) — bit-identical.
     """
     config = config if config is not None else SystemConfig()
     goals = list(goals)
@@ -645,7 +644,7 @@ def run_goal_sweep(
         for rep in range(replications)
     ]
     # One warm group per replicate seed; regroup its per-goal results.
-    mode, per_seed = run_sweep(groups, jobs, runner, telemetry)
+    mode, per_seed = run_sweep(groups, jobs, telemetry)
     sweep = ResilienceGoalSweep(fault_spec=faults, runner=mode)
     for g, goal_ms in enumerate(goals):
         sweep.results.append(ResilienceData(

@@ -115,7 +115,7 @@ def _scaling_sweep(
         )
         for label, dir_label, config, pages_per_op in points
     ]
-    _, results = run_sweep(groups, jobs, "auto", telemetry)
+    _, results = run_sweep(groups, jobs, telemetry)
     return [point for [point] in results]
 
 

@@ -159,15 +159,10 @@ class FaultLayer:
 class FaultInjector:
     """Drives a fault schedule against a running cluster simulation."""
 
-    def __init__(
-        self,
-        cluster,
-        schedule: FaultSchedule,
-        layer: Optional[FaultLayer] = None,
-    ):
+    def __init__(self, cluster, schedule: FaultSchedule):
         self.cluster = cluster
         self.schedule = schedule
-        self.layer = layer if layer is not None else FaultLayer(cluster.rng)
+        self.layer = FaultLayer(cluster.rng)
         #: Every fault injected so far, in injection order (read by the
         #: resilience experiment's recovery metrics).
         self.injected: List[InjectedFault] = []

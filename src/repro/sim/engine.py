@@ -283,8 +283,8 @@ class Environment:
 
     __slots__ = ("_now", "_queue", "_seq", "_pool", "_pool_high")
 
-    def __init__(self, initial_time: float = 0.0):
-        self._now = float(initial_time)
+    def __init__(self):
+        self._now = 0.0
         self._queue: List = []  # (time, urgency, seq, event)
         self._seq = 0
         #: Free list of recycled Timeout records (see module docstring)

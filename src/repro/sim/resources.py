@@ -87,16 +87,6 @@ class Resource:
         else:
             self._cancel(request)
 
-    @property
-    def count(self) -> int:
-        """Number of granted (in-service) requests: 0 or 1."""
-        return len(self.users)
-
-    @property
-    def queue_length(self) -> int:
-        """Number of requests still waiting."""
-        return len(self._waiting)
-
     def utilization(self, elapsed: Optional[float] = None) -> float:
         """Fraction of time the server was busy."""
         elapsed = self.env.now if elapsed is None else elapsed

@@ -38,14 +38,6 @@ class RandomStreams:
             raise ValueError("mean must be positive")
         return self.stream(name).expovariate(1.0 / mean)
 
-    def uniform(self, name: str, low: float, high: float) -> float:
-        """Draw uniformly from [low, high]."""
-        return self.stream(name).uniform(low, high)
-
-    def randint(self, name: str, low: int, high: int) -> int:
-        """Draw an integer uniformly from [low, high] inclusive."""
-        return self.stream(name).randint(low, high)
-
     def random(self, name: str) -> float:
         """Draw uniformly from [0, 1)."""
         return self.stream(name).random()

@@ -50,10 +50,6 @@ class OnlineStats:
         """Sample standard deviation."""
         return math.sqrt(self.variance)
 
-    def reset(self) -> None:
-        """Discard all samples."""
-        self.__init__()
-
 
 class WindowStats:
     """Per-observation-interval statistics that can be snapshot and reset.
@@ -101,14 +97,6 @@ class TimeSeries:
 
     def __iter__(self):
         return iter(zip(self.times, self.values))
-
-    def last(self) -> Tuple[float, float]:
-        """Most recent (time, value) pair."""
-        return self.times[-1], self.values[-1]
-
-    def mean(self) -> float:
-        """Mean of the recorded values."""
-        return sum(self.values) / len(self.values) if self.values else 0.0
 
 
 class P2Quantile:
@@ -227,14 +215,14 @@ class P2Quantile:
         return self._heights[2]
 
 
-def mean_confidence_interval(
-    samples: Sequence[float], confidence: float = 0.99
-) -> Tuple[float, float]:
-    """Return (mean, half-width) of a t-based confidence interval.
+def mean_confidence_interval(samples: Sequence[float]) -> Tuple[float, float]:
+    """Return (mean, half-width) of a 99 % t-based confidence interval.
 
     Used by the convergence experiments, which replicate until the
     half-width drops below one iteration at 99 % confidence (§7.1).
     """
+    from scipy.stats import t as t_dist
+
     n = len(samples)
     if n == 0:
         return 0.0, math.inf
@@ -242,12 +230,7 @@ def mean_confidence_interval(
     if n == 1:
         return mean, math.inf
     variance = sum((x - mean) ** 2 for x in samples) / (n - 1)
-    try:
-        from scipy.stats import t as t_dist
-
-        critical = float(t_dist.ppf(0.5 + confidence / 2.0, n - 1))
-    except ImportError:  # pragma: no cover - scipy is a hard dependency
-        critical = 2.576  # normal approximation at 99 %
+    critical = float(t_dist.ppf(0.995, n - 1))  # two-sided 99 %
     half_width = critical * math.sqrt(variance / n)
     return mean, half_width
 

@@ -75,7 +75,7 @@ def prometheus_text(registry) -> str:
             lines.append(f"{name}{{{base[:-1]}}} {instrument.value}"
                          if base else f"{name} {instrument.value}")
         elif kind == "gauge":
-            value = _fmt_value(instrument.read())
+            value = _fmt_value(instrument.value)
             lines.append(f"{name}{{{base[:-1]}}} {value}"
                          if base else f"{name} {value}")
         else:  # histogram -> summary with a p95 quantile line
@@ -92,11 +92,7 @@ def metrics_json(registry) -> List[Dict]:
     out: List[Dict] = []
     for kind, name, labels, instrument in registry.samples():
         entry: Dict = {"kind": kind, "name": name, "labels": dict(labels)}
-        if kind == "counter":
-            entry["value"] = instrument.value
-        elif kind == "gauge":
-            entry["value"] = instrument.read()
-        else:
+        if kind == "histogram":
             stats = instrument.stats
             entry.update(
                 count=stats.count,
@@ -106,6 +102,8 @@ def metrics_json(registry) -> List[Dict]:
                 max=stats.maximum,
                 p95=instrument.p95.value,
             )
+        else:
+            entry["value"] = instrument.value
         out.append(_jsonable(entry))
     return out
 

@@ -109,8 +109,7 @@ class TelemetryBus:
     subscription — and never back-pressure the publisher or each other.
     """
 
-    def __init__(self, default_maxlen: int = DEFAULT_QUEUE_LIMIT):
-        self._default_maxlen = default_maxlen
+    def __init__(self):
         self._subscribers: List[Subscription] = []
         self._lock = threading.Lock()
         self._closed = False
@@ -119,7 +118,7 @@ class TelemetryBus:
 
     def subscribe(self, maxlen: Optional[int] = None) -> Subscription:
         """Register and return a new bounded subscription."""
-        sub = Subscription(maxlen or self._default_maxlen)
+        sub = Subscription(maxlen or DEFAULT_QUEUE_LIMIT)
         with self._lock:
             if self._closed:
                 sub.close()
@@ -191,13 +190,11 @@ class SnapshotSampler:
         self._telemetry.collect()
         changed = []
         for kind, name, labels, instrument in self._telemetry.registry.samples():
-            if kind == "counter":
-                value = instrument.value
-            elif kind == "gauge":
-                value = instrument.read()
-            else:  # histogram: publish the cheap summary triple
+            if kind == "histogram":  # publish the cheap summary triple
                 value = (instrument.count, instrument.stats.mean,
                          instrument.p95.value)
+            else:
+                value = instrument.value
             key = (name, labels)
             if self._last.get(key) == value:
                 continue

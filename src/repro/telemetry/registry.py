@@ -13,7 +13,7 @@ Everything here is deterministic: no wall clock, no randomness, and
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, Iterator, Tuple
 
 from repro.sim.stats import OnlineStats, P2Quantile
 
@@ -31,23 +31,16 @@ class Counter:
 
 
 class Gauge:
-    """A point-in-time value, either set directly or sampled via ``fn``."""
+    """A point-in-time value, set at collection time."""
 
-    __slots__ = ("_fn", "value")
+    __slots__ = ("value",)
 
-    def __init__(self, fn: Optional[Callable[[], float]] = None):
-        self._fn = fn
+    def __init__(self):
         self.value = 0.0
 
     def set(self, value: float) -> None:
         """Record the current value."""
         self.value = value
-
-    def read(self) -> float:
-        """Current value (calls the sampling callback when given one)."""
-        if self._fn is not None:
-            return float(self._fn())
-        return self.value
 
 
 class Histogram:
@@ -102,10 +95,9 @@ class MetricsRegistry:
         """The counter registered under ``(name, labels)``."""
         return self._get("counter", name, labels, Counter)
 
-    def gauge(self, name: str, fn: Optional[Callable[[], float]] = None,
-              **labels) -> Gauge:
+    def gauge(self, name: str, **labels) -> Gauge:
         """The gauge registered under ``(name, labels)``."""
-        return self._get("gauge", name, labels, lambda: Gauge(fn))
+        return self._get("gauge", name, labels, Gauge)
 
     def histogram(self, name: str, **labels) -> Histogram:
         """The histogram registered under ``(name, labels)``."""

@@ -31,11 +31,6 @@ class RingLog:
         self._items.append(item)
         self.appended += 1
 
-    @property
-    def evicted(self) -> int:
-        """How many entries have been evicted so far."""
-        return self.appended - len(self._items)
-
     def __len__(self) -> int:
         return len(self._items)
 

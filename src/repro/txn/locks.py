@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 from repro.sim.engine import Environment, Event
 
@@ -99,13 +99,12 @@ class WaitForGraph:
 class LockManager:
     """Page lock table of one node (pages homed there)."""
 
-    def __init__(self, env: Environment,
-                 wait_graph: Optional["WaitForGraph"] = None):
+    def __init__(self, env: Environment, wait_graph: WaitForGraph):
         self.env = env
         self._locks: Dict[int, _LockState] = {}
         #: Wait-for graph; share one across managers for distributed
         #: deadlock detection.
-        self._graph = wait_graph if wait_graph is not None else WaitForGraph()
+        self._graph = wait_graph
         #: txn -> page ids it holds locks on (for release_all).
         self._held: Dict[int, Set[int]] = {}
         self.deadlocks_detected = 0

@@ -15,7 +15,6 @@ always yields the same rank sequence).
 
 from __future__ import annotations
 
-import random
 from typing import Dict, List, Sequence, Tuple
 
 #: Memoized alias tables keyed by ``(num_items, theta)``.  Goal sweeps
@@ -75,21 +74,13 @@ class ZipfSampler:
             accept[i] = 1.0
         return accept, alias
 
-    def sample(self, rng: random.Random) -> int:
-        """Draw one rank in [0, num_items) — O(1), one uniform consumed."""
-        scaled = rng.random() * self.num_items
-        column = int(scaled)
-        if scaled - column < self._accept[column]:
-            return column
-        return self._alias[column]
-
     def sample_from_uniform(self, u: float) -> int:
         """Map one uniform variate in [0, 1) to a rank.
 
-        Bit-identical to :meth:`sample` fed the same variate — the
-        block-drawing arrival front-end pre-draws uniforms in stream
-        order and transforms them here, so a block-drawn rank sequence
-        equals the sequential one variate for variate.
+        O(1).  The block-drawing arrival front-end pre-draws uniforms
+        in stream order and transforms them here, so a block-drawn rank
+        sequence equals a sequential draw (one variate, one alias
+        lookup) variate for variate.
         """
         scaled = u * self.num_items
         column = int(scaled)

@@ -12,7 +12,6 @@ from repro.analytic.bridge import (
 )
 from repro.cluster.config import SystemConfig
 from repro.experiments.runner import default_workload
-from repro.workload.spec import ClassSpec
 
 
 def goal_spec(config, **overrides):

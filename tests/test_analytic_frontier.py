@@ -10,7 +10,6 @@ from repro.analytic.frontier import (
     prescreen_goal_pairs,
     prescreen_goals,
 )
-from repro.cluster.config import NodeParameters, SystemConfig
 from repro.experiments.figure2 import sweep_goals
 from repro.experiments.calibration import GoalRange
 from repro.experiments.multiclass import (

@@ -5,7 +5,6 @@ import pytest
 from repro.analytic.mva import (
     DEFAULT_EXACT_LIMIT,
     DELAY,
-    QUEUE,
     ClosedNetwork,
     Station,
     exact_mva,

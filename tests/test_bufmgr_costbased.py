@@ -1,8 +1,6 @@
 """Unit tests for the cost-based benefit replacement (§6)."""
 
-import pytest
-
-from repro.bufmgr.costbased import BenefitModel, CostBasedPool
+from repro.bufmgr.costbased import REVALIDATE, BenefitModel, CostBasedPool
 from repro.bufmgr.costs import AccessLevel, CostObserver
 from repro.bufmgr.heat import GlobalHeatRegistry, HeatTracker
 
@@ -93,7 +91,7 @@ def test_pool_evicts_lowest_benefit():
 def test_pool_revalidates_stale_entries():
     """A page whose heat collapsed after insertion must become victim."""
     model, clock, local, _, _ = make_model()
-    pool = CostBasedPool(capacity=2, model=model, revalidate=2)
+    pool = CostBasedPool(capacity=2, model=model)
     local.record(1, 0.0)
     local.record(1, 1.0)
     local.record(2, 0.0)
@@ -124,35 +122,34 @@ def test_pool_heap_compaction_keeps_consistency():
     assert set(pool.page_ids()) <= set(range(16))
 
 
-def test_revalidate_must_be_positive():
-    model, *_ = make_model()
-    with pytest.raises(ValueError):
-        CostBasedPool(capacity=2, model=model, revalidate=0)
-
-
 def test_touch_with_falling_benefit_surfaces_page():
     """A cooled page must not hide behind its stale high-priced entry.
 
     ``touch`` defers heap pushes when the estimate rises (the stale
     lower-priced entry surfaces no later than it should), but a falling
-    estimate must enter the heap immediately — otherwise, with a small
-    ``revalidate`` budget, the victim search never reaches the stale
-    high-priced entry and the cold page escapes eviction.
+    estimate must enter the heap immediately — otherwise, with more
+    pages than the ``REVALIDATE`` budget, the victim search never
+    reaches the stale high-priced entry and the cold page escapes
+    eviction.
     """
     model, clock, local, _, _ = make_model()
-    pool = CostBasedPool(capacity=2, model=model, revalidate=1)
-    local.record(1, 9.0)
+    others = range(2, REVALIDATE + 2)
+    pool = CostBasedPool(capacity=REVALIDATE + 1, model=model)
+    local.record(1, 9.5)
     local.record(1, 10.0)   # page 1 very hot at insert time
-    local.record(2, 0.0)
-    local.record(2, 10.0)   # page 2 lukewarm
+    for page in others:
+        local.record(page, 0.0)
+        local.record(page, 10.0)   # lukewarm
     clock.now = 10.0
     pool.insert(1)
-    pool.insert(2)
-    # Much later page 2 is re-heated while page 1 went cold.
+    for page in others:
+        pool.insert(page)
+    # Much later the others are re-heated while page 1 went cold.
     clock.now = 1000.0
-    local.record(2, 999.0)
-    local.record(2, 1000.0)
-    pool.touch(2)           # rising estimate: deferred, no heap push
+    for page in others:
+        local.record(page, 999.0)
+        local.record(page, 1000.0)
+        pool.touch(page)    # rising estimate: deferred, no heap push
     pool.touch(1)           # falling estimate: pushed immediately
-    assert pool.insert(3) == [1]
-    assert 2 in pool and 3 in pool
+    assert pool.insert(100) == [1]
+    assert all(page in pool for page in others)

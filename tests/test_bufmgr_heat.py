@@ -5,7 +5,11 @@ from collections import deque
 
 import pytest
 
-from repro.bufmgr.heat import GlobalHeatRegistry, HeatTracker
+from repro.bufmgr.heat import (
+    UPDATE_THRESHOLD,
+    GlobalHeatRegistry,
+    HeatTracker,
+)
 
 
 def test_unknown_key_has_zero_heat():
@@ -49,9 +53,9 @@ def test_hot_burst_at_same_instant():
 def test_forget_deletes_bookkeeping():
     tracker = HeatTracker()
     tracker.record("p", now=1.0)
-    assert tracker.tracked("p")
+    assert tracker.slot_of("p") is not None
     tracker.forget("p")
-    assert not tracker.tracked("p")
+    assert tracker.slot_of("p") is None
     assert len(tracker) == 0
     tracker.forget("p")  # idempotent
 
@@ -77,34 +81,31 @@ def test_global_registry_heat():
 def test_global_registry_threshold_updates():
     """Dissemination messages fire once per threshold accesses."""
     updates = []
-    registry = GlobalHeatRegistry(
-        on_update=lambda: updates.append(1), update_threshold=3
-    )
-    for i in range(9):
+    registry = GlobalHeatRegistry(on_update=lambda: updates.append(1))
+    for i in range(3 * UPDATE_THRESHOLD):
         registry.record(1, now=float(i))
     assert len(updates) == 3
 
 
 def test_global_registry_threshold_per_page():
     updates = []
-    registry = GlobalHeatRegistry(
-        on_update=lambda: updates.append(1), update_threshold=2
-    )
-    registry.record(1, now=0.0)
+    registry = GlobalHeatRegistry(on_update=lambda: updates.append(1))
+    for i in range(UPDATE_THRESHOLD - 1):
+        registry.record(1, now=float(i))
     registry.record(2, now=0.0)
     assert updates == []  # neither page reached its own threshold
-    registry.record(1, now=1.0)
+    registry.record(1, now=100.0)
     assert len(updates) == 1
 
 
 def test_global_registry_forget_deletes_bookkeeping():
-    registry = GlobalHeatRegistry(update_threshold=8)
+    registry = GlobalHeatRegistry()
     registry.record(7, now=0.0)
     registry.record(7, now=1.0)
-    assert registry.tracked(7)
+    assert registry._tracker.slot_of(7) is not None
     assert registry.pending_count == 1
     registry.forget(7)
-    assert not registry.tracked(7)
+    assert registry._tracker.slot_of(7) is None
     assert registry.heat(7, now=2.0) == 0.0
     assert registry.pending_count == 0
     assert len(registry) == 0
@@ -112,7 +113,7 @@ def test_global_registry_forget_deletes_bookkeeping():
 
 
 def test_global_registry_clear_resets_everything():
-    registry = GlobalHeatRegistry(update_threshold=8)
+    registry = GlobalHeatRegistry()
     for page in range(5):
         registry.record(page, now=float(page))
     assert len(registry) == 5
@@ -123,30 +124,28 @@ def test_global_registry_clear_resets_everything():
 
 def test_global_registry_pending_bounded_by_threshold_cycle():
     """Reaching the threshold removes the page's pending counter."""
-    registry = GlobalHeatRegistry(update_threshold=3)
-    for i in range(3):
+    registry = GlobalHeatRegistry()
+    for i in range(UPDATE_THRESHOLD):
         registry.record(1, now=float(i))
     # Counter cycled through the threshold: no key left behind.
     assert registry.pending_count == 0
-    registry.record(1, now=4.0)
+    registry.record(1, now=100.0)
     assert registry.pending_count == 1
 
 
 def test_global_registry_threshold_restarts_after_forget():
     """forget() discards part-way dissemination progress with the page."""
     updates = []
-    registry = GlobalHeatRegistry(
-        on_update=lambda: updates.append(1), update_threshold=3
-    )
+    registry = GlobalHeatRegistry(on_update=lambda: updates.append(1))
     registry.record(1, now=0.0)
     registry.record(1, now=1.0)
     assert registry.pending_count == 1
     registry.forget(1)
     assert registry.pending_count == 0
-    registry.record(1, now=2.0)
-    registry.record(1, now=3.0)
+    for i in range(UPDATE_THRESHOLD - 1):
+        registry.record(1, now=2.0 + i)
     assert updates == []  # counter restarted from zero
-    registry.record(1, now=4.0)
+    registry.record(1, now=100.0)
     assert len(updates) == 1
     assert registry.pending_count == 0
 
@@ -211,7 +210,9 @@ def test_columnar_matches_deque_tracker_on_random_history():
             # arithmetic (1/span, 2/span) must reproduce the boxed
             # len/span floats exactly.
             assert columnar.heat(probe, now) == boxed.heat(probe, now)
-            assert columnar.tracked(probe) == boxed.tracked(probe)
+            assert (columnar.slot_of(probe) is not None) == boxed.tracked(
+                probe
+            )
     for key in keys:
         assert columnar.heat(key, now) == boxed.heat(key, now)
     assert len(columnar) == len(boxed)
@@ -245,9 +246,7 @@ def test_tracker_churn_keeps_columns_bounded():
 
 def test_registry_churn_keeps_columns_and_pending_bounded():
     updates = []
-    registry = GlobalHeatRegistry(
-        on_update=lambda: updates.append(1), update_threshold=8
-    )
+    registry = GlobalHeatRegistry(on_update=lambda: updates.append(1))
     for generation in range(10_000):
         registry.record(generation, float(generation))
         registry.record(generation, generation + 0.25)
@@ -255,25 +254,26 @@ def test_registry_churn_keeps_columns_and_pending_bounded():
             registry.forget(generation - 64)
     assert len(registry) == 64
     assert registry._tracker.column_slots <= 65
-    # Two accesses per page, threshold 8: every page stays pending and
-    # forget reclaims its counter, so pending tracks the live window.
+    # Two accesses per page, below the threshold: every page stays
+    # pending and forget reclaims its counter, so pending tracks the
+    # live window.
     assert registry.pending_count == 64
     assert not updates
 
 
 def test_registry_forget_resets_pending_counter():
-    registry = GlobalHeatRegistry(update_threshold=4)
-    for _ in range(3):
+    registry = GlobalHeatRegistry()
+    for _ in range(UPDATE_THRESHOLD - 1):
         registry.record(7, 1.0)
     assert registry.pending_count == 1
     registry.forget(7)
     assert registry.pending_count == 0
-    assert not registry.tracked(7)
+    assert registry._tracker.slot_of(7) is None
     # Re-tracking the page starts the dissemination count from zero:
-    # three more accesses stay below the threshold.
+    # as many accesses again stay below the threshold.
     updates = []
     registry._on_update = lambda: updates.append(1)
-    for _ in range(3):
+    for _ in range(UPDATE_THRESHOLD - 1):
         registry.record(7, 2.0)
     assert not updates
     assert registry.pending_count == 1

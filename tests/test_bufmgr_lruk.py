@@ -1,4 +1,4 @@
-"""Unit tests for the LRU-K pool."""
+"""Unit tests for the LRU-2 pool."""
 
 import itertools
 
@@ -11,7 +11,7 @@ def make_clock():
 
 
 def test_pages_with_few_references_evicted_first():
-    pool = LrukPool(capacity=2, k=2, clock=make_clock())
+    pool = LrukPool(capacity=2, clock=make_clock())
     pool.insert(1)      # 1 reference
     pool.insert(2)      # 1 reference
     pool.touch(1)       # 1 now has 2 references
@@ -21,7 +21,7 @@ def test_pages_with_few_references_evicted_first():
 
 
 def test_victim_is_max_backward_k_distance():
-    pool = LrukPool(capacity=2, k=2, clock=make_clock())
+    pool = LrukPool(capacity=2, clock=make_clock())
     pool.insert(1)      # t=1
     pool.insert(2)      # t=2
     pool.touch(1)       # t=3 -> history 1: [1, 3]
@@ -32,15 +32,15 @@ def test_victim_is_max_backward_k_distance():
 
 
 def test_lru_among_underreferenced_pages():
-    pool = LrukPool(capacity=2, k=3, clock=make_clock())
+    pool = LrukPool(capacity=2, clock=make_clock())
     pool.insert(1)      # t=1, 1 ref
     pool.insert(2)      # t=2, 1 ref
-    pool.touch(1)       # t=3 -> page 1 more recent
-    assert pool.insert(3) == [2]
+    # Both have infinite distance; the least recently used goes.
+    assert pool.insert(3) == [1]
 
 
 def test_backward_k_distance_inf_without_k_references():
-    pool = LrukPool(capacity=2, k=2, clock=make_clock())
+    pool = LrukPool(capacity=2, clock=make_clock())
     pool.insert(1)      # t=1
     pool.touch(1)       # t=2 -> finite distance, K-th reference at t=1
     pool.insert(2)      # t=3 -> one reference: infinite distance
@@ -48,15 +48,8 @@ def test_backward_k_distance_inf_without_k_references():
     assert pool.insert(3) == [2]
 
 
-def test_k_must_be_positive():
-    import pytest
-
-    with pytest.raises(ValueError):
-        LrukPool(capacity=2, k=0, clock=make_clock())
-
-
 def test_discard_forgets_history():
-    pool = LrukPool(capacity=2, k=2, clock=make_clock())
+    pool = LrukPool(capacity=2, clock=make_clock())
     pool.insert(2)      # t=1
     pool.touch(2)       # t=2 -> history 2: [1, 2]
     pool.insert(1)      # t=3
@@ -67,10 +60,3 @@ def test_discard_forgets_history():
     # With its old history page 1 ([4, 5]) would outrank page 2.
     assert pool.insert(3) == [1]
 
-
-def test_k1_behaves_like_lru():
-    pool = LrukPool(capacity=2, k=1, clock=make_clock())
-    pool.insert(1)
-    pool.insert(2)
-    pool.touch(1)
-    assert pool.insert(3) == [2]

@@ -184,10 +184,10 @@ def test_class_heat_created_on_demand():
     """§6: heat info for (class k, page p) exists only after access."""
     mgr = make_manager()
     mgr.set_dedicated_bytes(2, 4 * PAGE)
-    assert not mgr.class_heat.tracked((2, 1))
+    assert mgr.class_heat.slot_of((2, 1)) is None
     mgr.admit(1, class_id=2)
-    assert mgr.class_heat.tracked((2, 1))
-    assert not mgr.class_heat.tracked((3, 1))
+    assert mgr.class_heat.slot_of((2, 1)) is not None
+    assert mgr.class_heat.slot_of((3, 1)) is None
 
 
 @pytest.mark.parametrize("policy", ["cost", "lru", "lruk"])

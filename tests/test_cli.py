@@ -191,12 +191,10 @@ def test_chaos_runs_end_to_end(capsys, tmp_path):
     assert path.exists()
 
 
-#: Every subcommand's options as recorded before the shared flags were
-#: built from one table: {command: {option: (default, choices, nargs)}},
-#: keyed by option string (by dest for positionals).  ``table2
-#: --runner`` has since been removed on purpose: Table 2 seeds every
-#: replicate separately, so its runner could only ever resolve to cold.
-RUNNER = ("auto", ("auto", "fork", "cold"), None)
+#: Every subcommand's options: {command: {option: (default, choices,
+#: nargs)}}, keyed by option string (by dest for positionals).  There
+#: is no ``--runner``: sweeps pick fork or cold from the platform and
+#: their warm keys.
 SURFACE = {
     "all": {"--quick": (False, None, 0)},
     "chaos": {
@@ -214,7 +212,7 @@ SURFACE = {
         "--chart": (False, None, 0), "--csv": (None, None, None),
         "--faults": (None, None, None), "--intervals": (80, None, None),
         "--jobs": (1, None, None), "--live-port": (None, None, None),
-        "--prescreen": (0, None, None), "--runner": RUNNER,
+        "--prescreen": (0, None, None),
         "--seed": (1, None, None), "--sweep": (0, None, None),
         "--telemetry": (None, None, None),
         "--warmup-ms": (20000.0, None, None),
@@ -222,7 +220,7 @@ SURFACE = {
     "multiclass": {
         "--goal-pairs": (None, None, "*"), "--intervals": (60, None, None),
         "--jobs": (1, None, None), "--live-port": (None, None, None),
-        "--prescreen": (0, None, None), "--runner": RUNNER,
+        "--prescreen": (0, None, None),
         "--telemetry": (None, None, None),
         "--warmup-ms": (20000.0, None, None),
     },
@@ -235,7 +233,7 @@ SURFACE = {
         "--goal": (6.0, None, None), "--intervals": (90, None, None),
         "--jobs": (1, None, None), "--live-port": (None, None, None),
         "--quick": (False, None, 0), "--replications": (2, None, None),
-        "--runner": RUNNER, "--seed": (0, None, None),
+        "--seed": (0, None, None),
         "--sweep-goals": (None, None, "*"),
         "--telemetry": (None, None, None),
         "--warmup-ms": (10000.0, None, None),
@@ -254,7 +252,7 @@ SURFACE = {
     "table1": {"--repetitions": (50, None, None)},
     "table2": {
         "--jobs": (1, None, None), "--replications": (12, None, None),
-        "--runner": RUNNER, "--seed": (100, None, None),
+        "--seed": (100, None, None),
     },
     "trace": {
         "--intervals": (6, None, None),
@@ -272,7 +270,6 @@ SURFACE = {
         "--tolerance": (0.1, None, None),
     },
 }
-REMOVED = {("table2", "--runner")}
 
 
 def _surface(parser):
@@ -299,11 +296,4 @@ def _surface(parser):
 
 
 def test_cli_surface_is_pinned():
-    expected = {
-        command: {
-            option: spec for option, spec in options.items()
-            if (command, option) not in REMOVED
-        }
-        for command, options in SURFACE.items()
-    }
-    assert _surface(build_parser()) == expected
+    assert _surface(build_parser()) == SURFACE

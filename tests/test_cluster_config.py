@@ -20,7 +20,6 @@ def test_defaults_match_paper_environment():
     assert config.num_pages == 2000
     assert config.page_size == 4096
     assert config.observation_interval_ms == 5000.0
-    assert config.placement == "round_robin"
 
 
 def test_buffer_pages_per_node():
@@ -70,7 +69,6 @@ def test_network_zero_bytes_is_latency_only():
         {"num_nodes": 0},
         {"num_pages": 0},
         {"page_size": 0},
-        {"placement": "teleport"},
         {"observation_interval_ms": 0.0},
     ],
 )

@@ -27,22 +27,6 @@ def test_round_robin_is_balanced():
     assert counts == [33, 33, 33]
 
 
-def test_hash_placement_covers_all_nodes():
-    db = Database(num_pages=1000, page_size=4096, num_nodes=5,
-                  placement="hash")
-    counts = [len(pages_homed_at(db, n)) for n in range(5)]
-    assert sum(counts) == 1000
-    # A reasonable hash spreads within ~3x of the mean.
-    assert min(counts) > 0
-    assert max(counts) < 3 * 200
-
-
-def test_hash_placement_deterministic():
-    a = Database(num_pages=50, page_size=4096, num_nodes=3, placement="hash")
-    b = Database(num_pages=50, page_size=4096, num_nodes=3, placement="hash")
-    assert [a.home(p) for p in range(50)] == [b.home(p) for p in range(50)]
-
-
 def test_page_out_of_range_rejected():
     db = Database(num_pages=10, page_size=4096, num_nodes=2)
     with pytest.raises(ValueError):
@@ -56,8 +40,6 @@ def test_page_out_of_range_rejected():
     [
         {"num_pages": 0, "page_size": 4096, "num_nodes": 1},
         {"num_pages": 10, "page_size": 4096, "num_nodes": 0},
-        {"num_pages": 10, "page_size": 4096, "num_nodes": 1,
-         "placement": "magic"},
     ],
 )
 def test_invalid_database_rejected(kwargs):

@@ -13,16 +13,9 @@ def test_page_ship_size_includes_payload():
 
 
 def test_control_messages_are_small():
-    """§7.5 relies on control messages being tiny relative to pages.
-
-    The one exception is the rare coordinator state transfer on
-    migration, which still stays well under a page.
-    """
+    """§7.5 relies on control messages being tiny relative to pages."""
     for kind in CONTROL_KINDS:
-        if kind is MessageKind.MIGRATION_STATE:
-            assert message_size(kind) <= 4096
-        else:
-            assert message_size(kind) <= 64
+        assert message_size(kind) <= 64
 
 
 def test_control_kinds_are_exactly_the_control_path():
@@ -42,10 +35,3 @@ def test_accounting_totals():
     assert acc.control_bytes == 64
     assert acc.messages_by_kind[MessageKind.PAGE_SHIP] == 2
 
-
-def test_control_fraction():
-    acc = TrafficAccounting()
-    assert acc.control_fraction == 0.0
-    acc.record(MessageKind.PAGE_SHIP, 9936)
-    acc.record(MessageKind.ALLOCATION, 64)
-    assert acc.control_fraction == 64 / 10000

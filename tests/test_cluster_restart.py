@@ -1,7 +1,5 @@
 """Unit + integration tests for node restarts (cache loss)."""
 
-import pytest
-
 from repro.cluster.cluster import Cluster
 from repro.experiments.runner import Simulation
 
@@ -41,9 +39,9 @@ def test_restart_resets_heat(fast_config):
     cluster.env.process(reader())
     cluster.env.run()
     manager = cluster.nodes[0].buffers
-    assert manager.accumulated_heat.tracked(0)
+    assert manager.accumulated_heat.slot_of(0) is not None
     cluster.restart_node(0)
-    assert not manager.accumulated_heat.tracked(0)
+    assert manager.accumulated_heat.slot_of(0) is None
 
 
 def test_node_keeps_working_after_restart(fast_config):
@@ -92,13 +90,13 @@ def test_restart_prunes_global_heat_of_fully_cold_pages(fast_config):
 
     cluster.env.process(reader())
     cluster.env.run()
-    assert cluster.global_heat.tracked(0)
+    assert cluster.global_heat._tracker.slot_of(0) is not None
     cluster.restart_node(0)
     # Only node 0 cached those pages, so their cluster-wide heat
     # bookkeeping is deleted on demand (§6).
     for page in range(0, 30, 3):
         if not cluster.directory.cached_anywhere(page):
-            assert not cluster.global_heat.tracked(page)
+            assert cluster.global_heat._tracker.slot_of(page) is None
 
 
 def test_restart_resets_interval_hit_counters(fast_config):

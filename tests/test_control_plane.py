@@ -28,9 +28,9 @@ def _report(node_id, completions=5, rate=0.01, rt=10.0, time=100.0):
     )
 
 
-def _controller(fast_config, **kwargs):
+def _controller(fast_config):
     cluster = Cluster(fast_config, seed=0)
-    controller = GoalOrientedController(cluster, {1: 5.0}, **kwargs)
+    controller = GoalOrientedController(cluster, {1: 5.0})
     return cluster, controller, controller.coordinators[1]
 
 
@@ -158,9 +158,7 @@ class _FakeFaults:
 
 
 def test_degraded_enter_after_threshold_and_hysteresis_rejoin(fast_config):
-    cluster, controller, _ = _controller(
-        fast_config, degraded_after=3, rejoin_after=2
-    )
+    cluster, controller, _ = _controller(fast_config)
     faults = _FakeFaults()
     cluster.faults = faults
     faults.cut = (1,)
@@ -179,32 +177,22 @@ def test_degraded_enter_after_threshold_and_hysteresis_rejoin(fast_config):
 
 
 def test_contact_interruption_resets_rejoin_streak(fast_config):
-    cluster, controller, _ = _controller(
-        fast_config, degraded_after=2, rejoin_after=2
-    )
+    cluster, controller, _ = _controller(fast_config)
     faults = _FakeFaults()
     cluster.faults = faults
     faults.cut = (0,)
-    controller._control_fault_tick(now=0.0)
-    controller._control_fault_tick(now=1.0)
+    for tick in range(3):
+        controller._control_fault_tick(now=float(tick))
     assert controller.degraded[0]
     faults.cut = ()
-    controller._control_fault_tick(now=2.0)  # streak 1
+    controller._control_fault_tick(now=3.0)  # streak 1
     faults.cut = (0,)
-    controller._control_fault_tick(now=3.0)  # interrupted
+    controller._control_fault_tick(now=4.0)  # interrupted
     faults.cut = ()
-    controller._control_fault_tick(now=4.0)  # streak 1 again
+    controller._control_fault_tick(now=5.0)  # streak 1 again
     assert controller.degraded[0]
-    controller._control_fault_tick(now=5.0)  # streak 2: rejoin
+    controller._control_fault_tick(now=6.0)  # streak 2: rejoin
     assert not controller.degraded[0]
-
-
-def test_degraded_thresholds_validated(fast_config):
-    cluster = Cluster(fast_config, seed=0)
-    with pytest.raises(ValueError):
-        GoalOrientedController(cluster, {1: 5.0}, degraded_after=0)
-    with pytest.raises(ValueError):
-        GoalOrientedController(cluster, {1: 5.0}, rejoin_after=0)
 
 
 def test_subinterval_coordinator_crash_still_wipes_once(fast_config):

@@ -53,7 +53,7 @@ def test_first_report_is_always_significant():
 
 
 def test_unchanged_measurements_not_significant():
-    agent = ClassAgent(node_id=0, class_id=1, report_threshold=0.05)
+    agent = ClassAgent(node_id=0, class_id=1)
     agent.on_arrival(1.0)
     agent.on_complete(10.0, now=5.0)
     first = agent.snapshot(interval_ms=1000.0, now=1000.0)
@@ -65,7 +65,7 @@ def test_unchanged_measurements_not_significant():
 
 
 def test_large_change_is_significant():
-    agent = ClassAgent(node_id=0, class_id=1, report_threshold=0.05)
+    agent = ClassAgent(node_id=0, class_id=1)
     agent.on_arrival(1.0)
     agent.on_complete(10.0, now=5.0)
     first = agent.snapshot(interval_ms=1000.0, now=1000.0)

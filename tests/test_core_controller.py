@@ -70,7 +70,8 @@ def test_control_traffic_is_tiny_fraction(fast_config, fast_workload):
     """§7.5: control messages < 0.1 % of total traffic."""
     cluster, controller, _ = build_sim(fast_config, fast_workload)
     cluster.env.run(until=15 * fast_config.observation_interval_ms + 1)
-    assert cluster.network.accounting.control_fraction < 0.001
+    acc = cluster.network.accounting
+    assert acc.control_bytes / acc.total_bytes < 0.001
 
 
 def test_set_goal_changes_recorded_goal(fast_config, fast_workload):

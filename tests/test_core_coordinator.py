@@ -12,7 +12,7 @@ MB = 1024 * 1024
 
 def make_coordinator(goal_ms=10.0, num_nodes=3, **kwargs):
     kwargs.setdefault(
-        "tolerance", GoalTolerance(relative_floor=0.1, low_side_slack=0.3)
+        "tolerance", GoalTolerance(low_side_slack=0.3)
     )
     return Coordinator(
         class_id=1,
@@ -67,7 +67,7 @@ def test_goal_met_within_tolerance_takes_no_action():
 
 
 def test_violation_triggers_warmup_before_window_ready():
-    coordinator = make_coordinator(goal_ms=10.0, warmup_fraction=0.25)
+    coordinator = make_coordinator(goal_ms=10.0)
     feed(coordinator, [20.0, 20.0, 20.0], [1.0, 1.0, 1.0])
     decision = coordinator.evaluate(now=0.0, other_dedicated=[0, 0, 0])
     assert not decision.satisfied

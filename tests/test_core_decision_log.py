@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.core.coordinator import Coordinator, DecisionRecord
+from repro.core.coordinator import DecisionRecord
 from repro.telemetry.ring import RingLog
 from tests.test_core_coordinator import feed, make_coordinator
 
@@ -48,7 +48,6 @@ def test_log_caps_at_512_as_a_ring():
         coordinator.evaluate(now=float(i), other_dedicated=[0, 0, 0])
     assert len(coordinator.decision_log) == 512
     assert coordinator.decision_log.appended == 520
-    assert coordinator.decision_log.evicted == 8
     # Oldest evicted: the surviving window is the newest 512 records.
     assert coordinator.decision_log[0].time == 8.0
     assert coordinator.decision_log[-1].time == 519.0

@@ -54,7 +54,7 @@ def test_wrong_shape_rejected():
 
 def test_nearly_dependent_rejected():
     """Vectors dependent up to tiny noise must be treated as dependent."""
-    tracker = IndependenceTracker(2, rtol=1e-6)
+    tracker = IndependenceTracker(2)
     tracker.add([1.0, 1.0])
     assert not tracker.add([1.0 + 1e-12, 1.0])
 
@@ -76,7 +76,7 @@ def test_property_rank_matches_numpy(matrix):
     """Tracker rank == numpy matrix_rank of the accepted vectors, and
     accepted count == numpy rank of all offered vectors."""
     n_vectors, dim = matrix.shape
-    tracker = IndependenceTracker(dim, rtol=1e-9)
+    tracker = IndependenceTracker(dim)
     accepted = []
     for row in matrix:
         if tracker.add(row):

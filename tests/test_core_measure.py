@@ -105,10 +105,10 @@ def test_max_age_expires_stale_points():
 
 
 def test_history_limit_bounds_memory():
-    window = MeasureWindow(num_nodes=1, history_limit=3)
-    for i in range(10):
+    window = MeasureWindow(num_nodes=1)
+    for i in range(3 * window.history_limit):
         window.observe([float(i * 10)], 10.0, 1.0, time=float(i))
-    assert len(window) == 3
+    assert len(window) == window.history_limit == 8
 
 
 def test_same_allocation_tolerance():

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.gauss import IndependenceTracker
-from repro.core.hyperplane import fit_hyperplane
 from repro.core.measure import MeasureWindow
 
 observations = st.lists(

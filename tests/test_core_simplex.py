@@ -19,7 +19,7 @@ def test_simple_bounded_minimum():
         a_ub=[[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]],
         b_ub=[4.0, 3.0, 3.0],
     )
-    assert result.ok
+    assert result.status == OPTIMAL
     assert result.objective == pytest.approx(-4.0)
     assert np.sum(result.x) == pytest.approx(4.0)
 
@@ -29,7 +29,7 @@ def test_equality_constraint():
     result = solve_lp(
         c=[1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[3.0]
     )
-    assert result.ok
+    assert result.status == OPTIMAL
     assert result.x == pytest.approx([3.0, 0.0])
     assert result.objective == pytest.approx(3.0)
 
@@ -52,7 +52,7 @@ def test_unbounded_detected():
 
 def test_no_constraints_nonnegative_costs():
     result = solve_lp(c=[2.0, 0.0])
-    assert result.ok
+    assert result.status == OPTIMAL
     assert result.objective == 0.0
 
 
@@ -64,7 +64,7 @@ def test_no_constraints_negative_cost_unbounded():
 def test_negative_rhs_normalized():
     # -x <= -2  (i.e. x >= 2), min x -> 2.
     result = solve_lp(c=[1.0], a_ub=[[-1.0]], b_ub=[-2.0])
-    assert result.ok
+    assert result.status == OPTIMAL
     assert result.x == pytest.approx([2.0])
 
 
@@ -79,7 +79,7 @@ def test_degenerate_lp_terminates():
         ],
         b_ub=[0.0, 0.0, 1.0],
     )
-    assert result.ok
+    assert result.status == OPTIMAL
     assert result.objective == pytest.approx(-0.05)
 
 

@@ -102,28 +102,3 @@ def test_partitioning_mixed_zero_bounds():
     solution = solve_partitioning(problem)
     assert solution.allocation[0] == pytest.approx(0.0, abs=1e-6)
     assert solution.allocation[1] == pytest.approx(2.0 * MB, rel=1e-6)
-
-
-# -- cluster with hash placement ------------------------------------------
-
-
-def test_hash_placement_cluster_end_to_end(fast_config):
-    from dataclasses import replace
-
-    from repro.cluster.cluster import Cluster
-    from repro.workload.generator import WorkloadGenerator
-    from repro.workload.spec import ClassSpec, WorkloadSpec
-
-    config = replace(fast_config, placement="hash")
-    cluster = Cluster(config, seed=3)
-    workload = WorkloadSpec(classes=[
-        ClassSpec(class_id=0, goal_ms=None,
-                  pages=tuple(range(config.num_pages)),
-                  pages_per_op=2, arrival_rate_per_node=0.01),
-    ])
-    generator = WorkloadGenerator(cluster, workload)
-    generator.start()
-    cluster.env.run(until=15_000.0)
-    assert generator.operations_completed > 0
-    # All three disks served reads (hash spreads the homes).
-    assert all(node.disk.reads > 0 for node in cluster.nodes)

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.experiments.calibration import GoalRange
 from repro.experiments.convergence import (
     ConvergenceSettings,
     convergence_experiment,
@@ -69,9 +68,3 @@ def test_experiment_aggregates_replications(
     assert len(result.samples) == 2 * tiny_settings.goal_changes_per_run
     assert result.mean_iterations > 0
     assert result.goal_range is fast_goal_range
-
-
-def test_goal_range_containment_used():
-    goal_range = GoalRange(class_id=1, goal_min_ms=2.0, goal_max_ms=4.0)
-    assert goal_range.contains(3.0)
-    assert not goal_range.contains(5.0)

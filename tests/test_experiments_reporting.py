@@ -144,22 +144,43 @@ def _allowed_line(tool, needle):
     raise AssertionError(f"{needle} not in tools/{tool}.py")
 
 
+def _allowed_options():
+    """The ``Class.param`` entries of the unreferenced lint's
+    ``ALLOWED``, as class -> [param]."""
+    options = {}
+    for entry in _load_tool("check_unreferenced").ALLOWED:
+        if "." in entry:
+            cls, param = entry.split(".")
+            options.setdefault(cls, []).append(param)
+    return options
+
+
 def _clean_tree(tmp_path):
     """A tree the unreferenced lint passes: one used function, and a
-    stub for every allow-listed name (defined, never referenced)."""
+    stub for every allow-listed name (defined, never referenced) and
+    every allow-listed ``Class.param`` (a class whose ``__init__``
+    defaults it, never passed)."""
     allowed = _load_tool("check_unreferenced").ALLOWED
+    options = _allowed_options()
     pkg = tmp_path / "src" / "repro"
     pkg.mkdir(parents=True)
     (pkg / "__init__.py").write_text("")
     (pkg / "allowed.py").write_text(
         "class Stubs:\n"
         + "".join(f"    def {name}(self):\n        pass\n"
-                  for name in allowed)
+                  for name in allowed if "." not in name)
+        + "".join(
+            f"\n\nclass {cls}:\n"
+            f"    def __init__(self, {'=None, '.join(params)}=None):\n"
+            "        pass\n"
+            for cls, params in options.items()
+        )
     )
     (pkg / "mod.py").write_text("def used():\n    return 1\n")
     (tmp_path / "examples").mkdir()
     (tmp_path / "examples" / "demo.py").write_text(
-        "from repro.allowed import Stubs\n"
+        "from repro.allowed import "
+        + ", ".join(["Stubs", *options]) + "\n"
         "from repro.mod import used\n"
         "used()\n"
     )
@@ -301,6 +322,82 @@ def test_unreferenced_lint_flags_stale_allow_entry(tmp_path):
     assert f"{tool}:{line}: stale ALLOWED entry {name!r}: not defined" in (
         result.stderr
     )
+
+
+def test_unreferenced_lint_flags_unpassed_init_option(tmp_path):
+    """A defaulted ``__init__`` parameter that only a test passes fails
+    as ``Class.param``; one a program call passes by position, by
+    keyword, through ``cls(...)`` or through a subclass's forwarded
+    ``*args``/``**kwargs`` passes."""
+    pkg = _clean_tree(tmp_path)
+    (pkg / "pool.py").write_text(
+        "class Pool:\n"
+        "    def __init__(self, capacity, k=2, *, clock=None, mode='a',\n"
+        "                 spare=0, tuned=1.0):\n"
+        "        self.capacity = capacity\n"
+        "\n"
+        "    @classmethod\n"
+        "    def empty(cls):\n"
+        "        return cls(0, spare=1)\n"
+        "\n"
+        "\n"
+        "class Sub(Pool):\n"
+        "    def __init__(self, *args, **kwargs):\n"
+        "        super().__init__(*args, **kwargs)\n"
+    )
+    (tmp_path / "examples" / "pool.py").write_text(
+        "from repro.pool import Pool, Sub\n"
+        "Pool(4, 3)\n"
+        "Pool(4, clock=None)\n"
+        "Sub(1, mode='b')\n"
+        "Pool.empty()\n"
+    )
+    (tmp_path / "tests" / "test_pool.py").write_text(
+        "from repro.pool import Pool\n"
+        "Pool(1, tuned=2.0)\n"
+    )
+    result = _run_unreferenced(str(tmp_path))
+    assert result.returncode == 1
+    rel = os.path.join("src", "repro", "pool.py")
+    assert f"{rel}:2: Pool.tuned: no program call passes it" in (
+        result.stderr
+    )
+    for param in ("k", "clock", "mode", "spare"):
+        assert f"Pool.{param}:" not in result.stderr
+    assert "Sub." not in result.stderr
+
+
+def test_unreferenced_lint_flags_stale_option_entry(tmp_path):
+    """An allow-listed ``Class.param`` that a program call now passes,
+    or that no ``__init__`` defines any more, fails."""
+    pkg = _clean_tree(tmp_path)
+    cls, params = next(iter(_allowed_options().items()))
+    name = f"{cls}.{params[0]}"
+    (tmp_path / "examples" / "calls.py").write_text(
+        f"from repro.allowed import {cls}\n{cls}({params[0]}=1)\n"
+    )
+    result = _run_unreferenced(str(tmp_path))
+    assert result.returncode == 1
+    rel = os.path.join("src", "repro", "allowed.py")
+    assert f"stale ALLOWED entry {name!r}: the program passes it" in (
+        result.stderr
+    )
+    assert f"{rel}:" in result.stderr
+
+    (tmp_path / "examples" / "calls.py").unlink()
+    (pkg / "allowed.py").write_text(
+        (pkg / "allowed.py").read_text().replace(
+            f"self, {params[0]}=None", "self, renamed=None"
+        )
+    )
+    result = _run_unreferenced(str(tmp_path))
+    assert result.returncode == 1
+    line = _allowed_line("check_unreferenced", f'"{name}":')
+    tool = os.path.join("tools", "check_unreferenced.py")
+    assert f"{tool}:{line}: stale ALLOWED entry {name!r}: not defined" in (
+        result.stderr
+    )
+    assert "allowed.py:" in result.stderr  # renamed: now unpassed
 
 
 def _run_lint(root):

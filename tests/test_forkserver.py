@@ -1,10 +1,12 @@
 """Tests for the warm-state fork server.
 
-The headline guarantee mirrors ``--jobs``: the fork runner never
+The headline guarantee mirrors ``--jobs``: the fork path never
 changes results.  A sweep point forked off a warmed parent must be
 bit-identical to the same point run cold from scratch, for any ``jobs``
-fan-out, and the planner must refuse (or fall back) whenever a sweep
-cannot honour that guarantee.
+fan-out, and the planner must fall back to cold whenever a sweep
+cannot honour that guarantee.  The cold reference runs as it does on
+a platform without ``os.fork``: with ``forkserver.supports_fork``
+patched to return False.
 """
 
 import functools
@@ -20,7 +22,6 @@ from repro.experiments.calibration import (
     calibrate_goal_range,
 )
 from repro.experiments.forkserver import (
-    ForkUnavailableError,
     WarmDelta,
     WarmGroup,
     WarmupInvarianceError,
@@ -57,30 +58,17 @@ def _build_sim(fast_config, seed=3, goal_ms=4.0, warmup_ms=6_000.0):
 # -- planning ---------------------------------------------------------
 
 
-def test_plan_sweep_rejects_unknown_runner():
-    with pytest.raises(ValueError):
-        plan_sweep("turbo", warm_keys=[1, 1])
-
-
-def test_plan_sweep_cold_is_always_cold():
-    assert plan_sweep("cold", warm_keys=[1, 1, 1]) == "cold"
-
-
 @requires_fork
 def test_plan_sweep_forks_only_shared_warm_keys():
     # Duplicated keys share warm state; all-distinct keys (e.g. one
     # seed per replicate) have nothing to amortize.
-    assert plan_sweep("auto", warm_keys=[7, 7, 7]) == "fork"
-    assert plan_sweep("auto", warm_keys=[7, 8, 9]) == "cold"
-    with pytest.raises(ForkUnavailableError):
-        plan_sweep("fork", warm_keys=[7, 8, 9])
+    assert plan_sweep(warm_keys=[7, 7, 7]) == "fork"
+    assert plan_sweep(warm_keys=[7, 8, 9]) == "cold"
 
 
 def test_plan_sweep_degrades_without_fork(monkeypatch):
     monkeypatch.setattr(forkserver, "supports_fork", lambda: False)
-    assert forkserver.plan_sweep("auto", warm_keys=[1, 1]) == "cold"
-    with pytest.raises(ForkUnavailableError):
-        forkserver.plan_sweep("fork", warm_keys=[1, 1])
+    assert forkserver.plan_sweep(warm_keys=[1, 1]) == "cold"
 
 
 # -- the runtime invariance guard -------------------------------------
@@ -152,16 +140,23 @@ def test_runtime_guard_catches_clock_advance(fast_config, monkeypatch):
 # -- fork == cold bit-identity ----------------------------------------
 
 
+def _cold(monkeypatch, sweep, **kwargs):
+    """Run ``sweep`` on the cold path, as a platform without fork does."""
+    with monkeypatch.context() as patch:
+        patch.setattr(forkserver, "supports_fork", lambda: False)
+        return sweep(**kwargs)
+
+
 @requires_fork
-def test_figure2_goal_sweep_fork_matches_cold(fast_config):
+def test_figure2_goal_sweep_fork_matches_cold(fast_config, monkeypatch):
     from repro.experiments.figure2 import run_goal_sweep
 
     kwargs = dict(
         points=3, seed=5, intervals=3, config=fast_config,
         goal_range=GOAL_RANGE, warmup_ms=6_000.0,
     )
-    fork = run_goal_sweep(runner="fork", **kwargs)
-    cold = run_goal_sweep(runner="cold", **kwargs)
+    fork = run_goal_sweep(**kwargs)
+    cold = _cold(monkeypatch, run_goal_sweep, **kwargs)
     assert fork.runner == "fork" and cold.runner == "cold"
     assert len(fork.points) == 3
     for f, c in zip(fork.points, cold.points):
@@ -178,10 +173,11 @@ def test_figure2_goal_sweep_jobs2_matches_jobs1(fast_config):
 
     kwargs = dict(
         points=4, seed=5, intervals=3, config=fast_config,
-        goal_range=GOAL_RANGE, warmup_ms=6_000.0, runner="fork",
+        goal_range=GOAL_RANGE, warmup_ms=6_000.0,
     )
     serial = run_goal_sweep(jobs=1, **kwargs)
     parallel = run_goal_sweep(jobs=2, **kwargs)
+    assert serial.runner == parallel.runner == "fork"
     for a, b in zip(serial.points, parallel.points):
         assert a.goal_ms == b.goal_ms
         assert a.observed_rt == b.observed_rt
@@ -189,15 +185,16 @@ def test_figure2_goal_sweep_jobs2_matches_jobs1(fast_config):
 
 
 @requires_fork
-def test_figure2_goal_sweep_replicates_fork_per_seed(fast_config):
+def test_figure2_goal_sweep_replicates_fork_per_seed(fast_config, monkeypatch):
     from repro.experiments.figure2 import run_goal_sweep
 
     kwargs = dict(
         points=2, seed=5, replicates=2, intervals=3,
         config=fast_config, goal_range=GOAL_RANGE, warmup_ms=6_000.0,
     )
-    fork = run_goal_sweep(runner="fork", **kwargs)
-    cold = run_goal_sweep(runner="cold", **kwargs)
+    fork = run_goal_sweep(**kwargs)
+    cold = _cold(monkeypatch, run_goal_sweep, **kwargs)
+    assert fork.runner == "fork" and cold.runner == "cold"
     assert [p.seed for p in fork.points] == [5, 5, 6, 6]
     for f, c in zip(fork.points, cold.points):
         assert (f.seed, f.goal_ms, f.observed_rt) == (
@@ -206,32 +203,32 @@ def test_figure2_goal_sweep_replicates_fork_per_seed(fast_config):
 
 
 @requires_fork
-def test_multiclass_goal_sweep_fork_matches_cold(fast_config):
+def test_multiclass_goal_sweep_fork_matches_cold(fast_config, monkeypatch):
     from repro.experiments.multiclass import run_goal_sweep
 
     kwargs = dict(
         goal_pairs=((3.0, 8.0), (4.0, 10.0)), config=fast_config,
         intervals=3, tail=2, warmup_ms=6_000.0,
     )
-    fork = run_goal_sweep(runner="fork", **kwargs)
-    cold = run_goal_sweep(runner="cold", **kwargs)
-    assert fork.runner == "fork"
+    fork = run_goal_sweep(**kwargs)
+    cold = _cold(monkeypatch, run_goal_sweep, **kwargs)
+    assert fork.runner == "fork" and cold.runner == "cold"
     assert [p.to_row() for p in fork.points] == [
         p.to_row() for p in cold.points
     ]
 
 
 @requires_fork
-def test_resilience_goal_sweep_fork_matches_cold(fast_config):
+def test_resilience_goal_sweep_fork_matches_cold(fast_config, monkeypatch):
     from repro.experiments.resilience import run_goal_sweep
 
     kwargs = dict(
         goals=(4.0, 7.0), seed=0, intervals=10, config=fast_config,
         replications=2, warmup_ms=6_000.0,
     )
-    fork = run_goal_sweep(runner="fork", **kwargs)
-    cold = run_goal_sweep(runner="cold", **kwargs)
-    assert fork.runner == "fork"
+    fork = run_goal_sweep(**kwargs)
+    cold = _cold(monkeypatch, run_goal_sweep, **kwargs)
+    assert fork.runner == "fork" and cold.runner == "cold"
     assert fork.fault_spec == cold.fault_spec
     for df, dc in zip(fork.results, cold.results):
         assert df.goal_ms == dc.goal_ms
@@ -244,7 +241,7 @@ def test_auto_falls_back_cold_without_fork(fast_config, monkeypatch):
     monkeypatch.setattr(forkserver, "supports_fork", lambda: False)
     sweep = run_goal_sweep(
         points=2, seed=5, intervals=2, config=fast_config,
-        goal_range=GOAL_RANGE, warmup_ms=4_000.0, runner="auto",
+        goal_range=GOAL_RANGE, warmup_ms=4_000.0,
     )
     assert sweep.runner == "cold"
     assert len(sweep.points) == 2
@@ -277,7 +274,7 @@ def test_run_sweep_merges_in_group_major_order(fast_config, tmp_path):
                       measure),
             WarmGroup(build, _goal_deltas(("b0", 6.0)), measure),
         ],
-        jobs=2, runner="fork", telemetry=outdir, records=[record],
+        jobs=2, telemetry=outdir, records=[record],
     )
     assert mode == "fork"
     assert [[p.goal_ms for p in group] for group in results] == [
@@ -310,7 +307,6 @@ def test_child_failure_reraises_in_parent(fast_config):
                 deltas=[WarmDelta.for_goals({1: g}) for g in (4.0, 5.0)],
                 measure=explode,
             )],
-            runner="fork",
         )
 
 
@@ -321,7 +317,6 @@ def _fork_two_goals(fast_config):
             deltas=[WarmDelta.for_goals({1: g}) for g in (4.0, 5.0)],
             measure=lambda sim: None,
         )],
-        runner="fork",
     )
 
 
@@ -346,17 +341,22 @@ def test_vet_cache_does_not_weaken_runtime_clock_guard(
         _fork_two_goals(fast_config)
 
 
-# -- sweeps that can never fork refuse loudly -------------------------
+# -- sweeps that can never fork run cold ----------------------------
 
 
-def test_sharing_sweep_fork_runner_raises(fast_config):
+def test_sharing_sweep_runs_cold(fast_config, monkeypatch):
+    # Every sharing fraction is its own warm group: nothing to fork.
     from repro.experiments.multiclass import run_sharing_sweep
 
-    with pytest.raises(ForkUnavailableError):
-        run_sharing_sweep(
-            sharings=(0.0, 0.5), runner="fork", config=fast_config,
-            intervals=2, tail=1, warmup_ms=2_000.0,
-        )
+    def no_fork(*args):
+        raise AssertionError("the sharing sweep forked")
+
+    monkeypatch.setattr(forkserver, "_fork_group", no_fork)
+    result = run_sharing_sweep(
+        sharings=(0.0, 0.5), config=fast_config,
+        intervals=2, tail=1, warmup_ms=2_000.0,
+    )
+    assert [p.sharing for p in result.points] == [0.0, 0.5]
 
 
 # -- the shared warm-up constants -------------------------------------

@@ -6,8 +6,6 @@ qualitative behaviours (convergence to the goal, memory give-back,
 Example 2 sharing effect) rather than absolute numbers.
 """
 
-import pytest
-
 from repro.cluster.cluster import Cluster
 from repro.core.controller import GoalOrientedController
 from repro.experiments.calibration import measure_static_rt

@@ -54,8 +54,8 @@ def test_queue_length_and_count():
     env.process(_hold(env, res, 10.0, log, "b"))
     env.process(_hold(env, res, 10.0, log, "c"))
     env.run(until=1.0)
-    assert res.count == 1
-    assert res.queue_length == 2
+    assert len(res.users) == 1
+    assert len(res._waiting) == 2
 
 
 def test_utilization_tracks_busy_time():
@@ -117,4 +117,4 @@ def test_cancel_waiting_request_frees_queue():
     env.process(impatient())
     env.run()
     assert ("gave up", 1.0) in log
-    assert res.queue_length == 0
+    assert not res._waiting

@@ -1,14 +1,17 @@
-"""Pinned digests of every experiment sweep, for any runner and ``jobs``.
+"""Pinned digests of every experiment sweep, fork or cold, for any ``jobs``.
 
 Each sweep below runs at tiny settings (3 nodes, 400 pages, 256 KB
 buffers, 2 s intervals, 4 s warm-up) with telemetry exported.  Its pin
 is the SHA-256 of ``repr`` of the returned points followed by every
 file of the telemetry tree (relative path and bytes, in sorted walk
 order).  The constants were recorded before the sweeps were routed
-through one executor; they must not change for any runner ('fork' or
-'cold') or ``jobs`` value (1 or 2), which pins the point order, the
-per-point directory labels, the merged trace and the sweep-level
-``prescreen`` record together.
+through one executor; they must not change between the fork and the
+cold path or for any ``jobs`` value (1 or 2), which pins the point
+order, the per-point directory labels, the merged trace and the
+sweep-level ``prescreen`` record together.  The executor forks
+wherever the platform allows; the cold cases run as a platform
+without ``os.fork`` does, with ``forkserver.supports_fork`` patched to
+return False.
 
 The one field left out is the ``prescreen`` record's ``ms``: it is the
 wall-clock time the analytic solver took, so it differs between any
@@ -22,7 +25,13 @@ import os
 import pytest
 
 from repro.cluster.config import NodeParameters, SystemConfig
-from repro.experiments import figure2, multiclass, resilience, scaling
+from repro.experiments import (
+    figure2,
+    forkserver,
+    multiclass,
+    resilience,
+    scaling,
+)
 from repro.experiments.calibration import GoalRange
 
 CONFIG = SystemConfig(
@@ -76,7 +85,9 @@ def _scaling(**kwargs):
     return scaling.run_scaling((3,), (4,), intervals=2, **kwargs)
 
 
-#: name -> (sweep, the runners it accepts; None = no ``runner`` option)
+#: name -> (sweep, the paths it is pinned on: 'fork' and 'cold' for a
+#: sweep whose points share warm state, 'cold' for one that never
+#: forks, None for a sweep of its own replicates run as it plans)
 SWEEPS = {
     "figure2-goals": (_figure2, ("fork", "cold")),
     "multiclass-pairs": (_goal_pairs, ("fork", "cold")),
@@ -138,13 +149,12 @@ def _drop_prescreen_wallclock(data: bytes) -> bytes:
     return "\n".join(lines).encode("utf-8")
 
 
-def sweep_digest(name, outdir, runner=None, jobs=1):
+def sweep_digest(name, outdir, jobs=1):
     """Run sweep ``name`` with telemetry under ``outdir``; its digest."""
     fn, _ = SWEEPS[name]
-    kwargs = dict(jobs=jobs, telemetry=outdir)
-    if runner is not None:
-        kwargs["runner"] = runner
-    digest = hashlib.sha256(repr(fn(**kwargs)).encode("utf-8"))
+    digest = hashlib.sha256(
+        repr(fn(jobs=jobs, telemetry=outdir)).encode("utf-8")
+    )
     for relpath, data in _tree_bytes(outdir):
         digest.update(relpath.encode("utf-8") + b"\0" + data + b"\0")
     return digest.hexdigest()
@@ -163,6 +173,8 @@ def test_every_sweep_is_pinned():
 
 
 @pytest.mark.parametrize("name,runner,jobs", CASES)
-def test_sweep_digest_unchanged(tmp_path, name, runner, jobs):
+def test_sweep_digest_unchanged(tmp_path, monkeypatch, name, runner, jobs):
+    if runner == "cold":
+        monkeypatch.setattr(forkserver, "supports_fork", lambda: False)
     outdir = str(tmp_path / "telemetry")
-    assert sweep_digest(name, outdir, runner, jobs) == DIGESTS[name]
+    assert sweep_digest(name, outdir, jobs) == DIGESTS[name]

@@ -21,6 +21,7 @@ from repro.telemetry.exporters import (
     TIMELINE_FILE,
     TRACE_FILE,
 )
+from repro.experiments import forkserver
 from repro.experiments.figure2 import run_figure2, run_goal_sweep
 from repro.workload.trace import TraceRecorder
 
@@ -116,7 +117,7 @@ def _telemetry_tree(root):
     return tree
 
 
-def _sweep(tmp_path, label, runner, jobs):
+def _sweep(tmp_path, label, jobs):
     outdir = str(tmp_path / label)
     data = run_goal_sweep(
         goals=[3.0, 6.0],
@@ -127,7 +128,6 @@ def _sweep(tmp_path, label, runner, jobs):
         goal_range=GOAL_RANGE,
         warmup_ms=WARMUP_MS,
         jobs=jobs,
-        runner=runner,
         telemetry=outdir,
     )
     points = [
@@ -137,16 +137,18 @@ def _sweep(tmp_path, label, runner, jobs):
     return points, _telemetry_tree(outdir)
 
 
-def test_fork_and_cold_telemetry_trees_identical(tmp_path):
-    points_fork, tree_fork = _sweep(tmp_path, "fork", "fork", 1)
-    points_cold, tree_cold = _sweep(tmp_path, "cold", "cold", 1)
+def test_fork_and_cold_telemetry_trees_identical(tmp_path, monkeypatch):
+    points_fork, tree_fork = _sweep(tmp_path, "fork", 1)
+    monkeypatch.setattr(forkserver, "supports_fork", lambda: False)
+    points_cold, tree_cold = _sweep(tmp_path, "cold", 1)
     assert points_fork == points_cold
     assert tree_fork == tree_cold
 
 
-def test_jobs_do_not_change_telemetry(tmp_path):
-    points_1, tree_1 = _sweep(tmp_path, "j1", "cold", 1)
-    points_2, tree_2 = _sweep(tmp_path, "j2", "cold", 2)
+def test_jobs_do_not_change_telemetry(tmp_path, monkeypatch):
+    monkeypatch.setattr(forkserver, "supports_fork", lambda: False)
+    points_1, tree_1 = _sweep(tmp_path, "j1", 1)
+    points_2, tree_2 = _sweep(tmp_path, "j2", 2)
     assert points_1 == points_2
     assert tree_1 == tree_2
 

@@ -1,9 +1,12 @@
 """Unit tests for the strict 2PL lock manager."""
 
-import pytest
-
 from repro.sim.engine import Environment
-from repro.txn.locks import DeadlockError, LockManager, LockMode
+from repro.txn.locks import (
+    DeadlockError,
+    LockManager,
+    LockMode,
+    WaitForGraph,
+)
 
 
 def run_acquire(env, locks, txn_id, page_id, mode, log, name):
@@ -16,7 +19,7 @@ def run_acquire(env, locks, txn_id, page_id, mode, log, name):
 
 def test_shared_locks_coexist():
     env = Environment()
-    locks = LockManager(env)
+    locks = LockManager(env, WaitForGraph())
     log = []
     run_acquire(env, locks, 1, 7, LockMode.SHARED, log, "a")
     run_acquire(env, locks, 2, 7, LockMode.SHARED, log, "b")
@@ -27,7 +30,7 @@ def test_shared_locks_coexist():
 
 def test_exclusive_blocks_shared():
     env = Environment()
-    locks = LockManager(env)
+    locks = LockManager(env, WaitForGraph())
     log = []
     run_acquire(env, locks, 1, 7, LockMode.EXCLUSIVE, log, "writer")
     run_acquire(env, locks, 2, 7, LockMode.SHARED, log, "reader")
@@ -40,7 +43,7 @@ def test_exclusive_blocks_shared():
 
 def test_shared_blocks_exclusive():
     env = Environment()
-    locks = LockManager(env)
+    locks = LockManager(env, WaitForGraph())
     log = []
     run_acquire(env, locks, 1, 7, LockMode.SHARED, log, "reader")
     run_acquire(env, locks, 2, 7, LockMode.EXCLUSIVE, log, "writer")
@@ -53,7 +56,7 @@ def test_shared_blocks_exclusive():
 
 def test_reacquire_held_lock_is_noop():
     env = Environment()
-    locks = LockManager(env)
+    locks = LockManager(env, WaitForGraph())
     log = []
     run_acquire(env, locks, 1, 7, LockMode.SHARED, log, "first")
     run_acquire(env, locks, 1, 7, LockMode.SHARED, log, "second")
@@ -63,7 +66,7 @@ def test_reacquire_held_lock_is_noop():
 
 def test_upgrade_when_sole_holder():
     env = Environment()
-    locks = LockManager(env)
+    locks = LockManager(env, WaitForGraph())
     log = []
     run_acquire(env, locks, 1, 7, LockMode.SHARED, log, "s")
     run_acquire(env, locks, 1, 7, LockMode.EXCLUSIVE, log, "x")
@@ -78,7 +81,7 @@ def test_upgrade_when_sole_holder():
 def test_fifo_no_starvation_of_writer():
     """A queued writer must not be overtaken by later readers."""
     env = Environment()
-    locks = LockManager(env)
+    locks = LockManager(env, WaitForGraph())
     log = []
     run_acquire(env, locks, 1, 7, LockMode.SHARED, log, "r1")
     run_acquire(env, locks, 2, 7, LockMode.EXCLUSIVE, log, "w")
@@ -95,7 +98,7 @@ def test_fifo_no_starvation_of_writer():
 
 def test_deadlock_detected_not_blocked():
     env = Environment()
-    locks = LockManager(env)
+    locks = LockManager(env, WaitForGraph())
     caught = []
 
     def txn1():
@@ -121,7 +124,7 @@ def test_deadlock_detected_not_blocked():
 
 def test_three_way_deadlock_detected():
     env = Environment()
-    locks = LockManager(env)
+    locks = LockManager(env, WaitForGraph())
     caught = []
 
     def txn(me, first, second, delay):
@@ -142,7 +145,7 @@ def test_three_way_deadlock_detected():
 
 def test_release_all_wakes_multiple_readers():
     env = Environment()
-    locks = LockManager(env)
+    locks = LockManager(env, WaitForGraph())
     log = []
     run_acquire(env, locks, 1, 7, LockMode.EXCLUSIVE, log, "w")
     run_acquire(env, locks, 2, 7, LockMode.SHARED, log, "r1")
@@ -155,6 +158,6 @@ def test_release_all_wakes_multiple_readers():
 
 def test_release_without_locks_is_noop():
     env = Environment()
-    locks = LockManager(env)
+    locks = LockManager(env, WaitForGraph())
     locks.release_all(99)  # must not raise
     assert not locks.holds(99, 1)

@@ -4,7 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import Environment
-from repro.txn.locks import DeadlockError, LockManager, LockMode
+from repro.txn.locks import (
+    DeadlockError,
+    LockManager,
+    LockMode,
+    WaitForGraph,
+)
 
 # A schedule step: (txn 0..3, page 0..2, exclusive?, hold time).
 steps = st.lists(
@@ -25,7 +30,7 @@ def test_property_no_conflicting_holders(schedule):
     """At no point may an X lock coexist with any other lock on a page,
     and every transaction terminates (commit or deadlock abort)."""
     env = Environment()
-    locks = LockManager(env)
+    locks = LockManager(env, WaitForGraph())
     finished = []
 
     by_txn = {}
@@ -69,7 +74,7 @@ def test_property_no_conflicting_holders(schedule):
 def test_property_all_grants_are_recorded(schedule):
     """A transaction that acquired a lock holds it until release_all."""
     env = Environment()
-    locks = LockManager(env)
+    locks = LockManager(env, WaitForGraph())
 
     by_txn = {}
     for txn_id, page, exclusive, hold in schedule:

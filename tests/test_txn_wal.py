@@ -1,7 +1,5 @@
 """Unit tests for the write-ahead log."""
 
-import pytest
-
 from repro.cluster.config import DiskParameters
 from repro.cluster.disk import Disk
 from repro.sim.engine import Environment

@@ -24,8 +24,9 @@ from repro.workload.blockgen import (
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.spec import ClassSpec, WorkloadSpec
 from repro.workload.trace import TraceRecorder
-from repro.workload.zipf import ZipfPagePicker, ZipfSampler
+from repro.workload.zipf import ZipfSampler
 from tests.frontend_reference import reference_operation
+from tests.workload_reference import zipf_sample
 
 
 # -- column-level equivalence (Hypothesis) --------------------------
@@ -65,7 +66,7 @@ def test_zipf_block_matches_sequential(seed, block, n, num_items, theta):
     """Block-drawn ranks == sampler.sample, any block size."""
     sampler = ZipfSampler(num_items, theta)
     seq_rng = random.Random(seed)
-    expected = [sampler.sample(seq_rng) for _ in range(n)]
+    expected = [zipf_sample(sampler, seq_rng) for _ in range(n)]
     column = ZipfColumn(random.Random(seed), sampler, block=block)
     got = [column.next_rank() for _ in range(n)]
     assert got == expected
@@ -95,8 +96,8 @@ def test_zipf_retarget_matches_sequential_switch(
     sampler_a = ZipfSampler(items_a, theta_a)
     sampler_b = ZipfSampler(items_b, theta_b)
     seq_rng = random.Random(seed)
-    expected = [sampler_a.sample(seq_rng) for _ in range(cut)]
-    expected += [sampler_b.sample(seq_rng) for _ in range(n - cut)]
+    expected = [zipf_sample(sampler_a, seq_rng) for _ in range(cut)]
+    expected += [zipf_sample(sampler_b, seq_rng) for _ in range(n - cut)]
     column = ZipfColumn(random.Random(seed), sampler_a, block=block)
     got = [column.next_rank() for _ in range(cut)]
     column.retarget(sampler_b)
@@ -115,9 +116,8 @@ def test_sample_from_uniform_matches_sample():
     sampler = ZipfSampler(17, 0.9)
     rng_a, rng_b = random.Random(7), random.Random(7)
     for _ in range(500):
-        assert sampler.sample_from_uniform(rng_a.random()) == sampler.sample(
-            rng_b
-        )
+        u = rng_a.random()
+        assert sampler.sample_from_uniform(u) == zipf_sample(sampler, rng_b)
 
 
 # -- dispatcher vs. sequential reference front-end ------------------
@@ -157,7 +157,9 @@ def _reference_arrivals(generator, node_id, class_spec):
         )
         yield env.timeout(delay)
         pages = [
-            picker.pages[picker.sampler.sample(rng.stream(page_stream))]
+            picker.pages[
+                zipf_sample(picker.sampler, rng.stream(page_stream))
+            ]
             for _ in range(spec.pages_per_op)
         ]
         env.process(reference_operation(generator, node_id, spec, pages))

@@ -1,7 +1,5 @@
 """Unit tests for the canned workload mixes."""
 
-import pytest
-
 from repro.cluster.config import SystemConfig
 from repro.workload.presets import oltp_dss_mix
 

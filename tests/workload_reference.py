@@ -1,8 +1,12 @@
-"""A K-goal-class workload for the multi-goal tests.
+"""Workload references for the tests.
 
-K goal classes of identical shape on disjoint page sets let a test
-scale the number of goal classes without changing anything else; the
-three-goal integration test drives the controller with it.
+``uniform_multiclass``: K goal classes of identical shape on disjoint
+page sets let a test scale the number of goal classes without changing
+anything else; the three-goal integration test drives the controller
+with it.
+
+``zipf_sample``: the sequential Zipf draw the block-drawing front-end
+is checked against.
 """
 
 from __future__ import annotations
@@ -43,3 +47,17 @@ def uniform_multiclass(
             )
         )
     return WorkloadSpec(classes=classes)
+
+
+def zipf_sample(sampler, rng) -> int:
+    """Draw one rank from ``sampler`` with one uniform from ``rng``.
+
+    The sequential alias-method draw: the reference that
+    :meth:`repro.workload.zipf.ZipfSampler.sample_from_uniform` must
+    match variate for variate.
+    """
+    scaled = rng.random() * sampler.num_items
+    column = int(scaled)
+    if scaled - column < sampler._accept[column]:
+        return column
+    return sampler._alias[column]

@@ -28,11 +28,23 @@ either is used.  Other definitions of the same name count as well:
 two classes' ``touch`` methods keep each other alive when one is
 called through a base-class reference.
 
+A defaulted ``__init__`` parameter of a ``src/repro`` class is a
+finding too when no program call passes it: an option only tests set,
+or nobody does, is a constant in disguise.  A call passes the
+parameter when it names the class (``Cls(...)``, ``mod.Cls(...)``, or
+``cls(...)`` inside the class) and supplies the parameter by keyword,
+by position, or through ``*args``/``**kwargs``.  A call naming a
+subclass without its own ``__init__`` counts for the nearest base that
+has one, and so does ``super().__init__(...)`` or
+``Base.__init__(self, ...)`` inside a subclass.  Such findings read
+``Class.param``.
+
 Each allow-list entry carries the reason the name stays without a
-program reference: a stdlib override called by its framework, or a
-test-only hook that observes behaviour no program name exposes.  An
-entry that is no longer needed, because the name is gone or the
-program now reaches it, is itself a finding.
+program reference: a stdlib override called by its framework, a
+test-only hook that observes behaviour no program name exposes, or
+(as ``Class.param``) a parameter that tests set on purpose.  An entry
+that is no longer needed, because the name is gone or the program now
+reaches it, is itself a finding.
 
 Usage::
 
@@ -65,6 +77,29 @@ ALLOWED = {
         "GlobalHeatRegistry's only observer of the unflushed-touch "
         "buffer; heat tests and the cluster batch parity fingerprint "
         "check the buffer's flush behaviour through it",
+    "Coordinator.shrink_damping":
+        "stability guard kept settable for the guard-ablation matrix "
+        "(ROADMAP item 4); the damping tests vary it",
+    "Coordinator.settle_intervals":
+        "stability guard kept settable for the guard-ablation matrix "
+        "(ROADMAP item 4); the settle tests vary it",
+    "Coordinator.tolerance":
+        "stability guard kept settable for the guard-ablation matrix "
+        "(ROADMAP item 4); coordinator tests pass their own band",
+    "GoalTolerance.low_side_slack":
+        "stability guard kept settable for the guard-ablation matrix "
+        "(ROADMAP item 4); the tolerance tests vary it",
+    "MeasureWindow.smoothing":
+        "stability guard kept settable for the guard-ablation matrix "
+        "(ROADMAP item 4); the smoothing tests vary it",
+    "NodeDispatcher.block":
+        "the block-boundary parity tests shrink the block to cross "
+        "refills at every length",
+    "TraceReplayer.sink":
+        "test hook: replay tests observe arrivals and completions "
+        "through their own sink",
+    "TransactionManager.vote_hook":
+        "test hook: 2PC tests force a participant to vote abort",
 }
 
 #: Directories (relative to the root) whose code counts as a reference.
@@ -154,6 +189,106 @@ def scan(path: str, init: bool, skip_guards: bool):
     return defs, refs, guards
 
 
+def _defaulted(init) -> list:
+    """``(param, index)`` per defaulted parameter of an ``__init__``.
+
+    ``index`` is the position after ``self`` (None: keyword-only).
+    """
+    args = init.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    out = [(arg.arg, i - 1) for i, arg in enumerate(positional)
+           if i >= first and i > 0]
+    out.extend((arg.arg, None)
+               for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+               if default is not None)
+    return out
+
+
+def _name_of(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def scan_params(path: str):
+    """Return ``(classes, params, calls)`` for one module.
+
+    ``classes``: name -> (base names, defines ``__init__``, the base
+    whose ``__init__`` it forwards its own ``*args``/``**kwargs`` to).
+    ``params``: ``(class, param, index, lineno)`` per defaulted
+    ``__init__`` parameter.
+    ``calls``: ``(class, positional, keywords, spread)`` per call that
+    names a class: the positional argument count, the keyword names,
+    and whether ``*args``/``**kwargs`` spread into it.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    classes, params, calls = {}, [], []
+
+    def visit(node, owner, init):
+        if isinstance(node, ast.ClassDef):
+            own = next((n for n in node.body
+                        if isinstance(n, ast.FunctionDef)
+                        and n.name == "__init__"), None)
+            classes[node.name] = (
+                [b for b in map(_name_of, node.bases) if b],
+                own is not None, None,
+            )
+            if own is not None:
+                params.extend((node.name, name, index, own.lineno)
+                              for name, index in _defaulted(own))
+            owner, init = node, None
+        elif (isinstance(node, ast.FunctionDef) and owner is not None
+              and node.name == "__init__"):
+            init = node
+        elif isinstance(node, ast.Call):
+            func, callee, offset = node.func, None, 0
+            if isinstance(func, ast.Name) and func.id == "cls" and owner:
+                callee = owner.name
+            elif (isinstance(func, ast.Attribute)
+                  and func.attr == "__init__"):
+                if (isinstance(func.value, ast.Call)
+                        and _name_of(func.value.func) == "super"
+                        and owner is not None and owner.bases):
+                    callee = _name_of(owner.bases[0])
+                else:
+                    callee, offset = _name_of(func.value), 1
+            else:
+                callee = _name_of(func)
+            spread = [a.value for a in node.args
+                      if isinstance(a, ast.Starred)]
+            spread += [k.value for k in node.keywords if k.arg is None]
+            relayed = set()
+            if init is not None and _name_of(func) == "__init__":
+                relayed = {a.arg for a in (init.args.vararg,
+                                           init.args.kwarg)
+                           if a is not None}
+            # ``super().__init__(*args, **kwargs)`` of the enclosing
+            # ``__init__``'s own spreads relays its callers' arguments.
+            forwards = bool(spread) and all(
+                isinstance(v, ast.Name) and v.id in relayed for v in spread
+            )
+            if forwards:
+                bases, has_init, _ = classes[owner.name]
+                classes[owner.name] = (bases, has_init, callee)
+            if callee:
+                calls.append((
+                    callee,
+                    sum(not isinstance(a, ast.Starred)
+                        for a in node.args) - offset,
+                    {k.arg for k in node.keywords if k.arg},
+                    bool(spread) and not forwards,
+                ))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner, init)
+
+    visit(tree, None, None)
+    return classes, params, calls
+
+
 def _allowed_line(name: str) -> int:
     """Line of ``name``'s ``ALLOWED`` entry in this file."""
     with open(SELF, "r", encoding="utf-8") as fh:
@@ -170,6 +305,9 @@ def main(argv) -> int:
     defs = []  # (name, rel, lineno, first, last)
     refs = {}  # name -> [(rel, lineno)]
     failures = []  # (rel, lineno, message)
+    classes = {}  # name -> (bases, defines __init__)
+    params = []  # (class, param, index, rel, lineno)
+    calls = []  # (class, positional, keywords, spread)
     for rel_dir in REFERENCE_DIRS:
         library = rel_dir == "src/repro"
         for path in _python_files(root, rel_dir):
@@ -179,7 +317,12 @@ def main(argv) -> int:
             init = os.path.basename(path) == "__init__.py"
             stray = library and rel != ENTRY_POINT
             file_defs, file_refs, guards = scan(path, init, stray)
+            file_classes, file_params, file_calls = scan_params(path)
+            classes.update(file_classes)
+            calls.extend(file_calls)
             if library:
+                params.extend((cls, name, index, rel, lineno)
+                              for cls, name, index, lineno in file_params)
                 defs.extend((name, rel, *rest) for name, *rest in file_defs)
                 if stray:
                     failures.extend(
@@ -211,27 +354,67 @@ def main(argv) -> int:
                 changed = True
     failures.extend((rel, lineno, name) for name, rel, lineno, _, _ in dead)
 
+    def receivers(name):
+        """The classes whose ``__init__`` a call naming ``name`` runs
+        with its arguments: the nearest that defines one, then each
+        base it forwards ``*args``/``**kwargs`` to."""
+        out = []
+        while name in classes and name not in out:
+            bases, has_init, forwards = classes[name]
+            if has_init:
+                out.append(name)
+                name = forwards
+            else:
+                name = bases[0] if bases else None
+        return out
+
+    passed = set()  # (class, param) some program call passes
+    for callee, positional, keywords, spread in calls:
+        owners = receivers(callee)
+        passed.update(
+            (cls, name) for cls, name, index, _, _ in params
+            if cls in owners and (
+                spread or name in keywords
+                or (index is not None and index < positional)
+            )
+        )
+    failures.extend(
+        (rel, lineno, f"{cls}.{name}: no program call passes it")
+        for cls, name, _, rel, lineno in params
+        if (cls, name) not in passed and f"{cls}.{name}" not in ALLOWED
+    )
+
     tool = os.path.join("tools", os.path.basename(SELF))
     for name in ALLOWED:
-        mine = [d for d in defs if d[0] == name]
+        if "." in name:
+            cls, param = name.split(".")
+            mine = [(rel, lineno) for c, p, _, rel, lineno in params
+                    if (c, p) == (cls, param)]
+            stale = (cls, param) in passed and "the program passes it"
+        else:
+            mine = [d[1:3] for d in defs if d[0] == name]
+            stale = any(referenced(d) for d in defs if d[0] == name) and (
+                "the program references it"
+            )
         if not mine:
             failures.append((tool, _allowed_line(name),
                              f"stale ALLOWED entry {name!r}: not defined"))
-        elif any(referenced(d) for d in mine):
-            failures.append((mine[0][1], mine[0][2],
-                             f"stale ALLOWED entry {name!r}: the program "
-                             "references it"))
+        elif stale:
+            failures.append(mine[0] + (
+                f"stale ALLOWED entry {name!r}: {stale}",
+            ))
 
     if failures:
         sys.stderr.write(
-            "definitions that no program code references "
-            "(in " + ", ".join(REFERENCE_DIRS) + "):\n"
+            "definitions and __init__ options that no program code "
+            "references (in " + ", ".join(REFERENCE_DIRS) + "):\n"
         )
         for rel, lineno, message in sorted(failures):
             sys.stderr.write(f"  {rel}:{lineno}: {message}\n")
         return 1
     sys.stdout.write(
-        "every definition in src/repro is referenced by the program\n"
+        "every definition and __init__ option in src/repro is "
+        "referenced by the program\n"
     )
     return 0
 
