@@ -77,7 +77,7 @@ def default_cases(quick: bool = False) -> List[ValidationCase]:
     half1, half2 = partition_pages(config.num_pages, 2)
 
     single = WorkloadSpec(classes=[
-        ClassSpec(class_id=1, goal_ms=50.0, pages=tuple(range(config.num_pages)),
+        ClassSpec(class_id=1, goal_ms=50.0, pages=range(config.num_pages),
                   pages_per_op=4, arrival_rate_per_node=0.004,
                   name="only"),
     ])

@@ -27,6 +27,13 @@ from repro.bufmgr.heat import GlobalHeatRegistry, HeatTracker
 #: Cheapest heap candidates re-priced at each eviction.
 REVALIDATE = 8
 
+#: The heap is compacted once it holds more than
+#: ``2 * len(pool) + HEAP_SLACK`` entries, checked wherever it gains an
+#: entry: admission and a falling estimate on a hit.  A pool that only
+#: hits never pops its stale entries, so without the check on push its
+#: heap would grow without bound.
+HEAP_SLACK = 32
+
 
 class BenefitModel:
     """Everything needed to price a cached page on one node.
@@ -119,9 +126,6 @@ class CostBasedPool(BufferPool):
         self._seq = 0
         self._price: Dict[int, float] = {}  # page id -> latest estimate
 
-    def _push(self, page_id: int) -> None:
-        self._push_priced(page_id, self.model.benefit(page_id))
-
     def _push_priced(self, page_id: int, benefit: float) -> None:
         self._price[page_id] = benefit
         self._seq += 1
@@ -177,10 +181,9 @@ class CostBasedPool(BufferPool):
     def insert(self, page_id: int) -> list:
         """Specialized :meth:`BufferPool.insert` for the miss path.
 
-        Identical decisions to the generic version; the membership,
-        length, and store steps hit ``_pages`` directly instead of
-        going through four abstract-method dispatches per admitted
-        page.
+        Identical decisions to the generic version; the membership and
+        length steps hit ``_pages`` directly instead of going through
+        abstract-method dispatches per admitted page.
         """
         pages = self._pages
         if page_id in pages:
@@ -194,24 +197,32 @@ class CostBasedPool(BufferPool):
             victim = self._select_victim()
             self._discard(victim)
             evicted.append(victim)
-        self._push(page_id)
+        self._store(page_id)
         return evicted
 
     def _store(self, page_id: int) -> None:
-        self._push(page_id)
+        self._push_priced(page_id, self.model.benefit(page_id))
+        self._bound_heap()
 
     def _discard(self, page_id: int) -> None:
         del self._pages[page_id]
         del self._price[page_id]
-        if len(self._heap) > 4 * max(len(self._pages), 16):
-            self._compact()
 
-    def _compact(self) -> None:
-        self._heap = [
-            entry for entry in self._heap
-            if self._pages.get(entry[2]) == entry[1]
-        ]
-        heapq.heapify(self._heap)
+    def _bound_heap(self) -> None:
+        """Compact the heap once it exceeds the :data:`HEAP_SLACK` bound.
+
+        Compaction drops superseded entries, leaving one per cached
+        page.  It is decision-neutral: entries are totally ordered by
+        ``(benefit, seq)``, so the live entries pop in the same order
+        from any heap layout, and the dropped ones would be skipped.
+        """
+        pages = self._pages
+        if len(self._heap) > 2 * len(pages) + HEAP_SLACK:
+            self._heap = [
+                entry for entry in self._heap
+                if pages.get(entry[2]) == entry[1]
+            ]
+            heapq.heapify(self._heap)
 
     def touch(self, page_id: int) -> None:
         price = self._price
@@ -223,6 +234,7 @@ class CostBasedPool(BufferPool):
             # higher-priced entry the page would never surface as an
             # eviction candidate.
             self._push_priced(page_id, benefit)
+            self._bound_heap()
         else:
             # The common case — the estimate grew (fresher heat).  The
             # existing entry sits at a price <= the new estimate, so it

@@ -65,7 +65,7 @@ def multiclass_workload(
         classes=[
             ClassSpec(class_id=0, goal_ms=None, pages=set0,
                       name="no-goal", **common),
-            ClassSpec(class_id=1, goal_ms=goal1_ms, pages=tuple(set1),
+            ClassSpec(class_id=1, goal_ms=goal1_ms, pages=set1,
                       name="k1", **common),
             ClassSpec(class_id=2, goal_ms=goal2_ms, pages=pages2,
                       name="k2", **common),

@@ -22,8 +22,10 @@ class ClassSpec:
     class_id: int
     #: Mean response time goal in ms; None for the no-goal class.
     goal_ms: Optional[float]
-    #: Ordered page set; rank 0 is the hottest page under skew.
-    pages: Tuple[int, ...]
+    #: Ordered page set; rank 0 is the hottest page under skew.  A
+    #: ``range`` or a tuple: it must be hashable (the spec is frozen),
+    #: and a ``range`` holds no per-page object.
+    pages: Sequence[int]
     #: Zipf skew parameter theta (0 = uniform).
     skew: float = 0.0
     #: Page accesses per operation.
@@ -114,18 +116,18 @@ class WorkloadSpec:
         )
 
 
-def partition_pages(
-    num_pages: int, num_sets: int
-) -> List[Tuple[int, ...]]:
-    """Split [0, num_pages) into ``num_sets`` disjoint contiguous sets."""
+def partition_pages(num_pages: int, num_sets: int) -> List[range]:
+    """Split [0, num_pages) into ``num_sets`` disjoint contiguous sets.
+
+    The sets are ``range`` objects: constant size, whatever the page
+    count.
+    """
     if num_sets < 1:
         raise ValueError("need at least one set")
     if num_pages < num_sets:
         raise ValueError("fewer pages than sets")
     bounds = [round(i * num_pages / num_sets) for i in range(num_sets + 1)]
-    return [
-        tuple(range(bounds[i], bounds[i + 1])) for i in range(num_sets)
-    ]
+    return [range(bounds[i], bounds[i + 1]) for i in range(num_sets)]
 
 
 def shared_pages(

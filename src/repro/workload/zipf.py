@@ -11,10 +11,18 @@ draw costs O(1) and consumes exactly **one** uniform variate from the
 caller's RNG stream, so the named-stream determinism of
 :class:`~repro.sim.rng.RandomStreams` is preserved (a fixed stream
 always yields the same rank sequence).
+
+The tables are built in lists and kept as unboxed
+``array('d')``/``array('l')`` columns: 16 bytes per item instead of a
+list of float objects and a list of int objects.  The conversion is
+exact, so every entry, and therefore every sampled rank, is the same
+as in the list tables (the list oracle in
+``tests/workload_reference.py``).
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, List, Sequence, Tuple
 
 #: Memoized alias tables keyed by ``(num_items, theta)``.  Goal sweeps
@@ -23,7 +31,7 @@ from typing import Dict, List, Sequence, Tuple
 #: on the item count and skew — was unchanged.  The tables are
 #: immutable once built, so sharing them across samplers (and across
 #: replicas of the same workload) is safe.
-_ALIAS_CACHE: Dict[Tuple[int, float], Tuple[float, List[float], List[int]]] = {}
+_ALIAS_CACHE: Dict[Tuple[int, float], Tuple[float, array, array]] = {}
 
 
 class ZipfSampler:
@@ -72,7 +80,7 @@ class ZipfSampler:
             accept[i] = 1.0
         for i in small:
             accept[i] = 1.0
-        return accept, alias
+        return array("d", accept), array("l", alias)
 
     def sample_from_uniform(self, u: float) -> int:
         """Map one uniform variate in [0, 1) to a rank.
@@ -96,8 +104,13 @@ class ZipfSampler:
 
 
 class ZipfPagePicker:
-    """Maps Zipf ranks onto an explicit, ordered page set."""
+    """Maps Zipf ranks onto an explicit, ordered page set.
+
+    Keeps the sequence it is given (a ``range`` for the contiguous
+    partitions of :func:`~repro.workload.spec.partition_pages`), so a
+    picker adds no per-page object.
+    """
 
     def __init__(self, pages: Sequence[int], theta: float):
-        self.pages = list(pages)
-        self.sampler = ZipfSampler(len(self.pages), theta)
+        self.pages = pages
+        self.sampler = ZipfSampler(len(pages), theta)

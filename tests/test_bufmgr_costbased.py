@@ -1,6 +1,15 @@
 """Unit tests for the cost-based benefit replacement (§6)."""
 
-from repro.bufmgr.costbased import REVALIDATE, BenefitModel, CostBasedPool
+import random
+
+import pytest
+
+from repro.bufmgr.costbased import (
+    HEAP_SLACK,
+    REVALIDATE,
+    BenefitModel,
+    CostBasedPool,
+)
 from repro.bufmgr.costs import AccessLevel, CostObserver
 from repro.bufmgr.heat import GlobalHeatRegistry, HeatTracker
 
@@ -153,3 +162,58 @@ def test_touch_with_falling_benefit_surfaces_page():
     pool.touch(1)           # falling estimate: pushed immediately
     assert pool.insert(100) == [1]
     assert all(page in pool for page in others)
+
+
+class _NeverCompactingPool(CostBasedPool):
+    """Reference pool: the same decisions, every stale entry kept."""
+
+    __slots__ = ()
+
+    def _bound_heap(self) -> None:
+        pass
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_touch_heavy_heap_stays_bounded_and_evicts_alike(seed):
+    """Falling estimates on hits keep the heap within its bound.
+
+    Hits whose estimate falls push a heap entry each; a pool that only
+    compacted on discard would collect them without bound between
+    evictions.  The compacting pool must stay within
+    ``2 * len(pool) + HEAP_SLACK`` entries after every operation and
+    evict exactly the sequence of a pool that never compacts.
+    """
+    rng = random.Random(seed)
+    last_copies = set()
+    model, clock, local, registry, costs = make_model(last_copies)
+    costs.observe(AccessLevel.LOCAL, 0.1)
+    costs.observe(AccessLevel.REMOTE, 1.0)
+    costs.observe(AccessLevel.DISK, 20.0)
+    capacity = 12
+    pool = CostBasedPool(capacity=capacity, model=model)
+    reference = _NeverCompactingPool(capacity=capacity, model=model)
+    evicted, evicted_ref = [], []
+    peak_ref_heap = 0
+    for step in range(4000):
+        clock.now += rng.uniform(0.0, 2.0)
+        page = rng.randrange(3 * capacity)
+        action = rng.random()
+        if action < 0.1:
+            local.record(page, clock.now)
+            registry.record(page, clock.now)
+        if action < 0.3:
+            last_copies.symmetric_difference_update({page})
+        if page in pool:
+            assert page in reference
+            # No new access is recorded for most hits, so the page's
+            # heat, and with it the estimate, falls.
+            pool.touch(page)
+            reference.touch(page)
+        elif action < 0.15:
+            evicted.extend(pool.insert(page))
+            evicted_ref.extend(reference.insert(page))
+        assert len(pool._heap) <= 2 * len(pool) + HEAP_SLACK
+        peak_ref_heap = max(peak_ref_heap, len(reference._heap))
+    assert evicted == evicted_ref
+    assert len(evicted) > 50
+    assert peak_ref_heap > 2 * (2 * capacity + HEAP_SLACK)

@@ -278,4 +278,4 @@ def test_picker_rebuilt_on_distribution_change(fast_config):
                         pages_per_op=2, arrival_rate_per_node=0.006)
     rebuilt = generator._picker_for(changed)
     assert rebuilt is not picker
-    assert rebuilt.pages == list(range(200, 250))
+    assert list(rebuilt.pages) == list(range(200, 250))

@@ -1,14 +1,18 @@
 """Unit + property tests for the Zipf sampler."""
 
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.config import SystemConfig
+from repro.experiments.runner import default_workload
+from repro.workload import zipf
 from repro.workload.zipf import ZipfPagePicker, ZipfSampler
-from tests.workload_reference import zipf_sample
+from tests.workload_reference import vose_alias_lists, zipf_sample
 
 
 def test_theta_zero_is_uniform():
@@ -127,3 +131,42 @@ def test_property_samples_in_range(num_items, theta, seed):
     rng = random.Random(seed)
     for _ in range(20):
         assert 0 <= zipf_sample(sampler, rng) < num_items
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("num_items", [1, 2, 1000, 100_000])
+def test_typed_alias_tables_equal_list_oracle(num_items, theta, monkeypatch):
+    """The typed tables hold exactly the list-built Vose entries."""
+    monkeypatch.setattr(zipf, "_ALIAS_CACHE", {})
+    sampler = ZipfSampler(num_items, theta)
+    ref_total, ref_accept, ref_alias = vose_alias_lists(num_items, theta)
+    assert (sampler._accept.typecode, sampler._alias.typecode) == ("d", "l")
+    assert sampler._total == ref_total
+    assert sampler._accept.tolist() == ref_accept
+    assert sampler._alias.tolist() == ref_alias
+
+
+def test_workload_page_state_is_compact(monkeypatch):
+    """Page sets, pickers and alias tables cost at most 16 B per page.
+
+    ``default_workload`` on a 200 000-page database: two contiguous
+    page sets of 100 000 pages with the same skew, so one alias table
+    (8 + 8 bytes per entry) serves both pickers.  Page sets held as
+    tuples of boxed ids, or list copies in the pickers, cost several
+    times the bound.
+    """
+    monkeypatch.setattr(zipf, "_ALIAS_CACHE", {})
+    config = SystemConfig(num_nodes=16, num_pages=200_000)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        workload = default_workload(config, goal_ms=33.0, skew=0.5)
+        pickers = [ZipfPagePicker(c.pages, c.skew) for c in workload.classes]
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert len(pickers) == 2
+    assert retained <= 16 * config.num_pages

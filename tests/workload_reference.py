@@ -7,6 +7,10 @@ with it.
 
 ``zipf_sample``: the sequential Zipf draw the block-drawing front-end
 is checked against.
+
+``vose_alias_lists``: Vose's alias construction over plain lists, the
+oracle the typed tables of :class:`repro.workload.zipf.ZipfSampler`
+must equal element for element.
 """
 
 from __future__ import annotations
@@ -61,3 +65,34 @@ def zipf_sample(sampler, rng) -> int:
     if scaled - column < sampler._accept[column]:
         return column
     return sampler._alias[column]
+
+
+def vose_alias_lists(num_items: int, theta: float):
+    """``(total, accept, alias)`` of Vose's construction, as lists.
+
+    The list tables ``ZipfSampler`` stored before it kept them as typed
+    arrays.
+    """
+    n = num_items
+    weights = [rank ** (-theta) for rank in range(1, n + 1)]
+    total = sum(weights)
+    accept = [0.0] * n
+    alias = list(range(n))
+    scaled = [w * n / total for w in weights]
+    small = [i for i, w in enumerate(scaled) if w < 1.0]
+    large = [i for i, w in enumerate(scaled) if w >= 1.0]
+    while small and large:
+        s = small.pop()
+        l = large.pop()
+        accept[s] = scaled[s]
+        alias[s] = l
+        scaled[l] = (scaled[l] + scaled[s]) - 1.0
+        if scaled[l] < 1.0:
+            small.append(l)
+        else:
+            large.append(l)
+    for i in large:
+        accept[i] = 1.0
+    for i in small:
+        accept[i] = 1.0
+    return total, accept, alias
