@@ -43,10 +43,10 @@ from repro.cluster.config import SystemConfig
 from repro.cluster.messages import MessageKind, message_size
 from repro.workload.spec import ClassSpec, WorkloadSpec
 
-#: Default closed-population slack: N_c = slack * (expected number of
-#: class-c operations in system).  Larger = closer to the open system
-#: but a bigger exact-MVA state space.
-DEFAULT_SLACK = 64.0
+#: Closed-population slack: N_c = SLACK * (expected number of class-c
+#: operations in system).  Larger = closer to the open system but a
+#: bigger exact-MVA state space.
+SLACK = 64.0
 #: Smallest per-class closed population.
 MIN_POPULATION = 8
 
@@ -244,8 +244,6 @@ def build_network(
     config: SystemConfig,
     workload: WorkloadSpec,
     allocation: Optional[Mapping[int, int]] = None,
-    slack: float = DEFAULT_SLACK,
-    max_population: Optional[int] = None,
 ) -> Tuple[Optional[ClosedNetwork], Dict]:
     """Build the closed network for one cluster configuration.
 
@@ -325,9 +323,7 @@ def build_network(
     for c, spec in enumerate(classes):
         lam = rates[spec.class_id]
         in_system = lam * open_response[spec.class_id]
-        pop = max(MIN_POPULATION, math.ceil(slack * in_system))
-        if max_population is not None:
-            pop = min(pop, max_population)
+        pop = max(MIN_POPULATION, math.ceil(SLACK * in_system))
         population.append(pop)
         think.append(pop / lam)
 
@@ -346,8 +342,6 @@ def predict_response(
     workload: WorkloadSpec,
     allocation: Optional[Mapping[int, int]] = None,
     method: str = "auto",
-    slack: float = DEFAULT_SLACK,
-    max_population: Optional[int] = None,
 ) -> AnalyticPrediction:
     """Predict per-class steady-state response times analytically.
 
@@ -357,10 +351,7 @@ def predict_response(
     ``inf`` response times instead of raising — the frontier extractor
     treats them as infeasible points.
     """
-    network, meta = build_network(
-        config, workload, allocation,
-        slack=slack, max_population=max_population,
-    )
+    network, meta = build_network(config, workload, allocation)
     classes = sorted(workload.classes, key=lambda c: c.class_id)
     if network is None:
         return AnalyticPrediction(

@@ -37,6 +37,17 @@ INFEASIBLE = "infeasible"
 BINDING = "binding"
 SLACK = "slack"
 
+#: The MVA solver both prescreens run (:func:`repro.analytic.mva.solve`).
+METHOD = "schweitzer"
+#: The allocation curve's resolution: frame counts per node, at most.
+CURVE_POINTS = 129
+#: Frame counts per class along each axis of the two-class split grid.
+SPLITS = 9
+#: The goal class :func:`prescreen_goals` dedicates memory to, and the
+#: two goal classes :func:`prescreen_goal_pairs` splits it between.
+GOAL_CLASS = 1
+GOAL_CLASSES = (1, 2)
+
 
 @dataclass
 class GoalScreenPoint:
@@ -99,43 +110,36 @@ class PrescreenReport:
         )
 
 
-def _default_budget(grid: int, budget: Optional[int]) -> int:
+def _budget(grid: int) -> int:
     """Simulation budget: ~5% of the grid, hard-capped at 10%."""
-    if budget is None:
-        budget = max(4, grid // 20)
-    return max(1, min(budget, max(grid // 10, 1)))
+    return max(1, min(max(4, grid // 20), max(grid // 10, 1)))
 
 
 def allocation_curve(
     config: SystemConfig,
     workload: WorkloadSpec,
-    class_id: int,
-    frames_grid: Optional[Sequence[int]] = None,
-    curve_points: int = 129,
-    method: str = "schweitzer",
 ) -> Tuple[List[int], List[float], int, int]:
     """Evaluate ``R(frames)`` for the goal class over a frames grid.
 
     Returns ``(frames, response_ms, solver_iterations, solves)``.  The
-    grid spans 0..buffer_pages_per_node inclusive; ``curve_points``
+    grid spans 0..buffer_pages_per_node inclusive; ``CURVE_POINTS``
     caps its resolution (the curve is interpolated between grid frames
     by conservative step lookup, not linearly).
     """
     cap = config.buffer_pages_per_node
-    if frames_grid is None:
-        count = min(cap + 1, max(curve_points, 2))
-        frames_grid = sorted({
-            round(i * cap / (count - 1)) for i in range(count)
-        })
+    count = min(cap + 1, max(CURVE_POINTS, 2))
+    frames_grid = sorted({
+        round(i * cap / (count - 1)) for i in range(count)
+    })
     page = config.page_size
     responses: List[float] = []
     iterations = 0
     for f in frames_grid:
         prediction = predict_response(
-            config, workload, allocation={class_id: f * page},
-            method=method,
+            config, workload, allocation={GOAL_CLASS: f * page},
+            method=METHOD,
         )
-        responses.append(prediction.response_of(class_id))
+        responses.append(prediction.response_of(GOAL_CLASS))
         iterations += prediction.iterations
     return list(frames_grid), responses, iterations, len(frames_grid)
 
@@ -160,14 +164,10 @@ def prescreen_goals(
     config: SystemConfig,
     workload: WorkloadSpec,
     goals: Sequence[float],
-    class_id: int = 1,
-    budget: Optional[int] = None,
-    curve_points: int = 129,
-    method: str = "schweitzer",
 ) -> PrescreenReport:
     """Screen a dense goal grid analytically; pick points to simulate.
 
-    One allocation-curve evaluation (``curve_points`` MVA solves)
+    One allocation-curve evaluation (``CURVE_POINTS`` MVA solves)
     answers every goal: each is classified into its regime and given
     its minimal satisfying allocation.  The selection covers the full
     feasibility frontier — grid endpoints, both sides of every regime
@@ -177,10 +177,7 @@ def prescreen_goals(
     if not goals:
         raise ValueError("need at least one goal to screen")
     t0 = time.perf_counter()
-    frames, responses, iterations, solves = allocation_curve(
-        config, workload, class_id,
-        curve_points=curve_points, method=method,
-    )
+    frames, responses, iterations, solves = allocation_curve(config, workload)
     best_rt = min(responses)  # the most memory can achieve
     points: List[GoalScreenPoint] = []
     for goal_ms in goals:
@@ -199,7 +196,7 @@ def prescreen_goals(
         ))
     solver_ms = (time.perf_counter() - t0) * 1000.0
 
-    budget = _default_budget(len(points), budget)
+    budget = _budget(len(points))
     mandatory: List[int] = [0, len(points) - 1]
     for i in range(1, len(points)):
         if points[i].regime != points[i - 1].regime:
@@ -286,9 +283,9 @@ class PairPrescreenReport:
         )
 
 
-def _split_grid(cap: int, splits: int) -> List[Tuple[int, int]]:
+def _split_grid(cap: int) -> List[Tuple[int, int]]:
     """Candidate (f1, f2) dedicated-frame splits with f1 + f2 <= cap."""
-    steps = sorted({round(i * cap / (splits - 1)) for i in range(splits)})
+    steps = sorted({round(i * cap / (SPLITS - 1)) for i in range(SPLITS)})
     return [
         (f1, f2) for f1 in steps for f2 in steps if f1 + f2 <= cap
     ]
@@ -298,15 +295,11 @@ def prescreen_goal_pairs(
     config: SystemConfig,
     workload: WorkloadSpec,
     goal_pairs: Sequence[Tuple[float, float]],
-    class_ids: Tuple[int, int] = (1, 2),
-    budget: Optional[int] = None,
-    splits: int = 9,
-    method: str = "schweitzer",
 ) -> PairPrescreenReport:
     """Screen (goal k1, goal k2) pairs against the allocation-split grid.
 
     The goal-independent part — (R1, R2) at every (f1, f2) split of the
-    per-node memory — is computed once (``O(splits^2)`` MVA solves);
+    per-node memory — is computed once (``O(SPLITS^2)`` MVA solves);
     each pair is then classified by table lookup: feasible iff *some*
     split satisfies both goals.  Selected for simulation: every pair
     adjacent (in the pair grid) to a feasibility flip, budget-capped,
@@ -314,18 +307,18 @@ def prescreen_goal_pairs(
     """
     if not goal_pairs:
         raise ValueError("need at least one goal pair to screen")
-    c1, c2 = class_ids
+    c1, c2 = GOAL_CLASSES
     t0 = time.perf_counter()
     cap = config.buffer_pages_per_node
     page = config.page_size
     table: List[Tuple[int, int, float, float]] = []
     iterations = 0
-    splits_list = _split_grid(cap, splits)
+    splits_list = _split_grid(cap)
     for f1, f2 in splits_list:
         prediction = predict_response(
             config, workload,
             allocation={c1: f1 * page, c2: f2 * page},
-            method=method,
+            method=METHOD,
         )
         iterations += prediction.iterations
         table.append((
@@ -383,7 +376,7 @@ def prescreen_goal_pairs(
         for i in range(1, len(points)):
             if points[i].feasible != points[i - 1].feasible:
                 flips.extend((i - 1, i))
-    budget = _default_budget(len(points), budget)
+    budget = _budget(len(points))
     mandatory = sorted(set(flips + [0, len(points) - 1]))
     if len(mandatory) > budget:
         stride = len(mandatory) / budget

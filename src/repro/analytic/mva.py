@@ -34,7 +34,12 @@ DELAY = "delay"
 
 #: Above this many population vectors, :func:`solve` switches from the
 #: exact recursion to the Schweitzer fixed point.
-DEFAULT_EXACT_LIMIT = 20_000
+EXACT_LIMIT = 20_000
+
+#: The Schweitzer fixed point stops once no per-class queue length
+#: moves by ``TOL`` or more, or after ``MAX_ITERATIONS`` sweeps.
+TOL = 1e-8
+MAX_ITERATIONS = 10_000
 
 
 @dataclass(frozen=True)
@@ -244,17 +249,13 @@ def exact_mva(network: ClosedNetwork) -> MvaSolution:
     )
 
 
-def schweitzer_mva(
-    network: ClosedNetwork,
-    tol: float = 1e-8,
-    max_iterations: int = 10_000,
-) -> MvaSolution:
+def schweitzer_mva(network: ClosedNetwork) -> MvaSolution:
     """Solve the network with the Bard/Schweitzer approximate MVA.
 
     The arrival-theorem queue ``Q_s(N - e_c)`` is estimated from the
     full-population queue by scaling the tagged class's own share:
     ``Q_s^(c) ≈ Q_s - Q_cs / N_c``.  The fixed point is iterated until
-    the largest per-class queue-length change drops below ``tol``.
+    the largest per-class queue-length change drops below ``TOL``.
     Exact at single-class ``N = 1``.  Accuracy is utilization-bound:
     within ~5% of exact below ~0.7 bottleneck utilization, degrading
     toward ~25% at saturation (which the bridge's saturation guard
@@ -280,7 +281,7 @@ def schweitzer_mva(
     response = [0.0] * C
     throughput = [0.0] * C
     iterations = 0
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         delta = 0.0
         station_total = [
             sum(queue[c][s] for c in active) for s in range(S)
@@ -306,7 +307,7 @@ def schweitzer_mva(
                 new_queue[c][s] = q
                 delta = max(delta, abs(q - queue[c][s]))
         queue = new_queue
-        if delta < tol:
+        if delta < TOL:
             break
 
     return _finalize(
@@ -318,19 +319,18 @@ def schweitzer_mva(
 def solve(
     network: ClosedNetwork,
     method: str = "auto",
-    exact_limit: int = DEFAULT_EXACT_LIMIT,
 ) -> MvaSolution:
     """Solve ``network``, choosing the solver by state-space size.
 
     ``method`` is ``'auto'`` (exact when the population state space is
-    at most ``exact_limit`` vectors, Schweitzer otherwise), ``'exact'``
+    at most ``EXACT_LIMIT`` vectors, Schweitzer otherwise), ``'exact'``
     or ``'schweitzer'``.
     """
     if method not in ("auto", "exact", "schweitzer"):
         raise ValueError(f"unknown method {method!r}")
     if method == "auto":
         method = (
-            "exact" if network.state_space() <= exact_limit
+            "exact" if network.state_space() <= EXACT_LIMIT
             else "schweitzer"
         )
     if method == "exact":

@@ -29,7 +29,7 @@ the command line; the analytic-smoke CI job runs ``--quick``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.analytic.bridge import predict_response
 from repro.cluster.cluster import Cluster
@@ -255,7 +255,6 @@ def run_validation(
     jobs: int = 1,
     tolerance: float = DEFAULT_TOLERANCE,
     method: str = "exact",
-    cases: Optional[List[ValidationCase]] = None,
 ) -> ValidationReport:
     """Run the cross-validation suite and compare against exact MVA.
 
@@ -265,7 +264,7 @@ def run_validation(
     runs; the tolerance is unchanged because the cases average
     hundreds of operations per class either way.
     """
-    cases = default_cases(quick=quick) if cases is None else cases
+    cases = default_cases(quick=quick)
     tasks = [(case, seed) for case in cases]
     if jobs > 1:
         from repro.experiments.parallel import run_tasks

@@ -37,18 +37,18 @@ class Network:
         yield from self.medium.occupy(wire_time)
         self.accounting.record(kind, nbytes)
 
-    def send_message(self, kind: MessageKind, page_size: int = 0):
+    def send_message(self, kind: MessageKind):
         """Generator: move one message of ``kind`` (standard wire size)."""
-        yield from self.transfer(kind, message_size(kind, page_size))
+        yield from self.transfer(kind, message_size(kind))
 
-    def account_only(self, kind: MessageKind, page_size: int = 0) -> None:
+    def account_only(self, kind: MessageKind) -> None:
         """Record a message's bytes without simulating wire occupancy.
 
         Used for fire-and-forget control messages whose wire time is
         irrelevant to response times but whose bytes must be counted in
         the §7.5 overhead study.
         """
-        self.accounting.record(kind, message_size(kind, page_size))
+        self.accounting.record(kind, message_size(kind))
 
     def account_many(self, kind: MessageKind, count: int) -> None:
         """Record ``count`` fire-and-forget control messages at once.
@@ -59,7 +59,7 @@ class Network:
         """
         self.accounting.record_many(kind, message_size(kind), count)
 
-    def send_control(self, kind: MessageKind, page_size: int = 0) -> bool:
+    def send_control(self, kind: MessageKind) -> bool:
         """Account one fire-and-forget control message; report delivery.
 
         Like :meth:`account_only` (control traffic never occupies the
@@ -68,7 +68,7 @@ class Network:
         (the message left the NIC), and ``False`` means the receiver
         never saw it.  Without a fault layer every message arrives.
         """
-        self.accounting.record(kind, message_size(kind, page_size))
+        self.accounting.record(kind, message_size(kind))
         faults = self.faults
         if faults is not None and faults.should_drop():
             return False

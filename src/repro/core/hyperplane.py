@@ -18,6 +18,9 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+#: Cut-off ratio for small singular values in the least-squares fit.
+RCOND = 1e-12
+
 
 class SingularFitError(Exception):
     """The measure points do not determine a unique hyperplane."""
@@ -43,7 +46,6 @@ class Hyperplane:
 
 def fit_hyperplane(
     points: Sequence[Tuple[np.ndarray, float]],
-    rcond: float = 1e-12,
 ) -> Hyperplane:
     """Fit a hyperplane through ``(allocation, response_time)`` points.
 
@@ -68,7 +70,7 @@ def fit_hyperplane(
         except np.linalg.LinAlgError as exc:
             raise SingularFitError(str(exc)) from None
     else:
-        solution, _, rank, _ = np.linalg.lstsq(design, ys, rcond=rcond)
+        solution, _, rank, _ = np.linalg.lstsq(design, ys, rcond=RCOND)
         if rank < dim + 1:
             raise SingularFitError(
                 f"design matrix rank {rank} < {dim + 1}"

@@ -21,6 +21,10 @@ import numpy as np
 from repro.core.gauss import select_independent
 from repro.core.hyperplane import Hyperplane, fit_hyperplane
 
+#: Two allocations closer than this many bytes on every node are the
+#: same partitioning (the newest point is updated, not added).
+SAME_ALLOCATION_ATOL = 0.5
+
 
 @dataclass(frozen=True)
 class MeasurePoint:
@@ -38,11 +42,12 @@ class MeasurePoint:
     #: variance-objective extension; None otherwise).
     per_node_rt: Optional[np.ndarray] = None
 
-    def same_allocation(self, other_alloc, atol: float = 0.5) -> bool:
-        """True if ``other_alloc`` equals this point's allocation."""
+    def same_allocation(self, other_alloc) -> bool:
+        """True if ``other_alloc`` equals this point's allocation to
+        within ``SAME_ALLOCATION_ATOL`` bytes per node."""
         return bool(
             np.allclose(self.allocation, np.asarray(other_alloc, float),
-                        atol=atol)
+                        atol=SAME_ALLOCATION_ATOL)
         )
 
 

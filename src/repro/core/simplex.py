@@ -31,6 +31,11 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 ITERATION_LIMIT = "iteration_limit"
 
+#: Pivots per phase before a run reports ``ITERATION_LIMIT``.
+MAX_ITERATIONS = 10_000
+#: Zero threshold for reduced costs, pivot entries and ratios.
+TOL = 1e-9
+
 
 @dataclass
 class SimplexResult:
@@ -48,8 +53,6 @@ def solve_lp(
     b_ub=None,
     a_eq=None,
     b_eq=None,
-    maxiter: int = 10_000,
-    tol: float = 1e-9,
 ) -> SimplexResult:
     """Solve the LP; see module docstring for the problem form."""
     c = np.asarray(c, dtype=float)
@@ -78,7 +81,7 @@ def solve_lp(
     m = len(rows)
     if m == 0:
         # Unconstrained over x >= 0: bounded iff c >= 0, optimum at 0.
-        if np.all(c >= -tol):
+        if np.all(c >= -TOL):
             return SimplexResult(OPTIMAL, np.zeros(n), 0.0, 0)
         return SimplexResult(UNBOUNDED, None, None, 0)
 
@@ -132,15 +135,15 @@ def solve_lp(
         phase1_cost = np.zeros(n_total)
         phase1_cost[artificial_cols] = 1.0
         _set_objective(tableau, basis, phase1_cost)
-        status, it = _iterate(tableau, basis, maxiter, tol)
+        status, it = _iterate(tableau, basis)
         iterations += it
         if status != OPTIMAL:
             return SimplexResult(status, None, None, iterations)
-        if tableau[-1, -1] < -tol * max(1.0, float(np.abs(b).max())):
+        if tableau[-1, -1] < -TOL * max(1.0, float(np.abs(b).max())):
             # Objective row stores -value; phase-1 optimum > 0 means no
             # feasible point exists.
             return SimplexResult(INFEASIBLE, None, None, iterations)
-        _drive_out_artificials(tableau, basis, artificial_cols, tol)
+        _drive_out_artificials(tableau, basis, artificial_cols)
         artificial_set = set(artificial_cols)
         if any(bi in artificial_set for bi in basis):
             # Redundant row with an artificial stuck at zero: drop it by
@@ -157,7 +160,7 @@ def solve_lp(
     full_cost = np.zeros(n_total)
     full_cost[:n] = c
     _set_objective(tableau, basis, full_cost)
-    status, it = _iterate(tableau, basis, maxiter, tol, blocked=blocked)
+    status, it = _iterate(tableau, basis, blocked=blocked)
     iterations += it
     if status != OPTIMAL:
         return SimplexResult(status, None, None, iterations)
@@ -182,16 +185,16 @@ def _set_objective(tableau, basis, cost) -> None:
             tableau[-1] -= coeff * tableau[i]
 
 
-def _iterate(tableau, basis, maxiter, tol, blocked=frozenset()):
+def _iterate(tableau, basis, blocked=frozenset()):
     """Run simplex pivots until optimal/unbounded/limit."""
     m = tableau.shape[0] - 1
-    for iteration in range(maxiter):
+    for iteration in range(MAX_ITERATIONS):
         objective = tableau[-1, :-1]
         entering = -1
         for j in range(objective.shape[0]):  # Bland: smallest index
             if j in blocked:
                 continue
-            if objective[j] < -tol:
+            if objective[j] < -TOL:
                 entering = j
                 break
         if entering < 0:
@@ -200,13 +203,13 @@ def _iterate(tableau, basis, maxiter, tol, blocked=frozenset()):
         best_ratio = None
         leaving = -1
         for i in range(m):
-            if column[i] > tol:
+            if column[i] > TOL:
                 ratio = tableau[i, -1] / column[i]
                 if (
                     best_ratio is None
-                    or ratio < best_ratio - tol
+                    or ratio < best_ratio - TOL
                     or (
-                        abs(ratio - best_ratio) <= tol
+                        abs(ratio - best_ratio) <= TOL
                         and basis[i] < basis[leaving]
                     )
                 ):
@@ -216,7 +219,7 @@ def _iterate(tableau, basis, maxiter, tol, blocked=frozenset()):
             return UNBOUNDED, iteration
         _pivot(tableau, leaving, entering)
         basis[leaving] = entering
-    return ITERATION_LIMIT, maxiter
+    return ITERATION_LIMIT, MAX_ITERATIONS
 
 
 def _pivot(tableau, row, col) -> None:
@@ -226,14 +229,14 @@ def _pivot(tableau, row, col) -> None:
             tableau[i] -= tableau[i, col] * tableau[row]
 
 
-def _drive_out_artificials(tableau, basis, artificial_cols, tol) -> None:
+def _drive_out_artificials(tableau, basis, artificial_cols) -> None:
     """Pivot basic artificials (at level 0) out where possible."""
     artificial_set = set(artificial_cols)
     m = tableau.shape[0] - 1
     for i in range(m):
         if basis[i] in artificial_set:
             for j in range(tableau.shape[1] - 1):
-                if j not in artificial_set and abs(tableau[i, j]) > tol:
+                if j not in artificial_set and abs(tableau[i, j]) > TOL:
                     _pivot(tableau, i, j)
                     basis[i] = j
                     break

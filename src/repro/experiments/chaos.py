@@ -50,11 +50,17 @@ from repro.cluster.config import SystemConfig
 from repro.experiments.parallel import derive_replicate_seed, run_tasks
 from repro.experiments.reporting import format_table
 from repro.experiments.resilience import GOAL_CLASS, _build_resilience_sim
-from repro.experiments.runner import RESILIENCE_WARMUP_MS, Simulation
+from repro.experiments.runner import (
+    ARRIVAL_RATE_PER_NODE,
+    RESILIENCE_WARMUP_MS,
+    Simulation,
+)
 
 #: Fraction of the measured horizon by which every fault has ended;
 #: the remainder is the fault-free quiesce tail the properties need.
 QUIESCE_FRACTION = 0.35
+#: Measured intervals of each run of the fault-free identity pair.
+IDENTITY_INTERVALS = 8
 
 
 def generate_schedule(
@@ -276,7 +282,6 @@ def run_chaos_seed(
     goal_ms: float,
     intervals: int,
     warmup_ms: float,
-    arrival_rate_per_node: float,
 ) -> ChaosSeedResult:
     """Run one seeded chaos schedule and evaluate every property."""
     spec = generate_schedule(
@@ -284,7 +289,7 @@ def run_chaos_seed(
         config.num_nodes, warmup_ms,
     )
     sim = _build_resilience_sim(
-        config, goal_ms, warmup_ms, spec, arrival_rate_per_node, seed,
+        config, goal_ms, warmup_ms, spec, ARRIVAL_RATE_PER_NODE, seed,
     )
     sim.run(intervals=intervals)
 
@@ -368,17 +373,15 @@ def _identity_pair_ok(
     config: SystemConfig,
     goal_ms: float,
     warmup_ms: float,
-    arrival_rate_per_node: float,
     seed: int,
-    intervals: int,
 ) -> bool:
     """Two fault-free runs of the same seed end bit-identically."""
     digests = []
     for _ in range(2):
         sim = _build_resilience_sim(
-            config, goal_ms, warmup_ms, None, arrival_rate_per_node, seed,
+            config, goal_ms, warmup_ms, None, ARRIVAL_RATE_PER_NODE, seed,
         )
-        sim.run(intervals=intervals)
+        sim.run(intervals=IDENTITY_INTERVALS)
         digests.append(run_digest(sim))
     return digests[0] == digests[1]
 
@@ -390,9 +393,7 @@ def run_chaos(
     config: Optional[SystemConfig] = None,
     goal_ms: float = 6.0,
     warmup_ms: float = RESILIENCE_WARMUP_MS,
-    arrival_rate_per_node: float = 0.02,
     jobs: int = 1,
-    identity_intervals: int = 8,
 ) -> ChaosMatrix:
     """Run the chaos harness and return the property matrix.
 
@@ -407,7 +408,6 @@ def run_chaos(
     worker = functools.partial(
         run_chaos_seed, config=config, goal_ms=goal_ms,
         intervals=intervals, warmup_ms=warmup_ms,
-        arrival_rate_per_node=arrival_rate_per_node,
     )
     tasks = [derive_replicate_seed(base_seed, i) for i in range(seeds)]
     results = run_tasks(worker, tasks, jobs=jobs)
@@ -415,7 +415,6 @@ def run_chaos(
         intervals=intervals, goal_ms=goal_ms, results=results,
     )
     matrix.identity_ok = _identity_pair_ok(
-        config, goal_ms, warmup_ms, arrival_rate_per_node,
-        derive_replicate_seed(base_seed, 0), identity_intervals,
+        config, goal_ms, warmup_ms, derive_replicate_seed(base_seed, 0),
     )
     return matrix

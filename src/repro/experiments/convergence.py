@@ -26,6 +26,7 @@ from repro.experiments.parallel import (
     replicate_with_stopping,
 )
 from repro.experiments.runner import (
+    ARRIVAL_RATE_PER_NODE,
     DEFAULT_WARMUP_MS,
     Simulation,
     default_workload,
@@ -33,27 +34,29 @@ from repro.experiments.runner import (
 from repro.cluster.config import SystemConfig
 from repro.sim.stats import mean_confidence_interval
 
+#: The goal-change rule §7.1 and Figure 2 share: the goal class whose
+#: goal changes, the satisfied intervals required before the next
+#: change, the minimum relative difference between successive goals,
+#: and the intervals waited for convergence after one change.
+GOAL_CLASS = 1
+SATISFIED_BEFORE_CHANGE = 4
+MIN_GOAL_CHANGE = 0.25
+MAX_INTERVALS_PER_CHANGE = 40
+
 
 @dataclass
 class ConvergenceSettings:
     """Everything that parameterizes one convergence measurement."""
 
     skew: float = 0.0
-    goal_class: int = 1
     config: SystemConfig = field(default_factory=SystemConfig)
-    arrival_rate_per_node: float = 0.02
+    arrival_rate_per_node: float = ARRIVAL_RATE_PER_NODE
     #: Simulated warm time before the controller starts.
     warmup_ms: float = DEFAULT_WARMUP_MS
     #: Intervals allowed for the initial (cold-start) convergence.
     initial_intervals: int = 40
     #: Goal changes measured per replication.
     goal_changes_per_run: int = 5
-    #: Cap on intervals waited for convergence after one goal change.
-    max_intervals_per_change: int = 40
-    #: Satisfied intervals required before the next goal change.
-    satisfied_before_change: int = 4
-    #: Minimum relative difference between successive goals.
-    min_goal_change: float = 0.25
 
 
 @dataclass
@@ -100,27 +103,27 @@ def measure_convergence_run(
     sim.run(intervals=settings.initial_intervals)
     rng = sim.cluster.rng.stream(f"goal-changes/{seed}")
     samples: List[int] = []
-    current_goal = sim.controller.goal_of(settings.goal_class)
+    current_goal = sim.controller.goal_of(GOAL_CLASS)
     for _ in range(settings.goal_changes_per_run):
         current_goal = _next_goal(
-            rng, goal_range, current_goal, settings.min_goal_change
+            rng, goal_range, current_goal, MIN_GOAL_CHANGE
         )
-        sim.controller.set_goal(settings.goal_class, current_goal)
+        sim.controller.set_goal(GOAL_CLASS, current_goal)
         iterations = 0
         satisfied_seen = 0
         converged_at: Optional[int] = None
-        while iterations < settings.max_intervals_per_change:
+        while iterations < MAX_INTERVALS_PER_CHANGE:
             sim.run(intervals=1)
             iterations += 1
-            if sim.controller.series[settings.goal_class].satisfied[-1]:
+            if sim.controller.series[GOAL_CLASS].satisfied[-1]:
                 if converged_at is None:
                     converged_at = iterations
                 satisfied_seen += 1
-                if satisfied_seen >= settings.satisfied_before_change:
+                if satisfied_seen >= SATISFIED_BEFORE_CHANGE:
                     break
         samples.append(
             converged_at if converged_at is not None
-            else settings.max_intervals_per_change
+            else MAX_INTERVALS_PER_CHANGE
         )
     return samples
 
@@ -174,7 +177,7 @@ def convergence_experiment(
         )
         goal_range = calibrate_goal_range(
             workload,
-            class_id=settings.goal_class,
+            class_id=GOAL_CLASS,
             config=settings.config,
             seed=base_seed,
             jobs=jobs,

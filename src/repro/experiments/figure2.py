@@ -19,11 +19,16 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.cluster.config import SystemConfig
 from repro.experiments.calibration import GoalRange, calibrate_goal_range
-from repro.experiments.convergence import _next_goal
+from repro.experiments.convergence import (
+    MIN_GOAL_CHANGE,
+    SATISFIED_BEFORE_CHANGE,
+    _next_goal,
+)
 from repro.experiments.forkserver import WarmDelta, WarmGroup, run_sweep
 from repro.experiments.parallel import derive_replicate_seed
 from repro.experiments.reporting import format_series, format_table
 from repro.experiments.runner import (
+    ARRIVAL_RATE_PER_NODE,
     DEFAULT_WARMUP_MS,
     Simulation,
     default_workload,
@@ -118,31 +123,23 @@ class Figure2Data:
 def run_figure2(
     seed: int = 1,
     intervals: int = 80,
-    skew: float = 0.0,
     config: Optional[SystemConfig] = None,
     goal_range: Optional[GoalRange] = None,
-    arrival_rate_per_node: float = 0.02,
-    satisfied_before_change: int = 4,
     warmup_ms: float = DEFAULT_WARMUP_MS,
-    recorder=None,
     jobs: int = 1,
     faults=None,
     telemetry=None,
 ) -> Figure2Data:
     """Run the base experiment and return the Figure 2 series.
 
-    ``recorder`` (a :class:`~repro.workload.trace.TraceRecorder`)
-    captures the generated operation stream; ``jobs`` parallelizes the
-    goal-range calibration runs when no ``goal_range`` is given.
-    ``faults`` (a spec string or :class:`~repro.faults.FaultSchedule`)
-    injects the given fault schedule into the run.  ``telemetry`` (a
-    directory path) arms the telemetry pipeline and exports its
-    artifacts there after the run.
+    ``jobs`` parallelizes the goal-range calibration runs when no
+    ``goal_range`` is given.  ``faults`` (a spec string or
+    :class:`~repro.faults.FaultSchedule`) injects the given fault
+    schedule into the run.  ``telemetry`` (a directory path) arms the
+    telemetry pipeline and exports its artifacts there after the run.
     """
     config = config if config is not None else SystemConfig()
-    workload = default_workload(
-        config, skew=skew, arrival_rate_per_node=arrival_rate_per_node
-    )
+    workload = default_workload(config)
     if goal_range is None:
         goal_range = calibrate_goal_range(
             workload, class_id=1, config=config, seed=seed, jobs=jobs
@@ -152,7 +149,7 @@ def run_figure2(
     )
     sim = Simulation(
         config=config, workload=workload, seed=seed, warmup_ms=warmup_ms,
-        recorder=recorder, faults=faults, telemetry=telemetry,
+        faults=faults, telemetry=telemetry,
     )
     rng = sim.cluster.rng.stream("figure2/goals")
     state = {"satisfied_run": 0}
@@ -160,10 +157,10 @@ def run_figure2(
     def goal_changer(controller, interval_index):
         if controller.series[1].satisfied[-1]:
             state["satisfied_run"] += 1
-        if state["satisfied_run"] >= satisfied_before_change:
+        if state["satisfied_run"] >= SATISFIED_BEFORE_CHANGE:
             state["satisfied_run"] = 0
             new_goal = _next_goal(
-                rng, goal_range, controller.goal_of(1), 0.25
+                rng, goal_range, controller.goal_of(1), MIN_GOAL_CHANGE
             )
             controller.set_goal(1, new_goal)
 
@@ -333,7 +330,7 @@ def run_goal_sweep(
     skew: float = 0.0,
     config: Optional[SystemConfig] = None,
     goal_range: Optional[GoalRange] = None,
-    arrival_rate_per_node: float = 0.02,
+    arrival_rate_per_node: float = ARRIVAL_RATE_PER_NODE,
     warmup_ms: float = DEFAULT_WARMUP_MS,
     jobs: int = 1,
     telemetry: Optional[str] = None,

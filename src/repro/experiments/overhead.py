@@ -75,14 +75,10 @@ def run_overhead(
     intervals: int = 40,
     config: Optional[SystemConfig] = None,
     goal_ms: float = 6.0,
-    arrival_rate_per_node: float = 0.02,
 ) -> OverheadResult:
     """Run the base workload and account the overheads."""
     config = config if config is not None else SystemConfig()
-    workload = default_workload(
-        config, goal_ms=goal_ms,
-        arrival_rate_per_node=arrival_rate_per_node,
-    )
+    workload = default_workload(config, goal_ms=goal_ms)
     sim = Simulation(
         config=config, workload=workload, seed=seed, warmup_ms=20_000.0
     )

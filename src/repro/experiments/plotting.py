@@ -9,19 +9,25 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+#: Data columns and rows of a chart.
+WIDTH = 72
+HEIGHT = 16
+#: Marks of the primary and secondary series of an overlay chart.
+MARKS = "*o"
+
 
 def ascii_chart(
     values: Sequence[float],
-    width: int = 72,
-    height: int = 16,
+    height: int = HEIGHT,
     label: str = "",
 ) -> str:
     """Render one series as an ASCII line chart.
 
-    Values are binned to ``width`` columns (mean per bin) and scaled to
+    Values are binned to ``WIDTH`` columns (mean per bin) and scaled to
     ``height`` rows; the y-axis shows min/max ticks.
     """
-    if width < 8 or height < 3:
+    width = WIDTH
+    if height < 3:
         raise ValueError("chart too small")
     data = [float(v) for v in values]
     if not data:
@@ -61,14 +67,10 @@ def ascii_chart(
 def overlay_chart(
     primary: Sequence[float],
     secondary: Sequence[float],
-    width: int = 72,
-    height: int = 16,
     label: str = "",
-    marks: str = "*o",
 ) -> str:
     """Two series on a shared y-axis (e.g. observed RT vs. goal)."""
-    if len(marks) != 2:
-        raise ValueError("need exactly two mark characters")
+    height = HEIGHT
     series = [list(map(float, primary)), list(map(float, secondary))]
     flat = [v for s in series for v in s]
     if not flat:
@@ -76,9 +78,9 @@ def overlay_chart(
     low, high = min(flat), max(flat)
     span = high - low or 1.0
     n = max(len(s) for s in series)
-    columns = min(width, n)
+    columns = min(WIDTH, n)
     grid = [[" "] * columns for _ in range(height)]
-    for mark, data in zip(marks, series):
+    for mark, data in zip(MARKS, series):
         if not data:
             continue
         for x in range(columns):
@@ -99,7 +101,7 @@ def overlay_chart(
         lines.append(tick + "".join(row))
     lines.append(" " * 10 + " +" + "-" * columns)
     lines.append(
-        " " * 12 + f"{marks[0]} = primary, {marks[1]} = secondary"
+        " " * 12 + f"{MARKS[0]} = primary, {MARKS[1]} = secondary"
     )
     return "\n".join(lines)
 

@@ -37,6 +37,7 @@ from repro.experiments.forkserver import WarmDelta, WarmGroup, run_sweep
 from repro.experiments.parallel import derive_replicate_seed
 from repro.experiments.reporting import format_table
 from repro.experiments.runner import (
+    ARRIVAL_RATE_PER_NODE,
     RESILIENCE_WARMUP_MS,
     Simulation,
     default_workload,
@@ -520,7 +521,6 @@ def run_resilience(
     faults: Optional[str] = None,
     replications: int = 2,
     warmup_ms: float = RESILIENCE_WARMUP_MS,
-    arrival_rate_per_node: float = 0.02,
     jobs: int = 1,
     telemetry: Optional[str] = None,
 ) -> ResilienceData:
@@ -545,7 +545,7 @@ def run_resilience(
         WarmGroup(
             build=functools.partial(
                 _build_resilience_sim, config, goal_ms, warmup_ms, faults,
-                arrival_rate_per_node, derive_replicate_seed(seed, i),
+                ARRIVAL_RATE_PER_NODE, derive_replicate_seed(seed, i),
             ),
             deltas=[WarmDelta(label=f"rep{i}")],
             measure=functools.partial(
@@ -605,7 +605,7 @@ def run_goal_sweep(
     faults: Optional[str] = None,
     replications: int = 1,
     warmup_ms: float = RESILIENCE_WARMUP_MS,
-    arrival_rate_per_node: float = 0.02,
+    arrival_rate_per_node: float = ARRIVAL_RATE_PER_NODE,
     jobs: int = 1,
     telemetry: Optional[str] = None,
 ) -> ResilienceGoalSweep:

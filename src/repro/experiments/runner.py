@@ -30,6 +30,11 @@ DEFAULT_WARMUP_MS = 20_000.0
 CALIBRATION_WARMUP_MS = 60_000.0
 RESILIENCE_WARMUP_MS = 10_000.0
 
+#: The §7.2 base workload: operations per ms arriving at each node, per
+#: class, and page accesses per operation.
+ARRIVAL_RATE_PER_NODE = 0.02
+PAGES_PER_OP = 4
+
 
 class Simulation:
     """A runnable goal-oriented buffer management experiment."""
@@ -40,7 +45,6 @@ class Simulation:
         workload: Optional[WorkloadSpec] = None,
         seed: int = 0,
         warmup_ms: float = 0.0,
-        recorder=None,
         faults=None,
         telemetry=None,
     ):
@@ -61,7 +65,7 @@ class Simulation:
             self.txn_manager = TransactionManager(self.cluster)
         self.generator = WorkloadGenerator(
             self.cluster, workload, sink=self.controller,
-            recorder=recorder, txn_manager=self.txn_manager,
+            txn_manager=self.txn_manager,
         )
         #: Fault injector (``faults`` may be a spec string, a
         #: FaultSchedule, or None).  Without faults nothing is attached
@@ -172,23 +176,21 @@ class Simulation:
         )
         self.cluster.env.run(until=horizon)
 
-    def export_telemetry(self, outdir: Optional[str] = None):
+    def export_telemetry(self):
         """Write telemetry exports; no-op when telemetry is off.
 
-        ``outdir`` defaults to the directory given at construction (or
-        via :meth:`set_telemetry`).  Returns the artifact path mapping,
-        or None when telemetry was never attached or no directory is
-        known (``telemetry=True`` keeps the pipeline in memory only).
+        Writes to the directory given at construction (or via
+        :meth:`set_telemetry`).  Returns the artifact path mapping, or
+        None when telemetry was never attached or no directory is known
+        (``telemetry=True`` keeps the pipeline in memory only).
         """
-        if self.telemetry is None:
-            return None
-        if outdir is None and isinstance(self._telemetry_spec, str):
-            outdir = self._telemetry_spec
-        if outdir is None:
+        if self.telemetry is None or not isinstance(
+            self._telemetry_spec, str
+        ):
             return None
         from repro.telemetry.exporters import write_export
 
-        return write_export(self.telemetry, outdir)
+        return write_export(self.telemetry, self._telemetry_spec)
 
     # -- convenience accessors ---------------------------------------------
 
@@ -215,8 +217,7 @@ def default_workload(
     config: SystemConfig,
     goal_ms: float = 3.0,
     skew: float = 0.0,
-    pages_per_op: int = 4,
-    arrival_rate_per_node: float = 0.02,
+    arrival_rate_per_node: float = ARRIVAL_RATE_PER_NODE,
 ) -> WorkloadSpec:
     """The §7.2 base workload: one goal class, one no-goal class,
     disjoint page sets, 4 pages per operation."""
@@ -228,7 +229,7 @@ def default_workload(
                 goal_ms=None,
                 pages=nogoal_pages,
                 skew=skew,
-                pages_per_op=pages_per_op,
+                pages_per_op=PAGES_PER_OP,
                 arrival_rate_per_node=arrival_rate_per_node,
                 name="no-goal",
             ),
@@ -237,7 +238,7 @@ def default_workload(
                 goal_ms=goal_ms,
                 pages=goal_pages,
                 skew=skew,
-                pages_per_op=pages_per_op,
+                pages_per_op=PAGES_PER_OP,
                 arrival_rate_per_node=arrival_rate_per_node,
                 name="goal",
             ),
@@ -248,22 +249,13 @@ def default_workload(
 def build_base_experiment(
     seed: int = 0,
     goal_ms: float = 3.0,
-    skew: float = 0.0,
-    config: Optional[SystemConfig] = None,
-    arrival_rate_per_node: float = 0.02,
     warmup_ms: float = 0.0,
 ) -> Simulation:
     """Assemble the paper's base experiment (§7.1/§7.2)."""
-    config = config if config is not None else SystemConfig()
-    workload = default_workload(
-        config,
-        goal_ms=goal_ms,
-        skew=skew,
-        arrival_rate_per_node=arrival_rate_per_node,
-    )
+    config = SystemConfig()
     return Simulation(
         config=config,
-        workload=workload,
+        workload=default_workload(config, goal_ms=goal_ms),
         seed=seed,
         warmup_ms=warmup_ms,
     )

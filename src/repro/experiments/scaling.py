@@ -51,12 +51,13 @@ class ScalingPoint:
 
 
 def _build_scaling_sim(
-    config: SystemConfig, pages_per_op: int, goal_scale: float, seed: int
+    config: SystemConfig, pages_per_op: int, seed: int
 ) -> Simulation:
     """One configuration with a calibrated goal (module-level: picklable).
 
-    The goal is a modest, reachable one for this configuration: a probe
-    run with half the cache statically dedicated, times ``goal_scale``.
+    The goal is a modest, reachable one for this configuration: the
+    response time of a probe run with half the cache statically
+    dedicated.
     """
     from repro.experiments.calibration import measure_static_rt
 
@@ -66,7 +67,7 @@ def _build_scaling_sim(
         warmup_ms=20_000, measure_ms=30_000,
     )
     return Simulation(
-        config=config, workload=workload.with_goal(1, probe_rt * goal_scale),
+        config=config, workload=workload.with_goal(1, probe_rt),
         seed=seed, warmup_ms=20_000.0,
     )
 
@@ -95,7 +96,6 @@ def _measure_scaling_point(
 
 def _scaling_sweep(
     points: Sequence[Tuple[str, str, SystemConfig, int]],
-    goal_scale: float,
     seed: int,
     intervals: int,
     jobs: int,
@@ -105,7 +105,7 @@ def _scaling_sweep(
     groups = [
         WarmGroup(
             build=functools.partial(
-                _build_scaling_sim, config, pages_per_op, goal_scale, seed
+                _build_scaling_sim, config, pages_per_op, seed
             ),
             deltas=[WarmDelta(label=dir_label)],
             measure=functools.partial(
@@ -147,7 +147,6 @@ def run_node_scaling(
     base_config: Optional[SystemConfig] = None,
     seed: int = 7,
     intervals: int = 50,
-    goal_scale: float = 1.0,
     jobs: int = 1,
     telemetry: Optional[str] = None,
 ) -> List[ScalingPoint]:
@@ -156,7 +155,7 @@ def run_node_scaling(
     return _scaling_sweep(
         [(f"{n} nodes", f"nodes{n}", replace(base, num_nodes=n), 4)
          for n in node_counts],
-        goal_scale, seed, intervals, jobs, telemetry,
+        seed, intervals, jobs, telemetry,
     )
 
 
@@ -165,7 +164,6 @@ def run_complexity_scaling(
     base_config: Optional[SystemConfig] = None,
     seed: int = 7,
     intervals: int = 50,
-    goal_scale: float = 1.0,
     jobs: int = 1,
     telemetry: Optional[str] = None,
 ) -> List[ScalingPoint]:
@@ -174,7 +172,7 @@ def run_complexity_scaling(
     return _scaling_sweep(
         [(f"{ppo} pages/op", f"ppo{ppo}", config, ppo)
          for ppo in pages_per_op],
-        goal_scale, seed, intervals, jobs, telemetry,
+        seed, intervals, jobs, telemetry,
     )
 
 
@@ -198,7 +196,6 @@ def run_scaling(
     pages_per_op: Sequence[int] = (4, 8, 16),
     seed: int = 7,
     intervals: int = 50,
-    goal_scale: float = 1.0,
     jobs: int = 1,
     telemetry: Optional[str] = None,
 ) -> str:
@@ -217,7 +214,7 @@ def run_scaling(
         sections.append(to_text(
             run_node_scaling(
                 node_counts=node_counts, seed=seed, intervals=intervals,
-                goal_scale=goal_scale, jobs=jobs,
+                jobs=jobs,
                 telemetry=subdir("nodes"),
             ),
             "Scaling: number of nodes",
@@ -226,7 +223,7 @@ def run_scaling(
         sections.append(to_text(
             run_complexity_scaling(
                 pages_per_op=pages_per_op, seed=seed,
-                intervals=intervals, goal_scale=goal_scale, jobs=jobs,
+                intervals=intervals, jobs=jobs,
                 telemetry=subdir("complexity"),
             ),
             "Scaling: operation complexity",

@@ -44,6 +44,11 @@ PAPER_TABLE1 = {
     50: (4.2, 14.8, 5.4, 24.4),
 }
 
+#: Buffer bytes per node of the synthetic points and problems (§7.1).
+NODE_SIZE = 2 * 1024 * 1024
+#: Seed of the synthetic window and problem :func:`measure_row` times.
+SEED = 0
+
 
 @dataclass
 class Table1Row:
@@ -66,7 +71,6 @@ class Table1Row:
 
 def synthetic_points(
     num_nodes: int, count: Optional[int] = None, seed: int = 0,
-    node_size: float = 2 * 1024 * 1024,
 ):
     """Random (allocation, rt_goal, rt_nogoal) tuples for benchmarking.
 
@@ -80,7 +84,7 @@ def synthetic_points(
     eta = rng.uniform(0.5, 1.5, num_nodes) * 1e-6
     points = []
     for _ in range(count):
-        alloc = rng.uniform(0, node_size, num_nodes)
+        alloc = rng.uniform(0, NODE_SIZE, num_nodes)
         rt_goal = 20.0 + kappa @ alloc + rng.normal(0, 0.05)
         rt_nogoal = 2.0 + eta @ alloc + rng.normal(0, 0.05)
         points.append((alloc, max(rt_goal, 0.1), max(rt_nogoal, 0.1)))
@@ -127,7 +131,7 @@ def build_problem(num_nodes: int, seed: int = 0) -> PartitioningProblem:
         goal_plane=goal_plane,
         nogoal_plane=nogoal_plane,
         rt_goal=rt_goal,
-        upper_bounds=np.full(num_nodes, 2 * 1024 * 1024),
+        upper_bounds=np.full(num_nodes, NODE_SIZE),
     )
 
 
@@ -138,11 +142,10 @@ def _time_ms(fn: Callable, repetitions: int) -> float:
     return (time.perf_counter() - start) / repetitions * 1_000.0
 
 
-def measure_row(num_nodes: int, repetitions: int = 50,
-                seed: int = 0) -> Table1Row:
+def measure_row(num_nodes: int, repetitions: int = 50) -> Table1Row:
     """Measure all three coordinator tasks for one node count."""
-    window = build_window(num_nodes, seed)
-    extra_points = synthetic_points(num_nodes, repetitions + 1, seed + 1)
+    window = build_window(num_nodes, SEED)
+    extra_points = synthetic_points(num_nodes, repetitions + 1, SEED + 1)
     state = {"i": 0}
 
     def lin_independence():
@@ -152,7 +155,7 @@ def measure_row(num_nodes: int, repetitions: int = 50,
 
     lin_ms = _time_ms(lin_independence, repetitions)
     approx_ms = _time_ms(lambda: task_approximation(window), repetitions)
-    problem = build_problem(num_nodes, seed)
+    problem = build_problem(num_nodes, SEED)
     opt_ms = _time_ms(lambda: task_optimization(problem), repetitions)
     return Table1Row(
         num_nodes=num_nodes,

@@ -38,8 +38,8 @@ this down):
   :func:`pooled_timeout` / :func:`pooled_timeout_at` re-arm pooled
   records instead of allocating — the dominant allocation on the page
   access path at large node counts.  Timeouts with extra callbacks, or
-  with no fused waiter, are never pooled, so late reads of
-  ``.value``/``.ok`` on a retained reference keep working.
+  with no fused waiter, are never pooled: other code may still hold
+  them.
 
 Handlers
 --------
@@ -102,20 +102,6 @@ class Event:
         self._defused = False
         self._fast_proc: Optional["Process"] = None
 
-    @property
-    def ok(self) -> bool:
-        """True if the event fired successfully (not failed)."""
-        if self._ok is None:
-            raise SimulationError("event value not yet available")
-        return self._ok
-
-    @property
-    def value(self) -> Any:
-        """The value the event was triggered with."""
-        if self._ok is None:
-            raise SimulationError("event value not yet available")
-        return self._value
-
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with an optional ``value``."""
         if self._ok is not None:
@@ -136,8 +122,7 @@ class Timeout(Event):
     __slots__ = ()
 
 
-def pooled_timeout_at(env: "Environment", when: float,
-                      value: Any = None) -> "Timeout":
+def pooled_timeout_at(env: "Environment", when: float) -> "Timeout":
     """A :class:`Timeout` firing at *absolute* time ``when``.
 
     Reuses a recycled timeout record (including its empty callbacks
@@ -154,25 +139,24 @@ def pooled_timeout_at(env: "Environment", when: float,
         raise ValueError(f"timeout_at({when!r}) lies in the past")
     pool = env._pool
     if pool:
-        # _ok is True, _defused False, _fast_proc None and callbacks an
-        # empty list by the recycle invariant; only the value changes.
+        # _value None, _ok True, _defused False, _fast_proc None and
+        # callbacks an empty list by the recycle invariant.
         self = pool.pop()
     else:
         self = Timeout.__new__(Timeout)
         self.env = env
         self.callbacks = []
+        self._value = None
         self._ok = True
         self._defused = False
         self._fast_proc = None
-    self._value = value
     seq = env._seq
     env._seq = seq + 1
     heapq.heappush(env._queue, (when, NORMAL, seq, self))
     return self
 
 
-def pooled_timeout(env: "Environment", delay: float,
-                   value: Any = None) -> "Timeout":
+def pooled_timeout(env: "Environment", delay: float) -> "Timeout":
     """A pooled :class:`Timeout` firing ``delay`` time units from now.
 
     Hot paths that schedule one timeout per event round trip bind this
@@ -180,7 +164,7 @@ def pooled_timeout(env: "Environment", delay: float,
     """
     if delay < 0:
         raise ValueError(f"negative delay {delay!r}")
-    return pooled_timeout_at(env, env._now + delay, value)
+    return pooled_timeout_at(env, env._now + delay)
 
 
 class Initialize(Event):
@@ -312,9 +296,9 @@ class Environment:
         """Create a new pending :class:`Event`."""
         return Event(self)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
+    def timeout(self, delay: float) -> Timeout:
         """Create a :class:`Timeout` firing ``delay`` time units from now."""
-        return pooled_timeout(self, delay, value)
+        return pooled_timeout(self, delay)
 
     @property
     def event_pool_size(self) -> int:

@@ -87,15 +87,15 @@ class Resource:
         else:
             self._cancel(request)
 
-    def utilization(self, elapsed: Optional[float] = None) -> float:
+    def utilization(self) -> float:
         """Fraction of time the server was busy."""
-        elapsed = self.env.now if elapsed is None else elapsed
-        if elapsed <= 0:
+        now = self.env.now
+        if now <= 0:
             return 0.0
         busy = self._busy_time
         if self._busy_since is not None:
-            busy += self.env.now - self._busy_since
-        return busy / elapsed
+            busy += now - self._busy_since
+        return busy / now
 
     @property
     def mean_wait(self) -> float:

@@ -29,8 +29,8 @@ import threading
 from collections import deque
 from typing import Dict, List, Optional, Tuple
 
-#: Default bound of one subscriber's queue (records, not bytes).
-DEFAULT_QUEUE_LIMIT = 1024
+#: Bound of one bus subscriber's queue (records, not bytes).
+QUEUE_LIMIT = 1024
 
 #: Default sim-time spacing of metric snapshots when the controller's
 #: observation interval is unknown (ms).
@@ -48,7 +48,7 @@ class Subscription:
 
     __slots__ = ("_queue", "_cond", "_closed", "dropped", "delivered")
 
-    def __init__(self, maxlen: int = DEFAULT_QUEUE_LIMIT):
+    def __init__(self, maxlen: int):
         if maxlen < 1:
             raise ValueError("subscription queue bound must be >= 1")
         self._queue: deque = deque(maxlen=maxlen)
@@ -116,9 +116,9 @@ class TelemetryBus:
         #: Total records ever published (delivered or dropped).
         self.published = 0
 
-    def subscribe(self, maxlen: Optional[int] = None) -> Subscription:
-        """Register and return a new bounded subscription."""
-        sub = Subscription(maxlen or DEFAULT_QUEUE_LIMIT)
+    def subscribe(self) -> Subscription:
+        """Register and return a new subscription of ``QUEUE_LIMIT``."""
+        sub = Subscription(QUEUE_LIMIT)
         with self._lock:
             if self._closed:
                 sub.close()

@@ -80,15 +80,13 @@ class WriteAheadLog:
         self._next_lsn += 1
         return record.lsn
 
-    def force(self, up_to_lsn: Optional[int] = None):
-        """Generator: write all buffered records up to ``up_to_lsn``.
+    def force(self):
+        """Generator: write every buffered record.
 
         The WAL rule: a transaction's COMMIT (or a participant's
         PREPARE) must be forced before the commit is acknowledged.
         """
-        target = (
-            up_to_lsn if up_to_lsn is not None else self._next_lsn - 1
-        )
+        target = self._next_lsn - 1
         pending = target - self.flushed_lsn
         if pending <= 0:
             return

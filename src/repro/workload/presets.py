@@ -11,14 +11,16 @@ from repro.cluster.config import SystemConfig
 from repro.workload.spec import ClassSpec, WorkloadSpec, partition_pages
 
 
-def oltp_dss_mix(
-    config: SystemConfig,
-    oltp_goal_ms: float = 2.5,
-    dss_goal_ms: float = 40.0,
-    oltp_rate: float = 0.04,
-    dss_rate: float = 0.002,
-    background_rate: float = 0.005,
-) -> WorkloadSpec:
+#: Goals (ms) of the OLTP and DSS classes.
+OLTP_GOAL_MS = 2.5
+DSS_GOAL_MS = 40.0
+#: Operations per ms arriving at each node, per class.
+OLTP_RATE = 0.04
+DSS_RATE = 0.002
+BACKGROUND_RATE = 0.005
+
+
+def oltp_dss_mix(config: SystemConfig) -> WorkloadSpec:
     """OLTP + decision support + background (the §1 motivation).
 
     - class 1 "oltp": short (2-page) operations over a hot, skewed set
@@ -33,17 +35,17 @@ def oltp_dss_mix(
     return WorkloadSpec(classes=[
         ClassSpec(
             class_id=0, goal_ms=None, pages=other_pages,
-            pages_per_op=4, arrival_rate_per_node=background_rate,
+            pages_per_op=4, arrival_rate_per_node=BACKGROUND_RATE,
             name="background",
         ),
         ClassSpec(
-            class_id=1, goal_ms=oltp_goal_ms, pages=oltp_pages,
+            class_id=1, goal_ms=OLTP_GOAL_MS, pages=oltp_pages,
             skew=0.8, pages_per_op=2,
-            arrival_rate_per_node=oltp_rate, name="oltp",
+            arrival_rate_per_node=OLTP_RATE, name="oltp",
         ),
         ClassSpec(
-            class_id=2, goal_ms=dss_goal_ms, pages=dss_pages,
+            class_id=2, goal_ms=DSS_GOAL_MS, pages=dss_pages,
             skew=0.0, pages_per_op=16,
-            arrival_rate_per_node=dss_rate, name="dss",
+            arrival_rate_per_node=DSS_RATE, name="dss",
         ),
     ])

@@ -16,10 +16,13 @@ RNG semantics) with::
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
 import os
 
 from repro.cluster.config import NodeParameters, SystemConfig
+from repro.experiments import runner
 from repro.experiments.calibration import GoalRange
 from repro.experiments.figure2 import run_figure2
 from repro.workload.trace import TraceRecorder
@@ -42,17 +45,31 @@ CONFIG = SystemConfig(
 GOAL_RANGE = GoalRange(class_id=1, goal_min_ms=2.0, goal_max_ms=8.0)
 
 
+@contextlib.contextmanager
+def recording(recorder: TraceRecorder):
+    """Record the operations of every :class:`Simulation` built inside
+    the block into ``recorder``, by handing it to the workload
+    generator the simulation builds."""
+    generator = runner.WorkloadGenerator
+    runner.WorkloadGenerator = functools.partial(
+        generator, recorder=recorder
+    )
+    try:
+        yield recorder
+    finally:
+        runner.WorkloadGenerator = generator
+
+
 def generate_trace() -> TraceRecorder:
     """Run the pinned figure2 configuration and record its trace."""
-    recorder = TraceRecorder()
-    run_figure2(
-        seed=SEED,
-        intervals=INTERVALS,
-        config=CONFIG,
-        goal_range=GOAL_RANGE,
-        warmup_ms=WARMUP_MS,
-        recorder=recorder,
-    )
+    with recording(TraceRecorder()) as recorder:
+        run_figure2(
+            seed=SEED,
+            intervals=INTERVALS,
+            config=CONFIG,
+            goal_range=GOAL_RANGE,
+            warmup_ms=WARMUP_MS,
+        )
     return recorder
 
 

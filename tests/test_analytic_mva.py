@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analytic.mva import (
-    DEFAULT_EXACT_LIMIT,
+    EXACT_LIMIT,
     DELAY,
     ClosedNetwork,
     Station,
@@ -177,7 +177,7 @@ def test_schweitzer_close_to_exact_mid_population():
 def test_solve_auto_picks_by_state_space():
     small = single_class_network(population=5)
     assert solve(small, method="auto").method == "exact"
-    big = single_class_network(population=DEFAULT_EXACT_LIMIT + 5)
+    big = single_class_network(population=EXACT_LIMIT + 5)
     assert solve(big, method="auto").method == "schweitzer"
     assert solve(small, method="schweitzer").method == "schweitzer"
     with pytest.raises(ValueError):

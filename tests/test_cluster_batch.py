@@ -16,7 +16,7 @@ states.
 from repro.bufmgr.costs import AccessLevel
 from repro.cluster.cluster import Cluster
 from repro.cluster.config import NodeParameters, SystemConfig
-from repro.cluster.messages import MessageKind
+from repro.cluster.messages import MessageKind, message_size
 from repro.faults import FaultInjector, FaultSchedule
 
 
@@ -53,6 +53,7 @@ def _reference_access(cluster, node_id, page_id, class_id, paths=None):
     network = cluster.network
     cpu = cluster.config.cpu
     page_size = cluster.config.page_size
+    ship_bytes = message_size(MessageKind.PAGE_SHIP, page_size)
     faults = cluster.faults
     start = env.now
 
@@ -88,7 +89,7 @@ def _reference_access(cluster, node_id, page_id, class_id, paths=None):
         # The copy may have been evicted while our request was in
         # flight; fall back to disk in that case.
         if remote.buffers.contains(page_id):
-            yield from network.send_message(MessageKind.PAGE_SHIP, page_size)
+            yield from network.transfer(MessageKind.PAGE_SHIP, ship_bytes)
             yield from cpu_consume(node.cpu, cpu.instructions_page_handling)
             level = AccessLevel.REMOTE
     if level is None:
@@ -107,7 +108,7 @@ def _reference_access(cluster, node_id, page_id, class_id, paths=None):
             yield from network.send_message(MessageKind.PAGE_REQUEST)
             yield from cpu_consume(home.cpu, cpu.instructions_message)
             yield from disk_read(home.disk, page_size)
-            yield from network.send_message(MessageKind.PAGE_SHIP, page_size)
+            yield from network.transfer(MessageKind.PAGE_SHIP, ship_bytes)
         yield from cpu_consume(node.cpu, cpu.instructions_page_handling)
         level = AccessLevel.DISK
 

@@ -85,7 +85,9 @@ def test_network_transfer_accounts_bytes():
 
     def proc():
         yield from net.send_message(MessageKind.PAGE_REQUEST)
-        yield from net.send_message(MessageKind.PAGE_SHIP, page_size=4096)
+        yield from net.transfer(
+            MessageKind.PAGE_SHIP, message_size(MessageKind.PAGE_SHIP, 4096)
+        )
 
     env.process(proc())
     env.run()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import simplex
 from repro.core.simplex import ITERATION_LIMIT, OPTIMAL, solve_lp
 from repro.sim.engine import Environment
 
@@ -69,12 +70,12 @@ def test_simplex_equality_with_negative_rhs():
     assert result.x == pytest.approx([3.0])
 
 
-def test_simplex_iteration_limit_reported():
+def test_simplex_iteration_limit_reported(monkeypatch):
+    monkeypatch.setattr(simplex, "MAX_ITERATIONS", 0)
     result = solve_lp(
         c=[-1.0, -1.0],
         a_ub=[[1.0, 1.0]],
         b_ub=[10.0],
-        maxiter=0,
     )
     assert result.status == ITERATION_LIMIT
 

@@ -7,7 +7,11 @@ from repro.experiments.calibration import (
     calibrate_goal_range,
     measure_static_rt,
 )
-from repro.experiments.convergence import ConvergenceSettings, _next_goal
+from repro.experiments.convergence import (
+    SATISFIED_BEFORE_CHANGE,
+    ConvergenceSettings,
+    _next_goal,
+)
 from repro.experiments.multiclass import (
     doubled_cache_config,
     multiclass_workload,
@@ -189,5 +193,5 @@ def test_format_series_zips_columns():
 
 def test_convergence_settings_defaults():
     settings = ConvergenceSettings()
-    assert settings.satisfied_before_change == 4
+    assert SATISFIED_BEFORE_CHANGE == 4
     assert settings.skew == 0.0

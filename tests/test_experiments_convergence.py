@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments import convergence
 from repro.experiments.convergence import (
     ConvergenceSettings,
     convergence_experiment,
@@ -10,15 +11,15 @@ from repro.experiments.convergence import (
 
 
 @pytest.fixture
-def tiny_settings(fast_config):
+def tiny_settings(fast_config, monkeypatch):
+    monkeypatch.setattr(convergence, "MAX_INTERVALS_PER_CHANGE", 15)
+    monkeypatch.setattr(convergence, "SATISFIED_BEFORE_CHANGE", 2)
     return ConvergenceSettings(
         config=fast_config,
         arrival_rate_per_node=0.02,
         warmup_ms=6_000.0,
         initial_intervals=12,
         goal_changes_per_run=2,
-        max_intervals_per_change=15,
-        satisfied_before_change=2,
     )
 
 
@@ -45,7 +46,7 @@ def test_run_produces_one_sample_per_goal_change(
     )
     assert len(samples) == tiny_settings.goal_changes_per_run
     for sample in samples:
-        assert 1 <= sample <= tiny_settings.max_intervals_per_change
+        assert 1 <= sample <= convergence.MAX_INTERVALS_PER_CHANGE
 
 
 def test_runs_are_deterministic(tiny_settings, fast_goal_range):

@@ -8,6 +8,7 @@ so the parallel path must be bit-identical to the serial one.
 
 import pytest
 
+from repro.experiments import convergence
 from repro.experiments.convergence import (
     ConvergenceSettings,
     convergence_experiment,
@@ -124,15 +125,15 @@ def _noop_worker(index):
 
 
 @pytest.fixture
-def tiny_settings(fast_config):
+def tiny_settings(fast_config, monkeypatch):
+    monkeypatch.setattr(convergence, "MAX_INTERVALS_PER_CHANGE", 12)
+    monkeypatch.setattr(convergence, "SATISFIED_BEFORE_CHANGE", 2)
     return ConvergenceSettings(
         config=fast_config,
         arrival_rate_per_node=0.02,
         warmup_ms=6_000.0,
         initial_intervals=10,
         goal_changes_per_run=2,
-        max_intervals_per_change=12,
-        satisfied_before_change=2,
     )
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments import plotting
 from repro.experiments.plotting import (
     ascii_chart,
     overlay_chart,
@@ -9,15 +10,17 @@ from repro.experiments.plotting import (
 )
 
 
-def test_ascii_chart_dimensions():
-    chart = ascii_chart([1.0, 2.0, 3.0], width=20, height=5)
+def test_ascii_chart_dimensions(monkeypatch):
+    monkeypatch.setattr(plotting, "WIDTH", 20)
+    chart = ascii_chart([1.0, 2.0, 3.0], height=5)
     lines = chart.splitlines()
     assert len(lines) == 6  # 5 rows + axis
     assert all("|" in line for line in lines[:-1])
 
 
-def test_ascii_chart_extremes_on_correct_rows():
-    chart = ascii_chart([0.0, 10.0], width=20, height=5)
+def test_ascii_chart_extremes_on_correct_rows(monkeypatch):
+    monkeypatch.setattr(plotting, "WIDTH", 20)
+    chart = ascii_chart([0.0, 10.0], height=5)
     lines = chart.splitlines()
     assert "*" in lines[0]       # the max lands on the top row
     assert "*" in lines[4]       # the min on the bottom row
@@ -25,14 +28,16 @@ def test_ascii_chart_extremes_on_correct_rows():
     assert lines[4].startswith("      0.00")
 
 
-def test_ascii_chart_bins_long_series():
-    chart = ascii_chart(list(range(1000)), width=40, height=5)
+def test_ascii_chart_bins_long_series(monkeypatch):
+    monkeypatch.setattr(plotting, "WIDTH", 40)
+    chart = ascii_chart(list(range(1000)), height=5)
     body = chart.splitlines()[0]
     assert len(body) <= 12 + 40  # tick + bar + data columns
 
 
-def test_ascii_chart_constant_series():
-    chart = ascii_chart([5.0] * 10, width=20, height=4)
+def test_ascii_chart_constant_series(monkeypatch):
+    monkeypatch.setattr(plotting, "WIDTH", 20)
+    chart = ascii_chart([5.0] * 10, height=4)
     assert "*" in chart
 
 
@@ -47,19 +52,16 @@ def test_ascii_chart_label():
 
 def test_ascii_chart_too_small_rejected():
     with pytest.raises(ValueError):
-        ascii_chart([1.0], width=2, height=2)
+        ascii_chart([1.0], height=2)
 
 
-def test_overlay_chart_both_marks_present():
-    chart = overlay_chart([1.0, 5.0, 3.0], [2.0, 2.0, 2.0], height=6)
+def test_overlay_chart_both_marks_present(monkeypatch):
+    monkeypatch.setattr(plotting, "HEIGHT", 6)
+    chart = overlay_chart([1.0, 5.0, 3.0], [2.0, 2.0, 2.0])
+    assert len(chart.splitlines()) == 8  # 6 rows + axis + legend
     assert "*" in chart
     assert "o" in chart
     assert "primary" in chart
-
-
-def test_overlay_chart_mark_validation():
-    with pytest.raises(ValueError):
-        overlay_chart([1.0], [1.0], marks="abc")
 
 
 def test_series_to_csv_roundtrip(tmp_path):

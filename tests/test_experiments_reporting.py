@@ -145,21 +145,31 @@ def _allowed_line(tool, needle):
 
 
 def _allowed_options():
-    """The ``Class.param`` entries of the unreferenced lint's
-    ``ALLOWED``, as class -> [param]."""
+    """The ``owner.param`` entries of the unreferenced lint's
+    ``ALLOWED``, as owner -> [param]: a class (``Class.param``, an
+    ``__init__`` option) or a def (``name.param``, a function option)."""
     options = {}
     for entry in _load_tool("check_unreferenced").ALLOWED:
         if "." in entry:
-            cls, param = entry.split(".")
-            options.setdefault(cls, []).append(param)
+            owner, param = entry.split(".")
+            options.setdefault(owner, []).append(param)
     return options
+
+
+def _stub(owner, params):
+    """A class whose ``__init__`` defaults ``params`` (capitalised
+    ``owner``) or a def that does, never passed."""
+    defaults = "=None, ".join(params) + "=None"
+    if owner[0].isupper():
+        return (f"\n\nclass {owner}:\n"
+                f"    def __init__(self, {defaults}):\n        pass\n")
+    return f"\n\ndef {owner}({defaults}):\n    pass\n"
 
 
 def _clean_tree(tmp_path):
     """A tree the unreferenced lint passes: one used function, and a
     stub for every allow-listed name (defined, never referenced) and
-    every allow-listed ``Class.param`` (a class whose ``__init__``
-    defaults it, never passed)."""
+    every allow-listed ``owner.param`` (see :func:`_stub`)."""
     allowed = _load_tool("check_unreferenced").ALLOWED
     options = _allowed_options()
     pkg = tmp_path / "src" / "repro"
@@ -169,12 +179,7 @@ def _clean_tree(tmp_path):
         "class Stubs:\n"
         + "".join(f"    def {name}(self):\n        pass\n"
                   for name in allowed if "." not in name)
-        + "".join(
-            f"\n\nclass {cls}:\n"
-            f"    def __init__(self, {'=None, '.join(params)}=None):\n"
-            "        pass\n"
-            for cls, params in options.items()
-        )
+        + "".join(_stub(owner, params) for owner, params in options.items())
     )
     (pkg / "mod.py").write_text("def used():\n    return 1\n")
     (tmp_path / "examples").mkdir()
@@ -367,11 +372,15 @@ def test_unreferenced_lint_flags_unpassed_init_option(tmp_path):
     assert "Sub." not in result.stderr
 
 
-def test_unreferenced_lint_flags_stale_option_entry(tmp_path):
-    """An allow-listed ``Class.param`` that a program call now passes,
-    or that no ``__init__`` defines any more, fails."""
+def _check_stale_option_entry(tmp_path, init):
+    """An allow-listed option (the first ``Class.param`` when ``init``,
+    else the first ``name.param``) fails once a program call passes it,
+    and once nothing defines it any more."""
     pkg = _clean_tree(tmp_path)
-    cls, params = next(iter(_allowed_options().items()))
+    cls, params = next(
+        (owner, params) for owner, params in _allowed_options().items()
+        if owner[0].isupper() == init
+    )
     name = f"{cls}.{params[0]}"
     (tmp_path / "examples" / "calls.py").write_text(
         f"from repro.allowed import {cls}\n{cls}({params[0]}=1)\n"
@@ -387,7 +396,8 @@ def test_unreferenced_lint_flags_stale_option_entry(tmp_path):
     (tmp_path / "examples" / "calls.py").unlink()
     (pkg / "allowed.py").write_text(
         (pkg / "allowed.py").read_text().replace(
-            f"self, {params[0]}=None", "self, renamed=None"
+            f"({'self, ' if init else ''}{params[0]}=None",
+            f"({'self, ' if init else ''}renamed=None",
         )
     )
     result = _run_unreferenced(str(tmp_path))
@@ -398,6 +408,116 @@ def test_unreferenced_lint_flags_stale_option_entry(tmp_path):
         result.stderr
     )
     assert "allowed.py:" in result.stderr  # renamed: now unpassed
+
+
+def test_unreferenced_lint_flags_stale_option_entry(tmp_path):
+    """An allow-listed ``Class.param`` that a program call now passes,
+    or that no ``__init__`` defines any more, fails."""
+    _check_stale_option_entry(tmp_path, init=True)
+
+
+def test_unreferenced_lint_flags_stale_function_option_entry(tmp_path):
+    """An allow-listed ``name.param`` that a program call now passes,
+    or that no def defines any more, fails."""
+    _check_stale_option_entry(tmp_path, init=False)
+
+
+def test_unreferenced_lint_flags_unpassed_function_option(tmp_path):
+    """A defaulted parameter of a plain function or method that only a
+    test passes fails as ``name.param``; one a program call passes by
+    position (after ``self``), by keyword, through ``**kwargs`` or
+    through ``functools.partial`` passes."""
+    pkg = _clean_tree(tmp_path)
+    (pkg / "calls.py").write_text(
+        "def by_position(x, factor=1.0):\n"
+        "    return x * factor\n"
+        "\n"
+        "\n"
+        "def by_keyword(x, *, offset=0):\n"
+        "    return x + offset\n"
+        "\n"
+        "\n"
+        "def by_spread(x, mode='a'):\n"
+        "    return mode\n"
+        "\n"
+        "\n"
+        "def by_partial(x, spare=0):\n"
+        "    return spare\n"
+        "\n"
+        "\n"
+        "def only_tested(x, tuned=1.0):\n"
+        "    return x * tuned\n"
+        "\n"
+        "\n"
+        "class Pool:\n"
+        "    def grow(self, n=1, step=2):\n"
+        "        return n * step\n"
+    )
+    (tmp_path / "examples" / "calls.py").write_text(
+        "import functools\n"
+        "from repro.calls import (\n"
+        "    Pool, by_keyword, by_partial, by_position, by_spread,\n"
+        "    only_tested,\n"
+        ")\n"
+        "by_position(1, 2.0)\n"
+        "by_keyword(1, offset=3)\n"
+        "opts = {'mode': 'b'}\n"
+        "by_spread(1, **opts)\n"
+        "functools.partial(by_partial, 1, 2)()\n"
+        "only_tested(1)\n"
+        "Pool().grow(5)\n"
+    )
+    (tmp_path / "tests" / "test_calls.py").write_text(
+        "from repro.calls import Pool, only_tested\n"
+        "only_tested(1, tuned=2.0)\n"
+        "Pool().grow(1, step=3)\n"
+    )
+    result = _run_unreferenced(str(tmp_path))
+    assert result.returncode == 1
+    rel = os.path.join("src", "repro", "calls.py")
+    assert f"{rel}:17: only_tested.tuned: no program call passes it" in (
+        result.stderr
+    )
+    assert f"{rel}:22: grow.step: no program call passes it" in (
+        result.stderr
+    )
+    for option in ("factor", "offset", "mode", "spare", "grow.n"):
+        assert f"{option}:" not in result.stderr
+
+
+def test_unreferenced_lint_exempts_dunder_options(tmp_path):
+    """A dunder method's defaulted parameter is never a finding (its
+    callers never name it); a plain method's beside it is."""
+    pkg = _clean_tree(tmp_path)
+    (pkg / "vec.py").write_text(
+        "class Vec:\n"
+        "    def __init__(self, x=0):\n"
+        "        self.x = x\n"
+        "\n"
+        "    def __call__(self, scale=1.0):\n"
+        "        return self.x * scale\n"
+        "\n"
+        "    def __round__(self, ndigits=None):\n"
+        "        return round(self.x, ndigits)\n"
+        "\n"
+        "    def norm(self, order=2):\n"
+        "        return abs(self.x) ** order\n"
+    )
+    (tmp_path / "examples" / "vec.py").write_text(
+        "from repro.vec import Vec\n"
+        "v = Vec(1)\n"
+        "v()\n"
+        "round(v)\n"
+        "v.norm()\n"
+    )
+    result = _run_unreferenced(str(tmp_path))
+    assert result.returncode == 1
+    rel = os.path.join("src", "repro", "vec.py")
+    assert f"{rel}:11: norm.order: no program call passes it" in (
+        result.stderr
+    )
+    for dunder in ("__call__", "__round__", "scale", "ndigits"):
+        assert dunder not in result.stderr
 
 
 def _run_lint(root):

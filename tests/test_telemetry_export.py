@@ -32,17 +32,17 @@ from tests.golden_trace import (
     INTERVALS,
     SEED,
     WARMUP_MS,
+    recording,
 )
 
 
-def _short_figure2(telemetry=None, recorder=None):
+def _short_figure2(telemetry=None):
     return run_figure2(
         seed=SEED,
         intervals=INTERVALS,
         config=CONFIG,
         goal_range=GOAL_RANGE,
         warmup_ms=WARMUP_MS,
-        recorder=recorder,
         telemetry=telemetry,
     )
 
@@ -94,8 +94,8 @@ def test_short_figure2_produces_parsing_artifacts(tmp_path):
 def test_golden_trace_bit_identical_with_telemetry(tmp_path):
     """Telemetry must not perturb RNG draws or event ordering."""
     golden = TraceRecorder.load(GOLDEN_PATH).records
-    recorder = TraceRecorder()
-    _short_figure2(telemetry=str(tmp_path / "tel"), recorder=recorder)
+    with recording(TraceRecorder()) as recorder:
+        _short_figure2(telemetry=str(tmp_path / "tel"))
     assert recorder.records == golden
 
 

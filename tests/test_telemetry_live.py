@@ -35,6 +35,7 @@ from tests.golden_trace import (
     INTERVALS,
     SEED,
     WARMUP_MS,
+    recording,
 )
 
 
@@ -91,10 +92,12 @@ def test_bus_fanout_delivers_to_every_subscriber():
     assert a.delivered == b.delivered == 5
 
 
-def test_slow_subscriber_drops_oldest_with_accounting():
+def test_slow_subscriber_drops_oldest_with_accounting(monkeypatch):
     bus = TelemetryBus()
-    slow = bus.subscribe(maxlen=4)
-    fast = bus.subscribe(maxlen=100)
+    monkeypatch.setattr(live_mod, "QUEUE_LIMIT", 4)
+    slow = bus.subscribe()
+    monkeypatch.setattr(live_mod, "QUEUE_LIMIT", 100)
+    fast = bus.subscribe()
     for i in range(10):
         bus.publish({"i": i})
     # The slow queue kept only the newest 4; the overflow is counted.
@@ -105,9 +108,10 @@ def test_slow_subscriber_drops_oldest_with_accounting():
     assert bus.published == 10
 
 
-def test_slow_subscriber_does_not_block_publish_thread():
+def test_slow_subscriber_does_not_block_publish_thread(monkeypatch):
     bus = TelemetryBus()
-    sub = bus.subscribe(maxlen=1)
+    monkeypatch.setattr(live_mod, "QUEUE_LIMIT", 1)
+    sub = bus.subscribe()
     done = threading.Event()
 
     def pump():
@@ -225,10 +229,11 @@ def test_sampler_metrics_frames_only_carry_changes():
 def _golden_run(recorder):
     from repro.experiments.figure2 import run_figure2
 
-    return run_figure2(
-        seed=SEED, intervals=INTERVALS, config=CONFIG,
-        goal_range=GOAL_RANGE, warmup_ms=WARMUP_MS, recorder=recorder,
-    )
+    with recording(recorder):
+        return run_figure2(
+            seed=SEED, intervals=INTERVALS, config=CONFIG,
+            goal_range=GOAL_RANGE, warmup_ms=WARMUP_MS,
+        )
 
 
 def test_live_streaming_run_matches_golden_trace():

@@ -50,19 +50,6 @@ def test_force_makes_records_durable():
     assert env.now > 0  # forcing costs simulated time
 
 
-def test_force_up_to_lsn_is_partial():
-    env, _, wal = make_wal()
-    lsn1 = wal.append(1, LogRecordKind.UPDATE, page_id=5)
-    wal.append(2, LogRecordKind.UPDATE, page_id=6)
-
-    def proc():
-        yield from wal.force(up_to_lsn=lsn1)
-
-    run(env, proc())
-    assert wal.flushed_lsn == lsn1
-    assert len(wal.durable_records()) == 1
-
-
 def test_force_is_idempotent():
     env, _, wal = make_wal()
     wal.append(1, LogRecordKind.COMMIT)

@@ -7,6 +7,7 @@ the quick horizon, which uses the same configurations and tolerance.
 
 import pytest
 
+from repro.analytic import validate
 from repro.analytic.validate import (
     DEFAULT_TOLERANCE,
     ClassComparison,
@@ -94,15 +95,16 @@ def test_quick_validation_passes_within_tolerance():
     assert len(report.rows) == 5  # 1 + 2 + 2 classes
 
 
-def test_validation_jobs_do_not_change_results():
+def test_validation_jobs_do_not_change_results(monkeypatch):
     # One short case, serial vs parallel: identical seeded simulations.
     import dataclasses
 
     case = dataclasses.replace(
         default_cases(quick=True)[0], measure_ms=10_000.0
     )
-    serial = run_validation(cases=[case], jobs=1)
-    parallel = run_validation(cases=[case], jobs=2)
+    monkeypatch.setattr(validate, "default_cases", lambda quick: [case])
+    serial = run_validation(jobs=1)
+    parallel = run_validation(jobs=2)
     assert [r.simulated_ms for r in serial.rows] == [
         r.simulated_ms for r in parallel.rows
     ]

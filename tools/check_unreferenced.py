@@ -28,23 +28,39 @@ either is used.  Other definitions of the same name count as well:
 two classes' ``touch`` methods keep each other alive when one is
 called through a base-class reference.
 
-A defaulted ``__init__`` parameter of a ``src/repro`` class is a
-finding too when no program call passes it: an option only tests set,
-or nobody does, is a constant in disguise.  A call passes the
-parameter when it names the class (``Cls(...)``, ``mod.Cls(...)``, or
-``cls(...)`` inside the class) and supplies the parameter by keyword,
-by position, or through ``*args``/``**kwargs``.  A call naming a
-subclass without its own ``__init__`` counts for the nearest base that
-has one, and so does ``super().__init__(...)`` or
-``Base.__init__(self, ...)`` inside a subclass.  Such findings read
-``Class.param``.
+A defaulted parameter of a ``src/repro`` def is a finding too when no
+program call passes it: an option only tests set, or nobody does, is
+a constant in disguise.  Both ``__init__`` options and function
+options are checked; dunder methods other than ``__init__`` are exempt,
+because their callers never name them.
+
+- ``__init__`` options.  A call passes the parameter when it names the
+  class (``Cls(...)``, ``mod.Cls(...)``, or ``cls(...)`` inside the
+  class) and supplies the parameter by keyword, by position, or
+  through ``*args``/``**kwargs``.  A call naming a subclass without its
+  own ``__init__`` counts for the nearest base that has one, and so
+  does ``super().__init__(...)`` or ``Base.__init__(self, ...)`` inside
+  a subclass.  Such findings read ``Class.param``.
+- Function options, of plain functions and methods alike.  A call
+  passes the parameter when it names the def (``f(...)``,
+  ``obj.f(...)``, or ``functools.partial(f, ...)``) and supplies the
+  parameter by keyword, by position (after a method's ``self`` or
+  ``cls``), or through ``*args``/``**kwargs``.  Such findings read
+  ``name.param``.  Matching is by name here too, so every def of one
+  name shares its callers: a call that passes an argument to one
+  ``utilization`` clears that parameter of every ``utilization``, and
+  a ``**kwargs`` spread into one ``run_goal_sweep`` clears all of them.
+
+Findings cascade: once a caller stops passing a parameter through, the
+callee's parameter is flagged on the next run.
 
 Each allow-list entry carries the reason the name stays without a
 program reference: a stdlib override called by its framework, a
 test-only hook that observes behaviour no program name exposes, or
-(as ``Class.param``) a parameter that tests set on purpose.  An entry
-that is no longer needed, because the name is gone or the program now
-reaches it, is itself a finding.
+(as ``Class.param`` or ``name.param``) a parameter that tests set on
+purpose or a deployment setting.  An entry that is no longer needed,
+because the name is gone or the program now reaches it, is itself a
+finding.
 
 Usage::
 
@@ -100,6 +116,12 @@ ALLOWED = {
         "through their own sink",
     "TransactionManager.vote_hook":
         "test hook: 2PC tests force a participant to vote abort",
+    "regularize_plane.min_ratio":
+        "stability guard kept settable for the guard-ablation matrix "
+        "(ROADMAP item 4), like Coordinator.shrink_damping",
+    "live.host":
+        "deployment address of the live dashboard's HTTP server; "
+        "addresses stay configurable",
 }
 
 #: Directories (relative to the root) whose code counts as a reference.
@@ -134,6 +156,10 @@ def _is_main_guard(node) -> bool:
         and any(isinstance(s, ast.Constant) and s.value == "__main__"
                 for s in sides)
     )
+
+
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
 
 
 def _span(node):
@@ -171,7 +197,7 @@ def scan(path: str, init: bool, skip_guards: bool):
             node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
         ):
             name = node.name
-            if not (name.startswith("__") and name.endswith("__")):
+            if not _dunder(name):
                 defs.append((name, node.lineno) + _span(node))
         elif isinstance(node, ast.Name):
             refs.append((node.id, node.lineno))
@@ -189,16 +215,18 @@ def scan(path: str, init: bool, skip_guards: bool):
     return defs, refs, guards
 
 
-def _defaulted(init) -> list:
-    """``(param, index)`` per defaulted parameter of an ``__init__``.
+def _defaulted(fn, skip) -> list:
+    """``(param, index)`` per defaulted parameter of a def.
 
-    ``index`` is the position after ``self`` (None: keyword-only).
+    ``index`` is the position after the ``skip`` leading parameters
+    (``self``/``cls`` of a method) a call does not spell out (None:
+    keyword-only).
     """
-    args = init.args
+    args = fn.args
     positional = args.posonlyargs + args.args
     first = len(positional) - len(args.defaults)
-    out = [(arg.arg, i - 1) for i, arg in enumerate(positional)
-           if i >= first and i > 0]
+    out = [(arg.arg, i - skip) for i, arg in enumerate(positional)
+           if i >= first and i >= skip]
     out.extend((arg.arg, None)
                for arg, default in zip(args.kwonlyargs, args.kw_defaults)
                if default is not None)
@@ -218,17 +246,19 @@ def scan_params(path: str):
 
     ``classes``: name -> (base names, defines ``__init__``, the base
     whose ``__init__`` it forwards its own ``*args``/``**kwargs`` to).
-    ``params``: ``(class, param, index, lineno)`` per defaulted
-    ``__init__`` parameter.
-    ``calls``: ``(class, positional, keywords, spread)`` per call that
-    names a class: the positional argument count, the keyword names,
-    and whether ``*args``/``**kwargs`` spread into it.
+    ``params``: ``(owner, param, index, lineno)`` per defaulted
+    parameter of an ``__init__`` (``owner`` is its class) or of any
+    other non-dunder def (``owner`` is the def's name).
+    ``calls``: ``(callee, positional, keywords, spread)`` per call that
+    names a class or def, ``functools.partial(callee, ...)`` included:
+    the positional argument count, the keyword names, and whether
+    ``*args``/``**kwargs`` spread into it.
     """
     with open(path, "r", encoding="utf-8") as fh:
         tree = ast.parse(fh.read(), filename=path)
     classes, params, calls = {}, [], []
 
-    def visit(node, owner, init):
+    def visit(node, owner, init, method):
         if isinstance(node, ast.ClassDef):
             own = next((n for n in node.body
                         if isinstance(n, ast.FunctionDef)
@@ -239,11 +269,18 @@ def scan_params(path: str):
             )
             if own is not None:
                 params.extend((node.name, name, index, own.lineno)
-                              for name, index in _defaulted(own))
+                              for name, index in _defaulted(own, 1))
             owner, init = node, None
-        elif (isinstance(node, ast.FunctionDef) and owner is not None
-              and node.name == "__init__"):
-            init = node
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if owner is not None and node.name == "__init__":
+                init = node
+            elif not _dunder(node.name):
+                # A call leaves out a method's ``self``/``cls``.
+                skip = int(method and not any(
+                    _name_of(d) == "staticmethod"
+                    for d in node.decorator_list))
+                params.extend((node.name, name, index, node.lineno)
+                              for name, index in _defaulted(node, skip))
         elif isinstance(node, ast.Call):
             func, callee, offset = node.func, None, 0
             if isinstance(func, ast.Name) and func.id == "cls" and owner:
@@ -256,6 +293,8 @@ def scan_params(path: str):
                     callee = _name_of(owner.bases[0])
                 else:
                     callee, offset = _name_of(func.value), 1
+            elif _name_of(func) == "partial" and node.args:
+                callee, offset = _name_of(node.args[0]), 1
             else:
                 callee = _name_of(func)
             spread = [a.value for a in node.args
@@ -283,9 +322,9 @@ def scan_params(path: str):
                     bool(spread) and not forwards,
                 ))
         for child in ast.iter_child_nodes(node):
-            visit(child, owner, init)
+            visit(child, owner, init, isinstance(node, ast.ClassDef))
 
-    visit(tree, None, None)
+    visit(tree, None, None, False)
     return classes, params, calls
 
 
@@ -305,9 +344,9 @@ def main(argv) -> int:
     defs = []  # (name, rel, lineno, first, last)
     refs = {}  # name -> [(rel, lineno)]
     failures = []  # (rel, lineno, message)
-    classes = {}  # name -> (bases, defines __init__)
-    params = []  # (class, param, index, rel, lineno)
-    calls = []  # (class, positional, keywords, spread)
+    classes = {}  # name -> (bases, defines __init__, forwards to)
+    params = []  # (owner, param, index, rel, lineno)
+    calls = []  # (callee, positional, keywords, spread)
     for rel_dir in REFERENCE_DIRS:
         library = rel_dir == "src/repro"
         for path in _python_files(root, rel_dir):
@@ -368,9 +407,9 @@ def main(argv) -> int:
                 name = bases[0] if bases else None
         return out
 
-    passed = set()  # (class, param) some program call passes
+    passed = set()  # (owner, param) some program call passes
     for callee, positional, keywords, spread in calls:
-        owners = receivers(callee)
+        owners = {callee, *receivers(callee)}
         passed.update(
             (cls, name) for cls, name, index, _, _ in params
             if cls in owners and (
@@ -406,15 +445,16 @@ def main(argv) -> int:
 
     if failures:
         sys.stderr.write(
-            "definitions and __init__ options that no program code "
-            "references (in " + ", ".join(REFERENCE_DIRS) + "):\n"
+            "definitions, __init__ options and function options that no "
+            "program code references (in " + ", ".join(REFERENCE_DIRS)
+            + "):\n"
         )
         for rel, lineno, message in sorted(failures):
             sys.stderr.write(f"  {rel}:{lineno}: {message}\n")
         return 1
     sys.stdout.write(
-        "every definition and __init__ option in src/repro is "
-        "referenced by the program\n"
+        "every definition, __init__ option and function option in "
+        "src/repro is referenced by the program\n"
     )
     return 0
 
