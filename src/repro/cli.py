@@ -22,9 +22,9 @@ Commands map one-to-one onto the paper's experiments plus a demo run:
 ``figure2``, ``multiclass``, ``resilience``, and ``scaling`` accept
 ``--telemetry DIR`` to export structured traces, metrics, and a
 Perfetto-loadable timeline of the run.  ``figure2``, ``multiclass``,
-``resilience``, and ``chaos`` additionally accept ``--live-port P`` to
-stream the running experiment to a browser dashboard (see
-docs/observability.md, "Live service").
+and ``resilience`` additionally accept ``--live-port P`` to serve the
+run's telemetry directory to a browser dashboard while the run writes
+it (see docs/observability.md, "Live service").
 """
 
 from __future__ import annotations
@@ -45,27 +45,26 @@ def _note_telemetry(args) -> None:
 
 
 def _start_live(args):
-    """Start the live streaming service when ``--live-port`` is given.
+    """Serve the command's telemetry directory when ``--live-port`` is
+    given.
 
+    The run streams into its ``--telemetry`` directory, or into a fresh
+    temporary one, which then becomes the command's ``--telemetry``.
     Returns the running service (to be stopped in a finally) or None.
-    Installing the service arms the module-level live hook, so every
-    simulation the command activates in this process streams to it.
     """
     port = getattr(args, "live_port", None)
     if port is None:
         return None
+    import tempfile
+
     from repro.telemetry.server import LiveService
 
-    service = LiveService.live(
-        port=port, telemetry_dir=getattr(args, "telemetry", None)
-    ).start()
-    print(f"live dashboard at {service.url} (streaming this run)")
+    if args.telemetry is None:
+        args.telemetry = tempfile.mkdtemp(prefix="repro-live-")
+        print(f"telemetry directory: {args.telemetry}")
+    service = LiveService(args.telemetry, port=port).start()
+    print(f"live dashboard at {service.url} (following this run)")
     return service
-
-
-def _stop_live(service) -> None:
-    if service is not None:
-        service.stop()
 
 
 def _cmd_table1(args) -> None:
@@ -143,19 +142,18 @@ def _parse_goal_pair(text: str):
 
 def _cmd_multiclass(args) -> None:
     from repro.experiments.multiclass import (
+        GOAL_PAIRS,
         run_goal_sweep,
         run_sharing_sweep,
     )
 
     if args.goal_pairs or args.prescreen:
-        kwargs = dict(
+        sweep = run_goal_sweep(
+            goal_pairs=args.goal_pairs or GOAL_PAIRS,
             intervals=args.intervals, warmup_ms=args.warmup_ms,
             jobs=args.jobs,
             telemetry=args.telemetry, prescreen=args.prescreen or None,
         )
-        if args.goal_pairs:
-            kwargs["goal_pairs"] = args.goal_pairs
-        sweep = run_goal_sweep(**kwargs)
         _note_prescreen(sweep.prescreen)
         print(sweep.to_text())
         _note_telemetry(args)
@@ -397,7 +395,7 @@ def _cmd_serve(args) -> None:
     """Run the observability service over recorded telemetry."""
     from repro.telemetry.server import LiveService
 
-    service = LiveService.replay(
+    service = LiveService(
         args.telemetry_dir, port=args.port, host=args.host
     ).start()
     runs = service.runs()
@@ -492,10 +490,11 @@ SHARED_FLAGS = {
     "--live-port": dict(
         type=int, default=None, metavar="PORT",
         help=(
-            "stream this run to the live observability dashboard on "
-            "localhost:PORT (0 picks a free port); results are "
-            "bit-identical with or without the flag (see "
-            "docs/observability.md)"
+            "serve this run's telemetry directory (--telemetry, or a "
+            "fresh temporary one) to the observability dashboard on "
+            "localhost:PORT while the run writes it (0 picks a free "
+            "port); results are bit-identical with or without the "
+            "flag (see docs/observability.md)"
         ),
     ),
     "--prescreen": dict(
@@ -629,8 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write the property matrix as JSON "
                         "(the CI resilience-matrix artifact)")
     _add_shared_flags(
-        p, "--warmup-ms", "--jobs", "--live-port",
-        warmup_ms=RESILIENCE_WARMUP_MS,
+        p, "--warmup-ms", "--jobs", warmup_ms=RESILIENCE_WARMUP_MS
     )
     p.set_defaults(func=_cmd_chaos)
 
@@ -721,12 +719,13 @@ def main(argv: Optional[List[str]] = None) -> None:
     """Entry point for ``python -m repro``."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    # --live-port (figure2/multiclass/resilience/chaos) streams the
-    # run to a dashboard for its duration; the service and its bus are
-    # torn down when the command finishes either way.
+    # --live-port (figure2/multiclass/resilience) serves the run's
+    # telemetry directory for the command's duration; the service
+    # stops when the command finishes either way.
     service = _start_live(args)
     try:
         args.func(args)
     finally:
-        _stop_live(service)
+        if service is not None:
+            service.stop()
 

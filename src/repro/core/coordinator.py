@@ -32,7 +32,7 @@ from repro.core.hyperplane import (
     weighted_mean_response_time,
 )
 from repro.core.lp import PartitioningProblem, solve_partitioning
-from repro.core.measure import MeasureWindow
+from repro.core.measure import SAME_ALLOCATION_ATOL, MeasureWindow
 from repro.core.tolerance import GoalTolerance
 from repro.telemetry.ring import RingLog
 
@@ -345,7 +345,8 @@ class Coordinator:
             mechanism = "warmup"
             allocation = self._warmup_proposal(rt_goal, upper)
         allocation = self._round_to_pages(np.clip(allocation, 0.0, upper))
-        if np.allclose(allocation, self.current_allocation, atol=0.5):
+        if np.allclose(allocation, self.current_allocation,
+                       atol=SAME_ALLOCATION_ATOL):
             # Proposal equals the current state: nudge along the warm-up
             # axis so the next interval still yields a new, linearly
             # independent measure point.
@@ -353,7 +354,8 @@ class Coordinator:
                 np.clip(self._warmup_proposal(rt_goal, upper), 0.0, upper)
             )
             mechanism = "warmup"
-            if np.allclose(allocation, self.current_allocation, atol=0.5):
+            if np.allclose(allocation, self.current_allocation,
+                           atol=SAME_ALLOCATION_ATOL):
                 return self._log_decision(now, CoordinatorDecision(
                     observed_rt=rt_goal,
                     observed_nogoal_rt=rt_nogoal,

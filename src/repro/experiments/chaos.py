@@ -51,7 +51,6 @@ from repro.experiments.parallel import derive_replicate_seed, run_tasks
 from repro.experiments.reporting import format_table
 from repro.experiments.resilience import GOAL_CLASS, _build_resilience_sim
 from repro.experiments.runner import (
-    ARRIVAL_RATE_PER_NODE,
     RESILIENCE_WARMUP_MS,
     Simulation,
 )
@@ -288,9 +287,7 @@ def run_chaos_seed(
         seed, intervals, config.observation_interval_ms,
         config.num_nodes, warmup_ms,
     )
-    sim = _build_resilience_sim(
-        config, goal_ms, warmup_ms, spec, ARRIVAL_RATE_PER_NODE, seed,
-    )
+    sim = _build_resilience_sim(config, goal_ms, warmup_ms, spec, seed)
     sim.run(intervals=intervals)
 
     cluster = sim.cluster
@@ -378,9 +375,7 @@ def _identity_pair_ok(
     """Two fault-free runs of the same seed end bit-identically."""
     digests = []
     for _ in range(2):
-        sim = _build_resilience_sim(
-            config, goal_ms, warmup_ms, None, ARRIVAL_RATE_PER_NODE, seed,
-        )
+        sim = _build_resilience_sim(config, goal_ms, warmup_ms, None, seed)
         sim.run(intervals=IDENTITY_INTERVALS)
         digests.append(run_digest(sim))
     return digests[0] == digests[1]

@@ -28,7 +28,6 @@ from repro.experiments.forkserver import WarmDelta, WarmGroup, run_sweep
 from repro.experiments.parallel import derive_replicate_seed
 from repro.experiments.reporting import format_series, format_table
 from repro.experiments.runner import (
-    ARRIVAL_RATE_PER_NODE,
     DEFAULT_WARMUP_MS,
     Simulation,
     default_workload,
@@ -294,17 +293,12 @@ def _summarize_goal_point(sim: Simulation, intervals: int) -> GoalPoint:
 
 def _build_sweep_sim(
     config: SystemConfig,
-    skew: float,
-    arrival_rate_per_node: float,
     base_goal_ms: float,
     seed: int,
     warmup_ms: float,
 ) -> Simulation:
     """Parent simulation of one warm group (module-level: picklable)."""
-    workload = default_workload(
-        config, goal_ms=base_goal_ms, skew=skew,
-        arrival_rate_per_node=arrival_rate_per_node,
-    )
+    workload = default_workload(config, goal_ms=base_goal_ms)
     return Simulation(
         config=config, workload=workload, seed=seed, warmup_ms=warmup_ms
     )
@@ -321,16 +315,17 @@ def sweep_goals(goal_range: GoalRange, points: int) -> List[float]:
     return [low + i * step for i in range(points)]
 
 
+#: Seeded replicates of the goal sweep; each is one warm group.
+SWEEP_REPLICATES = 1
+
+
 def run_goal_sweep(
     goals: Optional[Sequence[float]] = None,
     points: int = 8,
     seed: int = 1,
-    replicates: int = 1,
     intervals: int = 40,
-    skew: float = 0.0,
     config: Optional[SystemConfig] = None,
     goal_range: Optional[GoalRange] = None,
-    arrival_rate_per_node: float = ARRIVAL_RATE_PER_NODE,
     warmup_ms: float = DEFAULT_WARMUP_MS,
     jobs: int = 1,
     telemetry: Optional[str] = None,
@@ -365,12 +360,9 @@ def run_goal_sweep(
     """
     config = config if config is not None else SystemConfig()
     if goal_range is None:
-        workload = default_workload(
-            config, skew=skew,
-            arrival_rate_per_node=arrival_rate_per_node,
-        )
         goal_range = calibrate_goal_range(
-            workload, class_id=1, config=config, seed=seed, jobs=jobs
+            default_workload(config), class_id=1, config=config,
+            seed=seed, jobs=jobs,
         )
     if goals is None:
         goals = sweep_goals(
@@ -383,12 +375,7 @@ def run_goal_sweep(
         from repro.analytic.frontier import prescreen_goals
 
         prescreen_report = prescreen_goals(
-            config,
-            default_workload(
-                config, skew=skew,
-                arrival_rate_per_node=arrival_rate_per_node,
-            ),
-            goals,
+            config, default_workload(config), goals
         )
         goals = prescreen_report.selected_goals()
         records.append({
@@ -398,8 +385,8 @@ def run_goal_sweep(
     groups = [
         WarmGroup(
             build=functools.partial(
-                _build_sweep_sim, config, skew, arrival_rate_per_node,
-                goals[0], derive_replicate_seed(seed, rep), warmup_ms,
+                _build_sweep_sim, config, goals[0],
+                derive_replicate_seed(seed, rep), warmup_ms,
             ),
             deltas=[
                 WarmDelta.for_goals({1: goal_ms}, label=f"rep{rep}-goal{g}")
@@ -409,7 +396,7 @@ def run_goal_sweep(
                 _summarize_goal_point, intervals=intervals
             ),
         )
-        for rep in range(replicates)
+        for rep in range(SWEEP_REPLICATES)
     ]
     mode, results = run_sweep(groups, jobs, telemetry, records)
     return GoalSweepData(

@@ -48,7 +48,6 @@ def multiclass_workload(
     goal1_ms: float,
     goal2_ms: float,
     sharing: float = 0.0,
-    skew: float = 0.0,
     arrival_rate_per_node: float = 0.02,
 ) -> WorkloadSpec:
     """Two goal classes + no-goal class; k2 shares ``sharing`` of k1's pages."""
@@ -57,7 +56,6 @@ def multiclass_workload(
     set1, set2, set0 = partition_pages(config.num_pages, 3)
     pages2 = shared_pages(set1, set2, sharing)
     common = dict(
-        skew=skew,
         pages_per_op=4,
         arrival_rate_per_node=arrival_rate_per_node,
     )
@@ -160,7 +158,6 @@ def sharing_group(
     intervals: int = 60,
     tail: int = 20,
     config: Optional[SystemConfig] = None,
-    skew: float = 0.0,
     warmup_ms: float = DEFAULT_WARMUP_MS,
 ) -> WarmGroup:
     """One sharing fraction as a one-point warm group.
@@ -173,7 +170,7 @@ def sharing_group(
     return WarmGroup(
         build=functools.partial(
             _build_goal_pair_sim, config, goal1_ms, goal2_ms, sharing,
-            skew, seed, warmup_ms,
+            seed, warmup_ms,
         ),
         deltas=[WarmDelta(label=f"share{sharing:g}")],
         measure=functools.partial(
@@ -338,23 +335,21 @@ def _build_goal_pair_sim(
     goal1_ms: float,
     goal2_ms: float,
     sharing: float,
-    skew: float,
     seed: int,
     warmup_ms: float,
 ) -> Simulation:
-    workload = multiclass_workload(
-        config, goal1_ms, goal2_ms, sharing=sharing, skew=skew
-    )
+    workload = multiclass_workload(config, goal1_ms, goal2_ms,
+                                   sharing=sharing)
     return Simulation(
         config=config, workload=workload, seed=seed, warmup_ms=warmup_ms
     )
 
 
 def _measure_goal_pair(
-    sim: Simulation, sharing: float, intervals: int, tail: int
+    sim: Simulation, intervals: int, tail: int
 ) -> GoalPairPoint:
     point = _summarize_sharing_point(
-        sim, sharing=sharing, intervals=intervals, tail=tail
+        sim, sharing=GOAL_SWEEP_SHARING, intervals=intervals, tail=tail
     )
     return GoalPairPoint(
         goal1_ms=sim.controller.goal_of(1),
@@ -363,16 +358,21 @@ def _measure_goal_pair(
     )
 
 
+#: The goal-pair sweep's default pairs (goal k1, goal k2), in ms.
+GOAL_PAIRS = ((3.0, 8.0), (4.0, 10.0), (5.0, 12.0), (6.0, 14.0))
+
+#: The goal-pair sweep runs on disjoint page sets.
+GOAL_SWEEP_SHARING = 0.0
+
+#: Trailing intervals of each goal-pair point that its summary averages.
+GOAL_SWEEP_TAIL = 20
+
+
 def run_goal_sweep(
-    goal_pairs: Sequence[Tuple[float, float]] = (
-        (3.0, 8.0), (4.0, 10.0), (5.0, 12.0), (6.0, 14.0),
-    ),
-    sharing: float = 0.0,
+    goal_pairs: Sequence[Tuple[float, float]] = GOAL_PAIRS,
     seed: int = 7,
     intervals: int = 60,
-    tail: int = 20,
     config: Optional[SystemConfig] = None,
-    skew: float = 0.0,
     warmup_ms: float = DEFAULT_WARMUP_MS,
     jobs: int = 1,
     telemetry: Optional[str] = None,
@@ -415,7 +415,7 @@ def run_goal_sweep(
             config,
             multiclass_workload(
                 config, goal_pairs[0][0], goal_pairs[0][1],
-                sharing=sharing, skew=skew,
+                sharing=GOAL_SWEEP_SHARING,
             ),
             grid,
         )
@@ -436,7 +436,7 @@ def run_goal_sweep(
     base1, base2 = goal_pairs[0]
     group = WarmGroup(
         build=functools.partial(
-            _build_goal_pair_sim, config, base1, base2, sharing, skew,
+            _build_goal_pair_sim, config, base1, base2, GOAL_SWEEP_SHARING,
             seed, warmup_ms,
         ),
         deltas=[
@@ -444,12 +444,11 @@ def run_goal_sweep(
             for g, (goal1_ms, goal2_ms) in enumerate(goal_pairs)
         ],
         measure=functools.partial(
-            _measure_goal_pair, sharing=sharing, intervals=intervals,
-            tail=tail,
+            _measure_goal_pair, intervals=intervals, tail=GOAL_SWEEP_TAIL,
         ),
     )
     mode, [points] = run_sweep([group], jobs, telemetry, records)
     return MulticlassGoalSweep(
-        sharing=sharing, runner=mode, points=points,
+        sharing=GOAL_SWEEP_SHARING, runner=mode, points=points,
         prescreen=prescreen_report,
     )

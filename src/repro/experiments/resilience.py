@@ -37,7 +37,6 @@ from repro.experiments.forkserver import WarmDelta, WarmGroup, run_sweep
 from repro.experiments.parallel import derive_replicate_seed
 from repro.experiments.reporting import format_table
 from repro.experiments.runner import (
-    ARRIVAL_RATE_PER_NODE,
     RESILIENCE_WARMUP_MS,
     Simulation,
     default_workload,
@@ -448,15 +447,11 @@ def _build_resilience_sim(
     goal_ms: float,
     warmup_ms: float,
     fault_spec: Optional[str],
-    arrival_rate_per_node: float,
     seed: int,
 ) -> Simulation:
     """Assemble one seeded resilience simulation (not yet warmed);
     ``fault_spec=None`` builds the fault-free twin."""
-    workload = default_workload(
-        config, goal_ms=goal_ms,
-        arrival_rate_per_node=arrival_rate_per_node,
-    )
+    workload = default_workload(config, goal_ms=goal_ms)
     return Simulation(
         config=config, workload=workload, seed=seed,
         warmup_ms=warmup_ms, faults=fault_spec,
@@ -545,7 +540,7 @@ def run_resilience(
         WarmGroup(
             build=functools.partial(
                 _build_resilience_sim, config, goal_ms, warmup_ms, faults,
-                ARRIVAL_RATE_PER_NODE, derive_replicate_seed(seed, i),
+                derive_replicate_seed(seed, i),
             ),
             deltas=[WarmDelta(label=f"rep{i}")],
             measure=functools.partial(
@@ -605,7 +600,6 @@ def run_goal_sweep(
     faults: Optional[str] = None,
     replications: int = 1,
     warmup_ms: float = RESILIENCE_WARMUP_MS,
-    arrival_rate_per_node: float = ARRIVAL_RATE_PER_NODE,
     jobs: int = 1,
     telemetry: Optional[str] = None,
 ) -> ResilienceGoalSweep:
@@ -629,7 +623,7 @@ def run_goal_sweep(
         WarmGroup(
             build=functools.partial(
                 _build_resilience_sim, config, goals[0], warmup_ms, faults,
-                arrival_rate_per_node, derive_replicate_seed(seed, rep),
+                derive_replicate_seed(seed, rep),
             ),
             deltas=[
                 WarmDelta.for_goals(

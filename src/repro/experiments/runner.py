@@ -117,9 +117,9 @@ class Simulation:
     def set_telemetry(self, spec) -> None:
         """Arm telemetry before activation (a directory path or True).
 
-        Only records the spec — attachment happens in
-        :meth:`activate`, file writes in :meth:`export_telemetry` — so
-        calling this from the sweep executor's
+        Only records the spec — attachment, and for a directory the
+        opening of its files, happen in :meth:`activate` — so calling
+        this from the sweep executor's
         :func:`~repro.experiments.forkserver.apply_delta` is
         warmup-invariant: no events, no RNG, no files, and each forked
         child opens its own sinks post-fork.
@@ -133,14 +133,12 @@ class Simulation:
         if self._started:
             return
         self._started = True
-        import repro.telemetry as telemetry_mod
+        if self._telemetry_spec is not None and self.telemetry is None:
+            from repro.telemetry import attach_simulation
 
-        if (
-            self._telemetry_spec is not None
-            or telemetry_mod.live_installed()
-        ):
-            if self.telemetry is None:
-                self.telemetry = telemetry_mod.attach_simulation(self)
+            self.telemetry = attach_simulation(self)
+            if isinstance(self._telemetry_spec, str):
+                self.telemetry.stream_to(self._telemetry_spec)
         self.controller.start()
         self._controller_t0 = self.cluster.env.now
 
@@ -177,20 +175,19 @@ class Simulation:
         self.cluster.env.run(until=horizon)
 
     def export_telemetry(self):
-        """Write telemetry exports; no-op when telemetry is off.
+        """Finish the telemetry export; no-op when telemetry is off.
 
-        Writes to the directory given at construction (or via
-        :meth:`set_telemetry`).  Returns the artifact path mapping, or
+        Completes the directory given at construction (or via
+        :meth:`set_telemetry`), which the run has streamed its trace
+        into since activation.  Returns the artifact path mapping, or
         None when telemetry was never attached or no directory is known
         (``telemetry=True`` keeps the pipeline in memory only).
         """
-        if self.telemetry is None or not isinstance(
-            self._telemetry_spec, str
-        ):
+        if self.telemetry is None or self.telemetry.outdir is None:
             return None
         from repro.telemetry.exporters import write_export
 
-        return write_export(self.telemetry, self._telemetry_spec)
+        return write_export(self.telemetry)
 
     # -- convenience accessors ---------------------------------------------
 

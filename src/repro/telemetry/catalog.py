@@ -7,9 +7,11 @@ and summarizes each into a :class:`RunInfo` keyed by a stable
 config-hash id (derived from the run's meta, point layout, and record
 count, so re-scanning the same tree yields the same ids).
 
-Scanning is read-only and tolerant: partially written runs from killed
-sweeps are indexed with whatever parses, and malformed lines never
-abort the scan.
+Scanning is read-only and tolerant: runs still being written, and
+partially written runs from killed sweeps, are indexed with whatever
+parses, and malformed lines never abort the scan.  A run is complete
+once its export has written ``timeline.json`` (a merged sweep root:
+``points.json``); until then its record count, and so its id, grow.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from repro.telemetry.exporters import (
     MANIFEST_FILE,
     METRICS_JSON_FILE,
     METRICS_TEXT_FILE,
+    SNAPSHOTS_FILE,
     TIMELINE_FILE,
     TRACE_FILE,
 )
@@ -52,6 +55,8 @@ class RunInfo:
     t_max: Optional[float] = None
     #: Artifact filenames present in the directory.
     artifacts: List[str] = field(default_factory=list)
+    #: True once the export finished (see :func:`is_complete`).
+    complete: bool = False
 
     def to_dict(self) -> Dict:
         """Plain-dict form for the JSON API."""
@@ -66,7 +71,14 @@ class RunInfo:
             "t_min": self.t_min,
             "t_max": self.t_max,
             "artifacts": self.artifacts,
+            "complete": self.complete,
         }
+
+
+def is_complete(run_dir: str) -> bool:
+    """Whether the run's export has written its last file."""
+    return any(os.path.exists(os.path.join(run_dir, name))
+               for name in (TIMELINE_FILE, MANIFEST_FILE))
 
 
 def iter_trace(path: str):
@@ -121,8 +133,8 @@ def _summarize_dir(root: str, run_dir: str) -> Optional[RunInfo]:
                 points.append(label)
 
     artifacts = sorted(
-        name for name in (TRACE_FILE, METRICS_TEXT_FILE, METRICS_JSON_FILE,
-                          TIMELINE_FILE, MANIFEST_FILE)
+        name for name in (TRACE_FILE, SNAPSHOTS_FILE, METRICS_TEXT_FILE,
+                          METRICS_JSON_FILE, TIMELINE_FILE, MANIFEST_FILE)
         if os.path.exists(os.path.join(run_dir, name))
     )
     if not artifacts:
@@ -142,6 +154,7 @@ def _summarize_dir(root: str, run_dir: str) -> Optional[RunInfo]:
         run_id=digest, path=run_dir, name=name, meta=meta,
         points=points, skipped_points=skipped, records=records,
         t_min=t_min, t_max=t_max, artifacts=artifacts,
+        complete=is_complete(run_dir),
     )
 
 
@@ -189,7 +202,11 @@ def scan_runs(root: str) -> List[RunInfo]:
 
 
 def find_run(root: str, run_id: str) -> Optional[RunInfo]:
-    """Look up one run by id (or ``"latest"`` for the newest trace)."""
+    """Look up one run by id or name (``"latest"``: the newest trace).
+
+    The name, a run's directory relative to ``root``, is the handle
+    that stays fixed while a run grows.
+    """
     runs = scan_runs(root)
     if not runs:
         return None
@@ -201,8 +218,15 @@ def find_run(root: str, run_id: str) -> Optional[RunInfo]:
             ) if os.path.exists(os.path.join(info.path, TRACE_FILE)) else 0.0,
         )
     for info in runs:
-        if info.run_id == run_id:
+        if run_id in (info.run_id, info.name):
             return info
+    # A sweep point keeps its name after the merge folds it into the
+    # sweep's run.
+    root = os.path.abspath(root)
+    run_dir = os.path.normpath(os.path.join(root, run_id))
+    if (os.path.commonpath([root, run_dir]) == root
+            and os.path.isfile(os.path.join(run_dir, TRACE_FILE))):
+        return _summarize_dir(root, run_dir)
     return None
 
 

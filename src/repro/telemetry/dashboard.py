@@ -3,8 +3,9 @@
 The asset is embedded as a module string so the live service stays
 stdlib-only and dependency-free: no bundler, no static file tree, one
 GET.  The page drives everything through the service's own endpoints —
-``/api/runs`` for the catalog, ``/events`` for the SSE stream (live or
-``?replay=<id>&speed=N``) — and renders with bare canvas/DOM:
+``/api/runs`` for the catalog, ``/events`` for the SSE stream (the
+latest run, or ``?replay=<id or name>&speed=N``) — and renders with
+bare canvas/DOM:
 
 * per-class response time vs. goal lines (``decision`` records),
 * per-node allocation shares (``allocation_ship`` records),
@@ -53,7 +54,7 @@ DASHBOARD_HTML = """<!DOCTYPE html>
 <body>
 <header>
   <h1>repro &middot; multiclass memory-goal convergence</h1>
-  <select id="run"><option value="">live stream</option></select>
+  <select id="run"><option value="">latest run</option></select>
   <label>speed <input id="speed" type="number" value="50" min="0"
                       step="10" style="width:5em"></label>
   <button id="go">watch</button>
@@ -264,12 +265,14 @@ function watch() {
     onTrace(JSON.parse(e.data).record));
   source.addEventListener("metrics", e => onMetrics(JSON.parse(e.data)));
   source.addEventListener("run_start", e => {
-    const meta = JSON.parse(e.data).meta || {};
-    statusEl.textContent = "live: seed " + meta.seed + ", " +
-      meta.num_nodes + " nodes";
+    const doc = JSON.parse(e.data), meta = doc.meta || {};
+    // A run still being written has no exported meta yet.
+    statusEl.textContent = meta.seed === undefined
+      ? "following run " + doc.run
+      : "seed " + meta.seed + ", " + meta.num_nodes + " nodes";
   });
   source.addEventListener("end", () => {
-    statusEl.textContent = "replay complete @ " +
+    statusEl.textContent = "run complete @ " +
       (state.t / 1000).toFixed(1) + "s sim";
     source.close();
   });

@@ -1,9 +1,14 @@
 """Exporters: Prometheus text, JSONL traces, Chrome trace-event timelines.
 
-Exporting is the only point where telemetry touches the filesystem.  A
-fork-server child therefore opens its own files post-fork (export runs
-inside the child's measure function), and the sweep parent merges the
-per-point directories deterministically with :func:`merge_point_dirs`.
+A run with a telemetry directory streams its trace into ``trace.jsonl``
+and its metric snapshots into ``snapshots.jsonl`` from activation on
+(:meth:`repro.telemetry.pipeline.Telemetry.stream_to`).
+:func:`write_export` closes both and writes the rest: the Prometheus
+scrape, its JSON twin and, last, the timeline, which it builds from the
+streamed trace in two passes, so no record list is held.  A fork-server
+child therefore opens its own files post-fork (activation runs inside
+the child), and the sweep parent merges the per-point directories
+deterministically with :func:`merge_point_dirs`.
 
 All timestamps are simulated milliseconds; the Chrome trace-event
 timeline (``timeline.json``) maps them to microseconds as required by
@@ -15,9 +20,13 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from typing import Dict, Iterable, List, Sequence, Tuple
+from itertools import chain
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+
+from repro.telemetry.trace import jsonable, trace_line
 
 TRACE_FILE = "trace.jsonl"
+SNAPSHOTS_FILE = "snapshots.jsonl"
 METRICS_TEXT_FILE = "metrics.prom"
 METRICS_JSON_FILE = "metrics.json"
 TIMELINE_FILE = "timeline.json"
@@ -29,29 +38,6 @@ _PID_FAULTS = 2
 
 #: Record kinds rendered as duration spans (``ph: "X"``).
 _SPAN_KINDS = frozenset({"interval", "fault"})
-
-
-def _jsonable(value):
-    """Coerce ``value`` into plain JSON types (numpy included)."""
-    if isinstance(value, (str, int, bool)) or value is None:
-        return value
-    if isinstance(value, float):
-        return value
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if hasattr(value, "item"):  # numpy scalar
-        return _jsonable(value.item())
-    if hasattr(value, "tolist"):  # numpy array
-        return _jsonable(value.tolist())
-    return str(value)
-
-
-def trace_lines(records: Iterable[Dict]) -> Iterable[str]:
-    """One canonical JSON line per trace record."""
-    for record in records:
-        yield json.dumps(_jsonable(record), sort_keys=True)
 
 
 def _fmt_value(value) -> str:
@@ -104,7 +90,7 @@ def metrics_json(registry) -> List[Dict]:
             )
         else:
             entry["value"] = instrument.value
-        out.append(_jsonable(entry))
+        out.append(jsonable(entry))
     return out
 
 
@@ -127,7 +113,7 @@ def _timeline_event(record: Dict) -> Dict:
         tid = int(record.get("class_id") or 0)
         cat = "controller"
         name = kind
-    args = {k: _jsonable(v) for k, v in record.items()
+    args = {k: jsonable(v) for k, v in record.items()
             if k not in ("kind", "t")}
     if kind in _SPAN_KINDS:
         dur_us = float(record.get("duration_ms") or 0.0) * 1000.0
@@ -137,35 +123,55 @@ def _timeline_event(record: Dict) -> Dict:
             "name": name, "ts": t_us, "args": args}
 
 
-def chrome_trace(records: Sequence[Dict], meta: Dict = None) -> Dict:
-    """Build a Chrome trace-event document over simulated time."""
-    events: List[Dict] = [
+def _read_trace(path: str) -> Iterator[Dict]:
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            yield json.loads(line)
+
+
+def _write_timeline(fh, trace_path: str, meta: Dict) -> None:
+    """Write the Chrome trace-event document over simulated time.
+
+    The bytes are those of ``json.dump(doc, fh, sort_keys=True)``; the
+    document is written event by event from two passes over the trace
+    file, so its size never sits in memory.
+    """
+    class_ids = sorted({int(r.get("class_id") or 0)
+                        for r in _read_trace(trace_path)
+                        if r["kind"] != "fault"})
+    header = [
         {"ph": "M", "pid": _PID_CONTROLLER, "name": "process_name",
          "args": {"name": "controller"}},
         {"ph": "M", "pid": _PID_FAULTS, "name": "process_name",
          "args": {"name": "faults"}},
     ]
-    class_ids = sorted({int(r.get("class_id") or 0) for r in records
-                        if r["kind"] != "fault"})
     for class_id in class_ids:
         name = "intervals" if class_id == 0 else f"class {class_id}"
-        events.append({"ph": "M", "pid": _PID_CONTROLLER, "tid": class_id,
+        header.append({"ph": "M", "pid": _PID_CONTROLLER, "tid": class_id,
                        "name": "thread_name", "args": {"name": name}})
-    events.extend(_timeline_event(record) for record in records)
-    doc = {"traceEvents": events, "displayTimeUnit": "ms"}
+    fh.write('{"displayTimeUnit": "ms", ')
     if meta:
-        doc["otherData"] = _jsonable(meta)
-    return doc
+        fh.write('"otherData": '
+                 + json.dumps(jsonable(meta), sort_keys=True) + ", ")
+    fh.write('"traceEvents": [')
+    separator = ""
+    for event in chain(header,
+                       map(_timeline_event, _read_trace(trace_path))):
+        fh.write(separator + json.dumps(event, sort_keys=True))
+        separator = ", "
+    fh.write("]}\n")
 
 
-def write_export(telemetry, outdir: str) -> Dict[str, str]:
-    """Write all exporter outputs for ``telemetry`` into ``outdir``.
+def write_export(telemetry) -> Dict[str, str]:
+    """Finish the export of a pipeline that streams into a directory.
 
-    Returns a mapping of artifact name to path.  This is the first (and
-    only) point where telemetry opens files, so in forked sweeps it runs
-    post-fork inside each child.
+    Closes the streamed trace and snapshot files, then writes the
+    metrics and the timeline next to them.  ``timeline.json`` is the
+    last file written, so its presence marks the run complete.
+    Returns a mapping of artifact name to path.
     """
-    os.makedirs(outdir, exist_ok=True)
+    outdir = telemetry.outdir
+    telemetry.close()
     telemetry.collect()
     paths = {
         "trace": os.path.join(outdir, TRACE_FILE),
@@ -173,20 +179,15 @@ def write_export(telemetry, outdir: str) -> Dict[str, str]:
         "metrics_json": os.path.join(outdir, METRICS_JSON_FILE),
         "timeline": os.path.join(outdir, TIMELINE_FILE),
     }
-    with open(paths["trace"], "w", encoding="utf-8") as fh:
-        for line in trace_lines(telemetry.trace.records):
-            fh.write(line + "\n")
     with open(paths["metrics_text"], "w", encoding="utf-8") as fh:
         fh.write(prometheus_text(telemetry.registry))
     with open(paths["metrics_json"], "w", encoding="utf-8") as fh:
-        json.dump({"meta": _jsonable(telemetry.meta),
+        json.dump({"meta": jsonable(telemetry.meta),
                    "metrics": metrics_json(telemetry.registry)},
                   fh, indent=2, sort_keys=True)
         fh.write("\n")
     with open(paths["timeline"], "w", encoding="utf-8") as fh:
-        json.dump(chrome_trace(telemetry.trace.records, telemetry.meta),
-                  fh, sort_keys=True)
-        fh.write("\n")
+        _write_timeline(fh, paths["trace"], telemetry.meta)
     return paths
 
 
@@ -277,5 +278,5 @@ def append_trace_records(outdir: str, records: Iterable[Dict]) -> str:
         for record in records:
             record = dict(record)
             record.setdefault("point", "sweep")
-            out.write(json.dumps(_jsonable(record), sort_keys=True) + "\n")
+            out.write(trace_line(record) + "\n")
     return merged

@@ -16,7 +16,13 @@ Two kinds of collection coexist:
 * **export-time samplers** read cumulative state the simulation already
   tracks (pool occupancy, network accounting, resource utilization,
   loop counters, agent lifetime statistics) only when an exporter runs
-  — they cost nothing during the simulation.
+  — or, for a pipeline that streams into a directory, at each interval
+  flush, into a scratch registry that the export never sees.
+
+A pipeline with a directory (:meth:`Telemetry.stream_to`) appends its
+trace to ``trace.jsonl`` as records are emitted and, at each
+``interval`` record, appends the metric samples that changed since the
+previous interval to ``snapshots.jsonl``.
 
 Nothing here draws randomness, schedules events, or reads the wall
 clock; all timestamps are simulated milliseconds supplied by callers.
@@ -24,18 +30,22 @@ clock; all timestamps are simulated milliseconds supplied by callers.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+import json
+import os
+from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.telemetry.exporters import SNAPSHOTS_FILE, TRACE_FILE
 from repro.telemetry.registry import MetricsRegistry
-from repro.telemetry.trace import TraceLog
+from repro.telemetry.trace import TraceLog, jsonable
 
 
 class Telemetry:
     """Metrics registry + trace log for one simulation."""
 
     __slots__ = (
-        "registry", "trace", "meta",
+        "registry", "trace", "meta", "outdir",
         "_access", "_evictions", "_fault_counts", "_samplers",
+        "_snapshots", "_last",
     )
 
     def __init__(self):
@@ -43,10 +53,14 @@ class Telemetry:
         self.trace = TraceLog()
         #: Identifying context (seed, node count, ...) for exports.
         self.meta: Dict = {}
+        #: Directory the pipeline streams into; None keeps it in memory.
+        self.outdir: Optional[str] = None
         self._access: Dict = {}
         self._evictions: Dict = {}
         self._fault_counts: Dict = {}
         self._samplers: List[Callable[[], None]] = []
+        self._snapshots = None
+        self._last: Dict[Tuple, object] = {}
 
     # -- hot-path hooks ------------------------------------------------
 
@@ -108,6 +122,62 @@ class Telemetry:
         for fn in self._samplers:
             fn()
 
+    # -- streaming into a directory ------------------------------------
+
+    def stream_to(self, outdir: str) -> None:
+        """Open ``outdir``'s trace and snapshot files; stream from now on."""
+        os.makedirs(outdir, exist_ok=True)
+        self.outdir = outdir
+        self._snapshots = open(os.path.join(outdir, SNAPSHOTS_FILE), "w",
+                               encoding="utf-8")
+        self.trace.stream_to(os.path.join(outdir, TRACE_FILE),
+                             self._snapshot)
+
+    def close(self) -> None:
+        """Close the streamed files (the export calls this first)."""
+        self.trace.close()
+        self._snapshots.close()
+
+    def _snapshot(self, t: float) -> None:
+        """Append the samples that changed since the last snapshot.
+
+        The samplers run against a scratch registry, so the registry
+        the export renders holds exactly what it would without
+        snapshots (a pool deleted before the export leaves no gauge).
+        """
+        registry = self.registry
+        self.registry = MetricsRegistry()
+        try:
+            self.collect()
+            sampled = list(self.registry.samples())
+        finally:
+            self.registry = registry
+        changed = []
+        for kind, name, labels, instrument in sorted(
+            list(registry.samples()) + sampled,
+            key=lambda sample: sample[1:3],
+        ):
+            if kind == "histogram":  # the cheap summary triple
+                value = (instrument.count, instrument.stats.mean,
+                         instrument.p95.value)
+            else:
+                value = instrument.value
+            key = (name, labels)
+            if self._last.get(key) == value:
+                continue
+            self._last[key] = value
+            entry = {"kind": kind, "name": name, "labels": dict(labels)}
+            if kind == "histogram":
+                entry.update(count=value[0], mean=value[1], p95=value[2])
+            else:
+                entry["value"] = value
+            changed.append(entry)
+        if changed:
+            self._snapshots.write(json.dumps(
+                jsonable({"t": t, "samples": changed}), sort_keys=True
+            ) + "\n")
+            self._snapshots.flush()
+
 
 # -- attachment --------------------------------------------------------
 
@@ -148,24 +218,15 @@ def attach_simulation(sim) -> Telemetry:
     """Attach telemetry to a full simulation (cluster + feedback loop).
 
     Besides the cluster wiring this arms the controller's extended
-    p50/p90/p95/p99 quantile tracking and — when a live bus is
-    installed (``repro.telemetry.live.install``) — tees the trace into
-    it via a sim-time snapshot sampler paced at the controller's
-    observation interval.
+    p50/p90/p95/p99 quantile tracking.
     """
-    from repro.telemetry import live
-
     tel = attach_cluster(sim.cluster)
-    controller = getattr(sim, "controller", None)
-    if controller is not None:
-        controller.telemetry = tel
-        controller.track_extended_quantiles()
-        for coordinator in controller.coordinators.values():
-            coordinator.telemetry = tel
-        tel.add_sampler(_controller_sampler(controller, tel))
-        live.wire(tel, interval_ms=controller.interval_ms)
-    else:
-        live.wire(tel)
+    controller = sim.controller
+    controller.telemetry = tel
+    controller.track_extended_quantiles()
+    for coordinator in controller.coordinators.values():
+        coordinator.telemetry = tel
+    tel.add_sampler(_controller_sampler(controller, tel))
     return tel
 
 

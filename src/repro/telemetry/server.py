@@ -1,43 +1,86 @@
-"""The live observability HTTP service (stdlib-only).
+"""The observability HTTP service (stdlib-only).
 
-:class:`LiveService` wraps a threading ``http.server`` around the
-telemetry layer in one of two modes:
+:class:`LiveService` wraps a threading ``http.server`` around one
+telemetry directory: the run catalog under ``/api/runs``, the recorded
+Prometheus scrapes under ``/metrics``, and any run's files streamed over
+SSE under ``/events``.  A stream starts at the beginning of the run's
+``trace.jsonl`` and ``snapshots.jsonl`` and follows both until the
+export completes, so the one endpoint replays a finished run and
+follows a run that a command (``--live-port``) is still writing.
 
-* **live** (:meth:`LiveService.live`) — installs a
-  :class:`~repro.telemetry.live.TelemetryBus` via the module-level
-  hook, so any simulation activated afterwards streams trace records
-  and metric snapshots to ``/events`` subscribers while it runs;
-* **replay** (:meth:`LiveService.replay`) — serves a recorded
-  ``--telemetry DIR`` tree: the run catalog under ``/api/runs`` and
-  any run's trace re-streamed over SSE at adjustable speed.
-
-Endpoints (both modes): ``/`` single-file HTML dashboard, ``/metrics``
-Prometheus text, ``/events`` SSE, ``/api/runs`` + ``/api/runs/<id>``
-JSON catalog.  Everything runs on HTTP server threads; the simulation
-thread only ever appends to bounded bus queues, so serving cannot
-perturb results.
+Endpoints: ``/`` single-file HTML dashboard, ``/metrics`` Prometheus
+text, ``/events`` SSE, ``/api/runs`` + ``/api/runs/<id>`` JSON catalog.
+Everything runs on HTTP server threads that only read files, so
+serving cannot perturb results.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import threading
 import time
+from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
-from repro.telemetry import catalog, live
+from repro.telemetry import catalog
 from repro.telemetry.dashboard import DASHBOARD_HTML
-from repro.telemetry.exporters import METRICS_TEXT_FILE, prometheus_text
-from repro.telemetry.live import TelemetryBus, sse_format
+from repro.telemetry.exporters import (
+    METRICS_TEXT_FILE,
+    SNAPSHOTS_FILE,
+    TRACE_FILE,
+)
+from repro.telemetry.live import sse_format
 
-#: Seconds between SSE keepalive comments when a live stream is idle.
+#: Seconds between SSE keepalive comments while a stream waits.
 KEEPALIVE_S = 5.0
+
+#: Seconds between polls of a run that has not appeared or completed.
+POLL_S = 0.1
 
 #: Ceiling on one replay pacing sleep, so even speed=1 over a long
 #: interval gap stays responsive to disconnects (seconds).
 MAX_REPLAY_SLEEP_S = 1.0
+
+#: Seconds :meth:`LiveService.stop` waits for open streams to finish.
+DRAIN_S = 5.0
+
+
+class _Tail:
+    """The whole lines of a file that may still be growing."""
+
+    __slots__ = ("path", "_fh", "_partial")
+
+    def __init__(self, path: str):
+        self.path = path
+        self._fh = None
+        self._partial = b""
+
+    def read(self) -> List[Dict]:
+        """Records of the whole lines written since the last call.
+
+        A torn last line waits until its newline arrives.
+        """
+        if self._fh is None:
+            try:
+                self._fh = open(self.path, "rb")
+            except OSError:
+                return []
+        records = []
+        for line in self._fh:
+            line = self._partial + line
+            if not line.endswith(b"\n"):
+                self._partial = line
+                break
+            self._partial = b""
+            records.append(json.loads(line))
+        return records
+
+    def close(self) -> None:
+        if self._fh is not None:
+            self._fh.close()
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -95,7 +138,7 @@ class _Handler(BaseHTTPRequestHandler):
     def _get_runs(self) -> None:
         runs = self.service.runs()
         self._send_json({
-            "live": self.service.bus is not None,
+            "live": not all(info.complete for info in runs),
             "runs": [info.to_dict() for info in runs],
         })
 
@@ -107,9 +150,8 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(catalog.run_detail(info))
 
     def _get_events(self, query: Dict) -> None:
-        replay = query.get("replay", [None])[0]
-        if replay is None and self.service.bus is None:
-            replay = "latest"
+        run_id = query.get("replay", ["latest"])[0]
+        speed = float(query.get("speed", ["0"])[0] or 0.0)
         self.send_response(200)
         self.send_header("Content-Type", "text/event-stream")
         self.send_header("Cache-Control", "no-cache")
@@ -118,57 +160,26 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Connection", "close")
         self.close_connection = True
         self.end_headers()
-        if replay is not None:
-            speed = float(query.get("speed", ["0"])[0] or 0.0)
-            self.service.stream_replay(self.wfile, replay, speed)
-        else:
-            self.service.stream_live(self.wfile)
+        self.service.stream(self.wfile, run_id, speed)
 
 
 class LiveService:
-    """The observability HTTP service; one per port.
+    """The observability HTTP service over one telemetry directory.
 
-    Construct via :meth:`live` (stream a running experiment) or
-    :meth:`replay` (serve a recorded telemetry tree); both accept
-    ``port=0`` to bind an ephemeral port (read it back from
-    :attr:`port` after :meth:`start`).
+    ``port=0`` binds an ephemeral port (read it back from :attr:`port`
+    after :meth:`start`).
     """
 
-    def __init__(self, *, bus: Optional[TelemetryBus] = None,
-                 telemetry_dir: Optional[str] = None,
-                 host: str = "127.0.0.1", port: int = 0):
-        if bus is None and telemetry_dir is None:
-            raise ValueError("need a live bus or a telemetry directory")
-        self.bus = bus
+    def __init__(self, telemetry_dir: str, port: int = 0,
+                 host: str = "127.0.0.1"):
         self.telemetry_dir = telemetry_dir
         handler = type("_BoundHandler", (_Handler,), {"service": self})
         self._httpd = ThreadingHTTPServer((host, port), handler)
         self._httpd.daemon_threads = True
         self._thread: Optional[threading.Thread] = None
         self._stopping = threading.Event()
-
-    # -- constructors --------------------------------------------------
-
-    @classmethod
-    def live(cls, port: int = 0, host: str = "127.0.0.1",
-             telemetry_dir: Optional[str] = None) -> "LiveService":
-        """Start streaming mode: install a bus and arm the live hook.
-
-        Simulations activated while the service runs attach telemetry
-        and stream to it; an optional ``telemetry_dir`` additionally
-        serves any recorded runs alongside the live stream.
-        """
-        bus = TelemetryBus()
-        service = cls(bus=bus, telemetry_dir=telemetry_dir,
-                      host=host, port=port)
-        live.install(bus)
-        return service
-
-    @classmethod
-    def replay(cls, telemetry_dir: str, port: int = 0,
-               host: str = "127.0.0.1") -> "LiveService":
-        """Catalog/replay mode over a recorded telemetry tree."""
-        return cls(telemetry_dir=telemetry_dir, host=host, port=port)
+        #: Threads currently streaming ``/events``.
+        self._streams = set()
 
     # -- lifecycle -----------------------------------------------------
 
@@ -194,13 +205,16 @@ class LiveService:
         return self
 
     def stop(self) -> None:
-        """Shut down, close the bus, and disarm the live hook."""
+        """Stop accepting, let open streams finish, and shut down.
+
+        A stream of a completed run still sends its remaining frames
+        and ``end``; one that waits for a run to appear or to grow
+        stops waiting.  Each gets up to :data:`DRAIN_S` seconds.
+        """
         self._stopping.set()
-        if self.bus is not None:
-            if live.installed() is self.bus:
-                live.uninstall()
-            self.bus.close()
         self._httpd.shutdown()
+        for thread in list(self._streams):
+            thread.join(timeout=DRAIN_S)
         self._httpd.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
@@ -209,23 +223,10 @@ class LiveService:
     # -- endpoint backends ---------------------------------------------
 
     def metrics_text(self) -> str:
-        """Prometheus exposition: live registry, or the recorded one."""
-        if self.bus is not None:
-            telemetry = live.attached_telemetry()
-            if telemetry is not None:
-                # The sim thread may be registering new instruments
-                # while we render; one retry absorbs the race without
-                # locking the hot path.
-                for _ in range(3):
-                    try:
-                        return prometheus_text(telemetry.registry)
-                    except RuntimeError:
-                        continue
-            if self.telemetry_dir is None:
-                return "# no simulation attached yet\n"
+        """Prometheus exposition: the recorded ``metrics.prom`` scrapes."""
         parts = []
         for info in self.runs():
-            path = f"{info.path}/{METRICS_TEXT_FILE}"
+            path = os.path.join(info.path, METRICS_TEXT_FILE)
             try:
                 with open(path, "r", encoding="utf-8") as fh:
                     parts.append(fh.read())
@@ -234,76 +235,92 @@ class LiveService:
         return "".join(parts) or "# no recorded metrics\n"
 
     def runs(self):
-        """Catalog of recorded runs (empty in pure live mode)."""
-        if self.telemetry_dir is None:
-            return []
+        """Catalog of the runs in the telemetry directory."""
         return catalog.scan_runs(self.telemetry_dir)
 
     def find_run(self, run_id: str):
-        """Look up a recorded run by id (``"latest"`` works too)."""
-        if self.telemetry_dir is None:
-            return None
+        """Look up a run by id or name (``"latest"`` works too)."""
         return catalog.find_run(self.telemetry_dir, run_id)
 
-    def stream_live(self, wfile) -> None:
-        """Pump the bus subscription to one SSE client until it drops."""
-        sub = self.bus.subscribe()
+    def stream(self, wfile, run_id: str, speed: float) -> None:
+        """Stream one run's files to an SSE client.
+
+        Waits for ``run_id`` to appear, then sends ``run_start``, the
+        trace and metric frames merged by ``t``, and ``end`` once the
+        export has completed; keepalive comments fill every
+        :data:`KEEPALIVE_S` of waiting.  ``speed`` is simulated-ms per
+        wall-ms: ``10`` replays a minute of sim time in six wall
+        seconds; ``0`` (the default, and what CI uses) sends frames as
+        soon as they are read.
+        """
+        self._streams.add(threading.current_thread())
+        prev_t: Optional[float] = None
+        quiet_since = time.monotonic()
         try:
-            while not self._stopping.is_set():
-                record = sub.get(timeout=KEEPALIVE_S)
-                if record is None:
-                    if sub.closed:
-                        break
-                    wfile.write(b": keepalive\n\n")
-                    wfile.flush()
+            for frame in self._frames(run_id):
+                if frame is None:
+                    if time.monotonic() - quiet_since >= KEEPALIVE_S:
+                        wfile.write(b": keepalive\n\n")
+                        wfile.flush()
+                        quiet_since = time.monotonic()
+                    time.sleep(POLL_S)
                     continue
-                event = record.get("type", "message")
-                wfile.write(sse_format(event, record).encode("utf-8"))
+                event, data = frame
+                t = data.get("t", data.get("record", {}).get("t"))
+                if isinstance(t, (int, float)):
+                    if (speed > 0 and prev_t is not None and t > prev_t
+                            and not self._stopping.is_set()):
+                        time.sleep(min((t - prev_t) / 1000.0 / speed,
+                                       MAX_REPLAY_SLEEP_S))
+                    prev_t = float(t)
+                wfile.write(sse_format(event, data).encode("utf-8"))
                 wfile.flush()
+                quiet_since = time.monotonic()
         except (BrokenPipeError, ConnectionResetError, OSError):
             pass
         finally:
-            self.bus.unsubscribe(sub)
+            self._streams.discard(threading.current_thread())
 
-    def stream_replay(self, wfile, run_id: str, speed: float) -> None:
-        """Re-stream a recorded run's trace as SSE.
-
-        ``speed`` is simulated-ms per wall-ms: ``10`` replays a minute
-        of sim time in six wall seconds; ``0`` (the default, and what
-        CI uses) dumps all frames immediately.  Pacing follows the
-        records' own sim-time deltas.
-        """
+    def _frames(self, run_id: str) -> Iterator[Optional[Tuple[str, Dict]]]:
+        """The run's SSE frames in order; None while nothing is new."""
         info = self.find_run(run_id)
-        if info is None:
-            wfile.write(sse_format(
-                "error", {"error": f"no run {run_id!r}"}).encode("utf-8"))
-            wfile.flush()
-            return
-        wfile.write(sse_format(
-            "run_start", {"type": "run_start", "meta": info.meta,
-                          "run": info.run_id}).encode("utf-8"))
-        prev_t: Optional[float] = None
+        while info is None:
+            if self._stopping.is_set():
+                return
+            yield None
+            info = self.find_run(run_id)
+        yield "run_start", {"type": "run_start", "meta": info.meta,
+                            "run": info.run_id}
+        # Follow the directory, not the id: a growing run's id changes.
+        tails = (_Tail(os.path.join(info.path, TRACE_FILE)),
+                 _Tail(os.path.join(info.path, SNAPSHOTS_FILE)))
+        traces, metrics = deque(), deque()
         count = 0
         try:
-            for record in catalog.iter_trace(
-                    f"{info.path}/trace.jsonl"):
-                t = record.get("t")
-                if (speed > 0 and isinstance(t, (int, float))
-                        and prev_t is not None and t > prev_t):
-                    time.sleep(min((t - prev_t) / 1000.0 / speed,
-                                   MAX_REPLAY_SLEEP_S))
-                if isinstance(t, (int, float)):
-                    prev_t = float(t)
-                wfile.write(sse_format(
-                    "trace", {"type": "trace", "record": record}
-                ).encode("utf-8"))
-                count += 1
-                if count % 100 == 0:
-                    wfile.flush()
-                if self._stopping.is_set():
-                    break
-            wfile.write(sse_format(
-                "end", {"type": "end", "records": count}).encode("utf-8"))
-            wfile.flush()
-        except (BrokenPipeError, ConnectionResetError, OSError):
-            pass
+            while True:
+                complete = catalog.is_complete(info.path)
+                traces.extend(tails[0].read())
+                metrics.extend(tails[1].read())
+                # A snapshot is written after the interval record it
+                # follows, so it waits for a later trace record or the
+                # end of the run; on equal ``t`` the trace goes first.
+                while traces or (metrics and complete):
+                    if metrics and (
+                        not traces or metrics[0]["t"] < traces[0]["t"]
+                    ):
+                        yield "metrics", dict(metrics.popleft(),
+                                              type="metrics")
+                    else:
+                        count += 1
+                        yield "trace", {"type": "trace",
+                                        "record": traces.popleft()}
+                if complete:
+                    yield "end", {"type": "end", "records": count}
+                    return
+                if (self._stopping.is_set()
+                        and not catalog.is_complete(info.path)):
+                    return
+                yield None
+        finally:
+            for tail in tails:
+                tail.close()

@@ -28,12 +28,32 @@ def test_serve_defaults():
 
 
 def test_live_port_flag_on_streaming_commands():
-    for command in ("figure2", "multiclass", "resilience", "chaos"):
+    for command in ("figure2", "multiclass", "resilience"):
         args = build_parser().parse_args([command])
-        # Off by default: no service, no bus, bit-identical runs.
+        # Off by default: no service, no directory, bit-identical runs.
         assert args.live_port is None
         args = build_parser().parse_args([command, "--live-port", "0"])
         assert args.live_port == 0
+    # chaos exports no telemetry, so there is nothing to follow.
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["chaos", "--live-port", "0"])
+
+
+def test_live_port_gives_the_run_a_telemetry_directory(
+    capsys, tmp_path, monkeypatch
+):
+    import tempfile
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    main(["resilience", "--quick", "--intervals", "8",
+          "--replications", "1", "--live-port", "0"])
+    out = capsys.readouterr().out
+    assert "live dashboard at http://127.0.0.1:" in out
+    [outdir] = tmp_path.iterdir()
+    assert f"telemetry directory: {outdir}" in out
+    assert f"telemetry exported to {outdir}" in out
+    assert (outdir / "rep0" / "snapshots.jsonl").exists()
+    assert (outdir / "rep0" / "timeline.json").exists()
 
 
 def test_validate_analytic_defaults():
@@ -200,7 +220,7 @@ SURFACE = {
     "chaos": {
         "--goal": (6.0, None, None), "--intervals": (40, None, None),
         "--jobs": (1, None, None), "--json": (None, None, None),
-        "--live-port": (None, None, None), "--quick": (False, None, 0),
+        "--quick": (False, None, 0),
         "--seed": (0, None, None), "--seeds": (5, None, None),
         "--warmup-ms": (10000.0, None, None),
     },

@@ -188,8 +188,11 @@ def test_figure2_goal_sweep_jobs2_matches_jobs1(fast_config):
 def test_figure2_goal_sweep_replicates_fork_per_seed(fast_config, monkeypatch):
     from repro.experiments.figure2 import run_goal_sweep
 
+    from repro.experiments import figure2
+
+    monkeypatch.setattr(figure2, "SWEEP_REPLICATES", 2)
     kwargs = dict(
-        points=2, seed=5, replicates=2, intervals=3,
+        points=2, seed=5, intervals=3,
         config=fast_config, goal_range=GOAL_RANGE, warmup_ms=6_000.0,
     )
     fork = run_goal_sweep(**kwargs)
@@ -204,11 +207,13 @@ def test_figure2_goal_sweep_replicates_fork_per_seed(fast_config, monkeypatch):
 
 @requires_fork
 def test_multiclass_goal_sweep_fork_matches_cold(fast_config, monkeypatch):
+    from repro.experiments import multiclass
     from repro.experiments.multiclass import run_goal_sweep
 
+    monkeypatch.setattr(multiclass, "GOAL_SWEEP_TAIL", 2)
     kwargs = dict(
         goal_pairs=((3.0, 8.0), (4.0, 10.0)), config=fast_config,
-        intervals=3, tail=2, warmup_ms=6_000.0,
+        intervals=3, warmup_ms=6_000.0,
     )
     fork = run_goal_sweep(**kwargs)
     cold = _cold(monkeypatch, run_goal_sweep, **kwargs)

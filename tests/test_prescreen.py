@@ -74,11 +74,14 @@ def test_prescreen_emits_trace_record(fast_config, tmp_path):
     assert record["solves"] > 0
 
 
-def test_multiclass_prescreen_respects_goal_ordering(fast_config):
+def test_multiclass_prescreen_respects_goal_ordering(
+    fast_config, monkeypatch
+):
+    monkeypatch.setattr(multiclass, "GOAL_SWEEP_TAIL", 2)
     config = doubled_cache_config(fast_config)
     sweep = multiclass.run_goal_sweep(
         goal_pairs=[(3.0, 8.0), (6.0, 14.0)], config=config, seed=3,
-        intervals=3, tail=2, warmup_ms=4000.0, prescreen=16,
+        intervals=3, warmup_ms=4000.0, prescreen=16,
     )
     report = sweep.prescreen
     assert report is not None

@@ -4,7 +4,8 @@ Each sweep below runs at tiny settings (3 nodes, 400 pages, 256 KB
 buffers, 2 s intervals, 4 s warm-up) with telemetry exported.  Its pin
 is the SHA-256 of ``repr`` of the returned points followed by every
 file of the telemetry tree (relative path and bytes, in sorted walk
-order).  The constants were recorded before the sweeps were routed
+order) except the metric snapshots, ``snapshots.jsonl``, which runs
+stream alongside the trace and which postdate the pins.  The constants were recorded before the sweeps were routed
 through one executor; they must not change between the fork and the
 cold path or for any ``jobs`` value (1 or 2), which pins the point
 order, the per-point directory labels, the merged trace and the
@@ -46,7 +47,7 @@ GOAL_RANGE = GoalRange(1, 2.0, 8.0)
 
 def _figure2(**kwargs):
     return figure2.run_goal_sweep(
-        seed=3, replicates=2, intervals=3, config=CONFIG,
+        seed=3, intervals=3, config=CONFIG,
         goal_range=GOAL_RANGE, warmup_ms=WARMUP_MS, prescreen=20,
         **kwargs,
     ).points
@@ -56,7 +57,7 @@ def _goal_pairs(**kwargs):
     return multiclass.run_goal_sweep(
         goal_pairs=((3.0, 8.0), (4.0, 10.0)),
         config=multiclass.doubled_cache_config(CONFIG), seed=3,
-        intervals=3, tail=2, warmup_ms=WARMUP_MS, **kwargs,
+        intervals=3, warmup_ms=WARMUP_MS, **kwargs,
     ).points
 
 
@@ -126,10 +127,13 @@ DIGESTS = {
 
 
 def _tree_bytes(root):
-    """Every file under ``root`` as (relative path, bytes), sorted."""
+    """Every pinned file under ``root`` as (relative path, bytes),
+    sorted."""
     for dirpath, dirnames, files in os.walk(root):
         dirnames.sort()
         for name in sorted(files):
+            if name == "snapshots.jsonl":
+                continue
             path = os.path.join(dirpath, name)
             with open(path, "rb") as fh:
                 data = fh.read()
@@ -174,6 +178,10 @@ def test_every_sweep_is_pinned():
 
 @pytest.mark.parametrize("name,runner,jobs", CASES)
 def test_sweep_digest_unchanged(tmp_path, monkeypatch, name, runner, jobs):
+    # The pins were recorded with two figure2 replicates and a 2-interval
+    # multiclass tail.
+    monkeypatch.setattr(figure2, "SWEEP_REPLICATES", 2)
+    monkeypatch.setattr(multiclass, "GOAL_SWEEP_TAIL", 2)
     if runner == "cold":
         monkeypatch.setattr(forkserver, "supports_fork", lambda: False)
     outdir = str(tmp_path / "telemetry")

@@ -106,6 +106,39 @@ def test_in_memory_telemetry_leaves_results_unchanged():
     assert data_on.dedicated_bytes == data_off.dedicated_bytes
 
 
+def test_run_without_directory_writes_no_file(tmp_path, monkeypatch):
+    from repro.experiments.runner import Simulation, default_workload
+
+    monkeypatch.chdir(tmp_path)
+    sim = Simulation(config=CONFIG, workload=default_workload(CONFIG),
+                     seed=SEED, warmup_ms=WARMUP_MS, telemetry=True)
+    sim.run(intervals=INTERVALS)
+    assert sim.export_telemetry() is None
+    assert os.listdir(tmp_path) == []
+    assert sim.telemetry.outdir is None
+    assert "interval" in sim.telemetry.trace.kinds()
+
+
+def test_streamed_run_keeps_no_records(tmp_path):
+    from repro.experiments.runner import Simulation, default_workload
+
+    outdir = str(tmp_path / "tel")
+    sim = Simulation(config=CONFIG, workload=default_workload(CONFIG),
+                     seed=SEED, warmup_ms=WARMUP_MS, telemetry=outdir)
+    sim.warm()
+    assert not os.path.exists(outdir)  # files open at activation
+    sim.run(intervals=INTERVALS)
+    assert sim.telemetry.trace.records is None
+    with open(os.path.join(outdir, TRACE_FILE)) as fh:
+        streamed = fh.read()
+    assert streamed.count('"kind": "interval"') == INTERVALS
+    assert not os.path.exists(os.path.join(outdir, TIMELINE_FILE))
+    sim.export_telemetry()
+    with open(os.path.join(outdir, TRACE_FILE)) as fh:
+        assert fh.read().startswith(streamed)
+    assert os.path.exists(os.path.join(outdir, TIMELINE_FILE))
+
+
 def _telemetry_tree(root):
     tree = {}
     for dirpath, dirnames, files in os.walk(root):
@@ -122,7 +155,6 @@ def _sweep(tmp_path, label, jobs):
     data = run_goal_sweep(
         goals=[3.0, 6.0],
         seed=5,
-        replicates=1,
         intervals=3,
         config=CONFIG,
         goal_range=GOAL_RANGE,

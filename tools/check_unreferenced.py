@@ -49,7 +49,8 @@ because their callers never name them.
   ``name.param``.  Matching is by name here too, so every def of one
   name shares its callers: a call that passes an argument to one
   ``utilization`` clears that parameter of every ``utilization``, and
-  a ``**kwargs`` spread into one ``run_goal_sweep`` clears all of them.
+  a ``**kwargs`` spread into one ``run_goal_sweep`` would clear every
+  parameter of all three.
 
 Findings cascade: once a caller stops passing a parameter through, the
 callee's parameter is flagged on the next run.
@@ -119,9 +120,6 @@ ALLOWED = {
     "regularize_plane.min_ratio":
         "stability guard kept settable for the guard-ablation matrix "
         "(ROADMAP item 4), like Coordinator.shrink_damping",
-    "live.host":
-        "deployment address of the live dashboard's HTTP server; "
-        "addresses stay configurable",
 }
 
 #: Directories (relative to the root) whose code counts as a reference.

@@ -33,6 +33,14 @@ Here ``keep = max(remote − local, 0)`` and ``lc = max(disk − remote,
 0)`` are the pool's cost spreads, ``h_L`` the pool's LRU-2 heat and
 ``h_G`` the cluster-wide heat; the sum of the two terms is exactly
 ``BenefitModel.benefit_at``, which the audit checks page by page.
+
+Columns (a) and (b) price the plan on *today's* trajectory: the pools
+the audit prices are the ones today's ``REVALIDATE`` search left
+behind, since it, not the plan, picked every earlier victim.  On
+``evict-16n`` that search keeps evicting last copies, so the pool's
+not-last-copy minimum almost always undercuts every last-copy bound
+and both columns read 0.00; a run whose victims the plan itself picks
+prices far more (ROADMAP item 1).
 Pricing reads heat, costs and the directory and writes nothing, so the
 audited run is the same simulation as an unaudited one.
 
