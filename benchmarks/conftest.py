@@ -2,10 +2,13 @@
 
 The benchmark suite regenerates every table and figure of the paper at
 a reduced-but-faithful scale (fewer replications / intervals than the
-module mains under ``repro.experiments``, which run the full protocol).
-Run with::
+``python -m repro`` commands, which run the full protocol).  Run with::
 
-    pytest benchmarks/ --benchmark-only -s
+    PYTHONPATH=src python -m pytest benchmarks/ --benchmark-only -s
+
+or, to check every shape assertion without timing (as CI does)::
+
+    PYTHONPATH=src python -m pytest benchmarks/ --benchmark-disable -q
 """
 
 from __future__ import annotations

@@ -45,7 +45,7 @@ class CostObserver:
     enum ``__hash__`` calls) on the hot path.
     """
 
-    __slots__ = ("_local", "_remote", "_disk", "version",
+    __slots__ = ("_local", "_remote", "_disk",
                  "cost_local", "cost_remote", "cost_disk")
 
     #: Initial estimates in milliseconds (local ~ CPU only, remote ~
@@ -61,9 +61,6 @@ class CostObserver:
         self._local = OnlineStats()
         self._remote = OnlineStats()
         self._disk = OnlineStats()
-        #: Bumped on every observation (a change counter for state
-        #: fingerprints; the means move on nearly every access).
-        self.version = 0
         #: Current mean estimate per level (default until measured).
         self.cost_local = self.DEFAULTS[AccessLevel.LOCAL]
         self.cost_remote = self.DEFAULTS[AccessLevel.REMOTE]
@@ -96,7 +93,6 @@ class CostObserver:
             self.cost_disk = stats._mean
         else:
             raise KeyError(level)
-        self.version += 1
 
     def cost(self, level: AccessLevel) -> float:
         """Current mean cost estimate for ``level`` in milliseconds."""

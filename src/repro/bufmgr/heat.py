@@ -217,12 +217,6 @@ class GlobalHeatRegistry:
             self._pending_n -= 1
         self._tracker.forget(page_id)
 
-    def clear(self) -> None:
-        """Drop every page's bookkeeping (cluster-wide reset)."""
-        self._tracker.clear()
-        self._pending_col = array("i")
-        self._pending_n = 0
-
     def __len__(self) -> int:
         return len(self._tracker)
 

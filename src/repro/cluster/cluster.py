@@ -320,9 +320,6 @@ class _FetchChain(Event):
             self._next_page()
             return
         elif state == 8:  # disk read done
-            home_disk = self._home.disk
-            home_disk.reads += 1
-            home_disk.service_stats.add(self._disk_service)
             if self._home_local:
                 res = self._cpu_res
                 service = self._handling_ms

@@ -5,7 +5,6 @@ from __future__ import annotations
 from repro.cluster.config import DiskParameters
 from repro.sim.engine import Environment
 from repro.sim.resources import Resource
-from repro.sim.stats import OnlineStats
 
 
 class Disk:
@@ -13,8 +12,7 @@ class Disk:
 
     Each page read holds :attr:`resource` (the arm) for
     ``params.access_ms`` — seek + rotation + transfer, times
-    :attr:`fault_factor` — and counts into :attr:`reads` and
-    :attr:`service_stats` (the page-access state machine in
+    :attr:`fault_factor` (the page-access state machine in
     :mod:`repro.cluster.cluster` charges it that way); concurrent
     requests queue FCFS, so disk contention emerges naturally under
     load.
@@ -24,9 +22,6 @@ class Disk:
         self.env = env
         self.params = params
         self.resource = Resource(env)
-        self.reads = 0
-        self.writes = 0
-        self.service_stats = OnlineStats()
         #: Service-time multiplier of an active slowdown episode (set
         #: and restored by :class:`repro.faults.FaultInjector`).
         self.fault_factor = 1.0
@@ -45,8 +40,6 @@ class Disk:
         if self.fault_factor != 1.0:
             service *= self.fault_factor
         yield from self.resource.occupy(service)
-        self.writes += 1
-        self.service_stats.add(service)
 
     def utilization(self) -> float:
         """Fraction of elapsed time the disk arm was busy."""

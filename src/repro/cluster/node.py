@@ -22,6 +22,3 @@ class Node:
         self.disk = Disk(env, config.disk)
         #: Installed by the cluster once the directory exists.
         self.buffers: Optional[NodeBufferManager] = None
-
-    def __repr__(self) -> str:
-        return f"Node({self.node_id})"

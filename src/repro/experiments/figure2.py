@@ -44,8 +44,9 @@ class Figure2Data:
     dedicated_bytes: List[float] = field(default_factory=list)
     satisfied: List[bool] = field(default_factory=list)
     goal_range: Optional[GoalRange] = None
-    #: Streaming p95 of the goal class's response times over the
-    #: measured horizon (P² estimate; None before any completion).
+    #: Streaming p95 of the goal class's response times (P² estimate;
+    #: None before any completion).  The tail starts at the build, so
+    #: it holds the warm-up's completions too (ROADMAP item 15).
     p95_rt_ms: Optional[float] = None
     #: Extended {quantile: response_ms} (p50/p90/p95/p99) — populated
     #: only when telemetry was attached (the existing flag), None

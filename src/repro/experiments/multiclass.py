@@ -86,7 +86,9 @@ class SharingPoint:
     #: §7.4 sense of "exceeds its goal": being *faster* counts).
     goal_met_k1: float = 0.0
     goal_met_k2: float = 0.0
-    #: Streaming p95 response times over the measured horizon (P²).
+    #: Streaming p95 response times (P²).  The tails start at the
+    #: build, so they hold the warm-up's completions too (ROADMAP
+    #: item 15).
     p95_rt_k1: float = 0.0
     p95_rt_k2: float = 0.0
     #: Extended {quantile: response_ms} per class; None when the point
@@ -150,15 +152,21 @@ class MulticlassResult:
         )
 
 
+#: The (k1, k2) goals of every sharing point (ms): k1's tighter goal
+#: makes its buffer the one k2 comes to share (§7.4(b)).
+SHARING_GOALS = (4.0, 10.0)
+
+#: The system every point of :func:`run_sharing_sweep` runs on.
+SHARING_CONFIG = doubled_cache_config()
+
+
 def sharing_group(
     sharing: float,
-    goal1_ms: float = 4.0,
-    goal2_ms: float = 10.0,
-    seed: int = 7,
-    intervals: int = 60,
-    tail: int = 20,
-    config: Optional[SystemConfig] = None,
-    warmup_ms: float = DEFAULT_WARMUP_MS,
+    seed: int,
+    intervals: int,
+    tail: int,
+    config: SystemConfig,
+    warmup_ms: float,
 ) -> WarmGroup:
     """One sharing fraction as a one-point warm group.
 
@@ -166,7 +174,7 @@ def sharing_group(
     workload generator during warm-up, so every fraction needs its own
     build.  The point is labelled ``share<sharing>``.
     """
-    config = doubled_cache_config() if config is None else config
+    goal1_ms, goal2_ms = SHARING_GOALS
     return WarmGroup(
         build=functools.partial(
             _build_goal_pair_sim, config, goal1_ms, goal2_ms, sharing,
@@ -181,14 +189,22 @@ def sharing_group(
 
 
 def run_sharing_point(
-    sharing: float, telemetry: Optional[str] = None, **kwargs
+    sharing: float,
+    seed: int,
+    intervals: int,
+    tail: int,
+    config: SystemConfig,
+    warmup_ms: float,
+    telemetry: Optional[str] = None,
 ) -> SharingPoint:
     """Run one sharing fraction to steady state and summarize the tail.
 
-    ``kwargs`` are those of :func:`sharing_group`; ``telemetry`` (a
-    directory path) exports the run's artifacts there.
+    ``telemetry`` (a directory path) exports the run's artifacts there.
     """
-    group = sharing_group(sharing, **kwargs)
+    group = sharing_group(
+        sharing, seed=seed, intervals=intervals, tail=tail, config=config,
+        warmup_ms=warmup_ms,
+    )
     sim = group.build()
     sim.set_telemetry(telemetry)
     return group.measure(sim)
@@ -239,9 +255,13 @@ def run_sharing_sweep(
     sharings: Sequence[float] = (0.0, 0.25, 0.5, 0.75, 1.0),
     jobs: int = 1,
     telemetry: Optional[str] = None,
-    **kwargs,
+    seed: int = 7,
+    intervals: int = 60,
+    tail: int = 20,
+    warmup_ms: float = DEFAULT_WARMUP_MS,
 ) -> MulticlassResult:
-    """The full §7.4(b) sweep over sharing fractions.
+    """The full §7.4(b) sweep over sharing fractions, on
+    :data:`SHARING_CONFIG`.
 
     Every sharing fraction is its own warm group (see
     :func:`sharing_group`), so no two points share warm state:
@@ -249,10 +269,15 @@ def run_sharing_sweep(
     farmed to worker processes by ``jobs``, in ``sharings`` order.
     (Contrast :func:`run_goal_sweep`, whose points fork off one warmed
     image.)
-    ``kwargs`` are those of :func:`sharing_group`.
     """
     _, results = run_sweep(
-        [sharing_group(sharing, **kwargs) for sharing in sharings],
+        [
+            sharing_group(
+                sharing, seed=seed, intervals=intervals, tail=tail,
+                config=SHARING_CONFIG, warmup_ms=warmup_ms,
+            )
+            for sharing in sharings
+        ],
         jobs, telemetry,
     )
     return MulticlassResult(points=[point for [point] in results])

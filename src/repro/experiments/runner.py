@@ -196,11 +196,6 @@ class Simulation:
         """The simulation environment."""
         return self.cluster.env
 
-    def observed_rt(self, class_id: int) -> Optional[float]:
-        """Most recent interval's weighted mean RT of a goal class."""
-        series = self.controller.series[class_id].observed_rt
-        return series.values[-1] if len(series) else None
-
     def satisfied(self, class_id: int) -> list:
         """Per-interval goal-satisfaction flags of a goal class."""
         return self.controller.series[class_id].satisfied

@@ -342,9 +342,6 @@ class FaultSchedule:
         ]
         return cls(clauses)
 
-    def __len__(self) -> int:
-        return len(self.clauses)
-
     def events(
         self, rng: RandomStreams, num_nodes: int
     ) -> Iterator[FaultEvent]:

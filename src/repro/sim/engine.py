@@ -292,10 +292,6 @@ class Environment:
 
     # -- factories -------------------------------------------------
 
-    def event(self) -> Event:
-        """Create a new pending :class:`Event`."""
-        return Event(self)
-
     def timeout(self, delay: float) -> Timeout:
         """Create a :class:`Timeout` firing ``delay`` time units from now."""
         return pooled_timeout(self, delay)

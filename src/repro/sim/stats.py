@@ -92,12 +92,6 @@ class TimeSeries:
         self.times.append(time)
         self.values.append(value)
 
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(zip(self.times, self.values))
-
 
 class P2Quantile:
     """Streaming quantile estimate (Jain & Chlamtac's P² algorithm).

@@ -109,6 +109,3 @@ class MetricsRegistry:
             self._instruments.items()
         ):
             yield kind, name, labels, instrument
-
-    def __len__(self) -> int:
-        return len(self._instruments)

@@ -31,22 +31,5 @@ class RingLog:
         self._items.append(item)
         self.appended += 1
 
-    def __len__(self) -> int:
-        return len(self._items)
-
     def __iter__(self) -> Iterator:
         return iter(self._items)
-
-    def __bool__(self) -> bool:
-        return bool(self._items)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(self._items)[index]
-        return self._items[index]
-
-    def __repr__(self) -> str:
-        return (
-            f"RingLog(limit={self._items.maxlen}, len={len(self._items)}, "
-            f"appended={self.appended})"
-        )

@@ -76,14 +76,3 @@ class TraceLog:
         if kind == "interval":
             out.flush()
             self._on_interval(t)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def kinds(self) -> Dict[str, int]:
-        """Count of records per ``kind``, sorted by kind."""
-        counts: Dict[str, int] = {}
-        for record in self.records:
-            kind = record["kind"]
-            counts[kind] = counts.get(kind, 0) + 1
-        return dict(sorted(counts.items()))

@@ -118,6 +118,3 @@ class WriteAheadLog:
                                  LogRecordKind.ABORT):
                 prepared.discard(record.txn_id)
         return prepared
-
-    def __len__(self) -> int:
-        return len(self._records)

@@ -17,11 +17,11 @@ generator frame), that walks precomputed variate columns:
   current rate reproduces the sequential draw bit for bit — and keeps
   the block *rate independent*: an arrival-rate change mid-block
   simply rescales the not-yet-consumed factors.
-- :class:`ZipfColumn` pre-draws raw page uniforms (``array('d')``) and
-  eagerly transforms them to Zipf ranks (``array('l')``) through the
-  class's alias table.  The raw uniforms are kept so a mid-block page
-  set or skew change re-transforms only the unconsumed tail under the
-  new sampler — consumption order and variate identity never change.
+- :class:`ZipfColumn` pre-draws page uniforms and eagerly transforms
+  them to Zipf ranks (``array('l')``) through the class's alias table.
+  A class's page set and skew are fixed for the run (a spec that
+  changes them raises ``ValueError``), so a drawn rank never needs
+  re-mapping.
 
 **Draw-order contract** (pinned by the block-equivalence property
 test): for every stream, the i-th variate consumed through a column
@@ -93,22 +93,19 @@ class ExponentialColumn:
 
 
 class ZipfColumn:
-    """Pre-drawn page uniforms and their Zipf ranks for one stream.
+    """Pre-drawn Zipf ranks for one stream.
 
-    Ranks are transformed eagerly at refill through ``sampler``'s alias
-    table; the raw uniforms are retained so :meth:`retarget` can
-    re-transform the unconsumed tail when the class's page distribution
-    changes mid-block.
+    Each refill draws ``block`` uniforms and maps them, in order,
+    through ``sampler``'s alias table.
     """
 
-    __slots__ = ("stream", "block", "uniforms", "ranks", "cursor", "_sampler")
+    __slots__ = ("stream", "block", "ranks", "cursor", "_sampler")
 
     def __init__(self, stream, sampler, block: int = DEFAULT_BLOCK):
         if block < 1:
             raise ValueError("block size must be >= 1")
         self.stream = stream
         self.block = block
-        self.uniforms = array("d")
         self.ranks = array("l")
         self.cursor = 0
         self._sampler = sampler
@@ -116,34 +113,9 @@ class ZipfColumn:
     def refill(self) -> None:
         """Draw the next ``block`` uniforms and transform them."""
         rnd = self.stream.random
-        uniforms = array("d", [rnd() for _ in range(self.block)])
-        self.uniforms = uniforms
         transform = self._sampler.sample_from_uniform
-        self.ranks = array("l", [transform(u) for u in uniforms])
+        self.ranks = array("l", [transform(rnd()) for _ in range(self.block)])
         self.cursor = 0
-
-    def retarget(self, sampler) -> None:
-        """Switch to ``sampler``, re-transforming the unconsumed tail.
-
-        The uniforms themselves are untouched — each pending variate is
-        simply mapped through the new alias table, exactly as the
-        sequential front-end would map a freshly drawn uniform through
-        the picker in force at consumption time.
-        """
-        old = self._sampler
-        self._sampler = sampler
-        if (
-            sampler.num_items == old.num_items
-            and sampler.theta == old.theta
-        ):
-            return  # identical distribution — ranks already correct
-        uniforms = self.uniforms
-        cur = self.cursor
-        if cur < len(uniforms):
-            transform = sampler.sample_from_uniform
-            ranks = self.ranks
-            for i in range(cur, len(uniforms)):
-                ranks[i] = transform(uniforms[i])
 
     def next_rank(self) -> int:
         """The next Zipf rank (refills on exhaustion)."""
@@ -160,11 +132,12 @@ class ZipfColumn:
 class ClassStream:
     """Block-drawn arrival state for one (node, class) pair.
 
-    ``spec``/``picker``/``lambd`` mirror the bindings the sequential
-    loop holds across its sleep: the spec read *before* an arrival's
-    gap governs both that gap's rate and the pages drawn at the
-    arrival.  :meth:`rebind` refreshes them after each arrival, exactly
-    where the sequential loop re-reads ``spec_for``.
+    ``spec``/``lambd`` mirror the bindings the sequential loop holds
+    across its sleep: the spec read *before* an arrival's gap governs
+    both that gap's rate and the ``pages_per_op`` drawn at the arrival.
+    :meth:`rebind` refreshes them after each arrival, exactly where the
+    sequential loop re-reads ``spec_for``.  ``picker`` is fixed: a
+    class's page set and skew cannot change mid-run.
     """
 
     __slots__ = ("class_id", "spec", "picker", "lambd", "gaps", "pages", "next_t")
@@ -190,16 +163,17 @@ class ClassStream:
         self.next_t = now + self.gaps.next_neglog() / self.lambd
 
     def rebind(self, generator, node_id: int) -> None:
-        """Re-read the class spec (evolving workloads, §7.2)."""
+        """Re-read the class spec (evolving workloads, §7.2).
+
+        Raises ``ValueError`` when the new spec changes the class's
+        page set or skew.
+        """
         spec = generator.spec.spec_for(self.class_id)
         if spec is not self.spec:
+            generator._picker_for(spec)  # checks pages and skew
             self.spec = spec
             mean = 1.0 / spec.rate_for(node_id)
             self.lambd = 1.0 / mean
-            picker = generator._picker_for(spec)
-            if picker is not self.picker:
-                self.picker = picker
-                self.pages.retarget(picker.sampler)
 
 
 class NodeDispatcher:

@@ -82,29 +82,25 @@ class WorkloadGenerator:
         self.operations_completed = 0
 
     def _picker_for(self, spec: ClassSpec) -> ZipfPagePicker:
-        """The page picker for ``spec``, rebuilt only if it changed.
+        """The page picker of ``spec``'s class.
 
-        Goal controllers replace ClassSpec objects wholesale (e.g.
-        ``with_goal`` clones) without touching the page distribution;
-        comparing the distribution inputs — not object identity —
-        avoids rebuilding the picker on every such replacement.  The
-        rank sequence is unaffected either way (the alias table depends
-        only on the page count and skew), so reuse is free.
+        Goal controllers and evolving workloads replace ClassSpec
+        objects wholesale (e.g. ``with_goal`` clones, new arrival
+        rates); such a spec shares its class's picker, and the cache
+        entry is rebound so later identity checks hit.  A class's page
+        set and skew are fixed for the run: a spec that changes either
+        raises ``ValueError``.
         """
-        cached = self._pickers.get(spec.class_id)
-        if cached is not None:
-            old, picker = cached
-            if old is spec:
-                return picker
-            if old.skew == spec.skew and (
+        old, picker = self._pickers[spec.class_id]
+        if old is not spec:
+            if old.skew != spec.skew or not (
                 old.pages is spec.pages or old.pages == spec.pages
             ):
-                # Same distribution, new spec object: rebind the cache
-                # entry so later identity checks hit.
-                self._pickers[spec.class_id] = (spec, picker)
-                return picker
-        picker = ZipfPagePicker(spec.pages, spec.skew)
-        self._pickers[spec.class_id] = (spec, picker)
+                raise ValueError(
+                    f"class {spec.class_id}'s page set or skew changed "
+                    "mid-run; only its rate and goal may change"
+                )
+            self._pickers[spec.class_id] = (spec, picker)
         return picker
 
     def start(self) -> None:

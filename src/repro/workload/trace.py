@@ -8,7 +8,6 @@ comparisons (same accesses, different buffer management).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -36,24 +35,6 @@ class TraceRecorder:
     ) -> None:
         """Append one operation to the trace."""
         self.records.append(TraceRecord(time, node_id, class_id, pages))
-
-    @classmethod
-    def load(cls, path: str) -> "TraceRecorder":
-        """Read a JSON-lines trace: one ``time``/``node``/``class``/
-        ``pages`` object per record (the golden trace's format)."""
-        recorder = cls()
-        with open(path) as handle:
-            for line in handle:
-                if not line.strip():
-                    continue
-                data = json.loads(line)
-                recorder.record(
-                    data["time"],
-                    data["node"],
-                    data["class"],
-                    tuple(data["pages"]),
-                )
-        return recorder
 
 
 class TraceReplayer:

@@ -25,13 +25,13 @@ from __future__ import annotations
 from array import array
 from typing import Dict, List, Sequence, Tuple
 
-#: Memoized alias tables keyed by ``(num_items, theta)``.  Goal sweeps
-#: clone ClassSpecs per sweep point, and every clone used to pay the
-#: O(n) Vose rebuild even though the distribution — which depends only
-#: on the item count and skew — was unchanged.  The tables are
-#: immutable once built, so sharing them across samplers (and across
-#: replicas of the same workload) is safe.
-_ALIAS_CACHE: Dict[Tuple[int, float], Tuple[float, array, array]] = {}
+#: Memoized ``(accept, alias)`` tables keyed by ``(num_items, theta)``.
+#: Goal sweeps clone ClassSpecs per sweep point, and every clone used
+#: to pay the O(n) Vose rebuild even though the distribution — which
+#: depends only on the item count and skew — was unchanged.  The tables
+#: are immutable once built, so sharing them across samplers (and
+#: across replicas of the same workload) is safe.
+_ALIAS_CACHE: Dict[Tuple[int, float], Tuple[array, array]] = {}
 
 
 class ZipfSampler:
@@ -49,11 +49,9 @@ class ZipfSampler:
             weights = [
                 rank ** (-theta) for rank in range(1, num_items + 1)
             ]
-            total = sum(weights)
-            accept, alias = self._build_alias(weights, total)
-            cached = (total, accept, alias)
+            cached = self._build_alias(weights, sum(weights))
             _ALIAS_CACHE[(num_items, theta)] = cached
-        self._total, self._accept, self._alias = cached
+        self._accept, self._alias = cached
 
     @staticmethod
     def _build_alias(weights: List[float], total: float):
@@ -95,12 +93,6 @@ class ZipfSampler:
         if scaled - column < self._accept[column]:
             return column
         return self._alias[column]
-
-    def probability(self, rank: int) -> float:
-        """Exact access probability of ``rank`` (0-based)."""
-        if not 0 <= rank < self.num_items:
-            raise ValueError("rank out of range")
-        return (rank + 1) ** (-self.theta) / self._total
 
 
 class ZipfPagePicker:

@@ -73,8 +73,24 @@ def generate_trace() -> TraceRecorder:
     return recorder
 
 
+def load_trace(path: str) -> TraceRecorder:
+    """Read a JSON-lines trace: one ``time``/``node``/``class``/``pages``
+    object per record (the golden trace's format)."""
+    recorder = TraceRecorder()
+    with open(path) as handle:
+        for line in handle:
+            if not line.strip():
+                continue
+            data = json.loads(line)
+            recorder.record(
+                data["time"], data["node"], data["class"],
+                tuple(data["pages"]),
+            )
+    return recorder
+
+
 def save_trace(recorder: TraceRecorder, path: str) -> None:
-    """Write a trace as the JSON lines :meth:`TraceRecorder.load` reads."""
+    """Write a trace as the JSON lines :func:`load_trace` reads."""
     with open(path, "w") as handle:
         for rec in recorder.records:
             handle.write(

@@ -112,16 +112,6 @@ def test_global_registry_forget_deletes_bookkeeping():
     registry.forget(7)  # idempotent
 
 
-def test_global_registry_clear_resets_everything():
-    registry = GlobalHeatRegistry()
-    for page in range(5):
-        registry.record(page, now=float(page))
-    assert len(registry) == 5
-    registry.clear()
-    assert len(registry) == 0
-    assert registry.pending_count == 0
-
-
 def test_global_registry_pending_bounded_by_threshold_cycle():
     """Reaching the threshold removes the page's pending counter."""
     registry = GlobalHeatRegistry()

@@ -28,15 +28,13 @@ def cpu_consume(cpu, instructions):
 def disk_read(disk, nbytes):
     """Generator: one random read of ``nbytes`` bytes on ``disk``.
 
-    Holds the arm for the access time (stretched by an active slowdown)
-    and counts the read and its service time, as the fetch chain does.
+    Holds the arm for the access time (stretched by an active slowdown),
+    as the fetch chain does.
     """
     service = disk.params.access_ms(nbytes)
     if disk.fault_factor != 1.0:
         service *= disk.fault_factor
     yield from disk.resource.occupy(service)
-    disk.reads += 1
-    disk.service_stats.add(service)
 
 
 def _reference_access(cluster, node_id, page_id, class_id, paths=None):
@@ -205,7 +203,6 @@ def _fingerprint(cluster):
             cluster.costs.cost_local,
             cluster.costs.cost_remote,
             cluster.costs.cost_disk,
-            cluster.costs.version,
         ),
         "observations": [
             cluster.costs.observations(level) for level in AccessLevel
@@ -225,7 +222,7 @@ def _fingerprint(cluster):
             len(cluster.global_heat),
             cluster.global_heat.pending_count,
         ),
-        "disk_reads": [node.disk.reads for node in cluster.nodes],
+        "disk_busy": [node.disk.utilization() for node in cluster.nodes],
     }
 
 

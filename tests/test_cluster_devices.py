@@ -58,8 +58,7 @@ def test_disk_read_takes_access_time():
     env.process(proc())
     env.run()
     assert done == [pytest.approx(6.2048, rel=1e-3)]
-    assert disk.reads == 1
-    assert disk.service_stats.mean == pytest.approx(6.2048, rel=1e-3)
+    assert disk.utilization() == 1.0  # the arm was held the whole read
 
 
 def test_disk_contention_queues():

@@ -13,7 +13,6 @@ def test_every_evaluate_is_logged():
     coordinator.evaluate(now=1.0, other_dedicated=[0, 0, 0])
     feed(coordinator, [10.0] * 3, [1.0] * 3, time=2.0)
     coordinator.evaluate(now=2.0, other_dedicated=[0, 0, 0])
-    assert len(coordinator.decision_log) == 2
     first, second = coordinator.decision_log
     assert isinstance(first, DecisionRecord)
     assert first.time == 1.0
@@ -25,9 +24,8 @@ def test_log_records_allocation_totals():
     coordinator = make_coordinator(goal_ms=10.0)
     feed(coordinator, [20.0] * 3, [1.0] * 3)
     decision = coordinator.evaluate(now=1.0, other_dedicated=[0, 0, 0])
-    assert coordinator.decision_log[-1].allocation_total == (
-        float(np.sum(decision.new_allocation))
-    )
+    *_, last = coordinator.decision_log
+    assert last.allocation_total == float(np.sum(decision.new_allocation))
 
 
 def test_log_is_bounded():
@@ -36,8 +34,9 @@ def test_log_is_bounded():
     for i in range(12):
         feed(coordinator, [10.0] * 3, [1.0] * 3, time=float(i))
         coordinator.evaluate(now=float(i), other_dedicated=[0, 0, 0])
-    assert len(coordinator.decision_log) == 5
-    assert coordinator.decision_log[-1].time == 11.0
+    records = list(coordinator.decision_log)
+    assert len(records) == 5
+    assert records[-1].time == 11.0
 
 
 def test_log_caps_at_512_as_a_ring():
@@ -46,16 +45,17 @@ def test_log_caps_at_512_as_a_ring():
     for i in range(520):
         feed(coordinator, [10.0] * 3, [1.0] * 3, time=float(i))
         coordinator.evaluate(now=float(i), other_dedicated=[0, 0, 0])
-    assert len(coordinator.decision_log) == 512
+    records = list(coordinator.decision_log)
+    assert len(records) == 512
     assert coordinator.decision_log.appended == 520
     # Oldest evicted: the surviving window is the newest 512 records.
-    assert coordinator.decision_log[0].time == 8.0
-    assert coordinator.decision_log[-1].time == 519.0
+    assert records[0].time == 8.0
+    assert records[-1].time == 519.0
 
 
 def test_no_reports_logged_as_satisfied_noop():
     coordinator = make_coordinator()
     coordinator.evaluate(now=0.0, other_dedicated=[0, 0, 0])
-    record = coordinator.decision_log[-1]
+    *_, record = coordinator.decision_log
     assert record.observed_rt is None
     assert record.satisfied

@@ -228,4 +228,4 @@ def test_loop_survives_total_report_loss(fast_config, fast_workload):
     # coordinator still evaluates every interval with what it has.
     home = controller.coordinator_home[1]
     assert set(controller.coordinators[1].goal_reports) <= {home}
-    assert len(controller.coordinators[1].decision_log) == 6
+    assert len(list(controller.coordinators[1].decision_log)) == 6

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import simplex
 from repro.core.simplex import ITERATION_LIMIT, OPTIMAL, solve_lp
-from repro.sim.engine import Environment
+from repro.sim.engine import Environment, Event
 
 
 # -- kernel ---------------------------------------------------------------
@@ -36,7 +36,7 @@ def test_nested_subgenerators_three_deep():
 
 def test_event_callback_after_processed_runs_immediately():
     env = Environment()
-    event = env.event()
+    event = Event(env)
     event.succeed("early")
     env.run()
     late = []

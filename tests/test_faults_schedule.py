@@ -71,7 +71,7 @@ def test_parse_spec_splits_on_semicolons():
     schedule = FaultSchedule.parse(
         "crash@1000; netloss@2000:p=0.1 ;; diskslow@3000"
     )
-    assert len(schedule) == 3
+    assert len(schedule.clauses) == 3
     assert [c.kind for c in schedule.clauses] == [
         "crash", "netloss", "diskslow",
     ]
@@ -137,7 +137,7 @@ def test_disjoint_and_cross_target_windows_accepted():
         "coordcrash@1000:dur=2000;coordcrash@3000:dur=1000;"
         "crash@1500:node=0:restart=500;crash@1500:node=1:restart=500"
     )
-    assert len(schedule) == 4
+    assert len(schedule.clauses) == 4
 
 
 def test_node_any_crashes_exempt_from_overlap_check():
@@ -146,7 +146,7 @@ def test_node_any_crashes_exempt_from_overlap_check():
     schedule = FaultSchedule.parse(
         "crash@1000:node=any:restart=9000;crash@2000:node=any:restart=9000"
     )
-    assert len(schedule) == 2
+    assert len(schedule.clauses) == 2
 
 
 # -- partition / coordcrash event resolution --------------------------

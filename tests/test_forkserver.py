@@ -351,15 +351,16 @@ def test_vet_cache_does_not_weaken_runtime_clock_guard(
 
 def test_sharing_sweep_runs_cold(fast_config, monkeypatch):
     # Every sharing fraction is its own warm group: nothing to fork.
+    from repro.experiments import multiclass
     from repro.experiments.multiclass import run_sharing_sweep
 
     def no_fork(*args):
         raise AssertionError("the sharing sweep forked")
 
     monkeypatch.setattr(forkserver, "_fork_group", no_fork)
+    monkeypatch.setattr(multiclass, "SHARING_CONFIG", fast_config)
     result = run_sharing_sweep(
-        sharings=(0.0, 0.5), config=fast_config,
-        intervals=2, tail=1, warmup_ms=2_000.0,
+        sharings=(0.0, 0.5), intervals=2, tail=1, warmup_ms=2_000.0,
     )
     assert [p.sharing for p in result.points] == [0.0, 0.5]
 

@@ -10,9 +10,7 @@ regeneration policy).
 
 import os
 
-from repro.workload.trace import TraceRecorder
-
-from tests.golden_trace import GOLDEN_PATH, generate_trace
+from tests.golden_trace import GOLDEN_PATH, generate_trace, load_trace
 
 
 def test_golden_file_exists():
@@ -22,7 +20,7 @@ def test_golden_file_exists():
 
 
 def test_kernel_reproduces_golden_trace():
-    golden = TraceRecorder.load(GOLDEN_PATH).records
+    golden = load_trace(GOLDEN_PATH).records
     fresh = generate_trace().records
     assert len(fresh) == len(golden)
     for i, (a, b) in enumerate(zip(fresh, golden)):

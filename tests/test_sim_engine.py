@@ -4,7 +4,7 @@ from itertools import accumulate
 
 import pytest
 
-from repro.sim.engine import Environment, SimulationError
+from repro.sim.engine import Environment, Event, SimulationError
 
 
 def test_clock_starts_at_zero():
@@ -108,7 +108,7 @@ def test_yield_from_subgenerator_returns_value():
 
 def test_event_succeed_wakes_waiter():
     env = Environment()
-    gate = env.event()
+    gate = Event(env)
     log = []
 
     def opener():
@@ -127,7 +127,7 @@ def test_event_succeed_wakes_waiter():
 
 def test_event_cannot_trigger_twice():
     env = Environment()
-    event = env.event()
+    event = Event(env)
     event.succeed()
     with pytest.raises(SimulationError):
         event.succeed()

@@ -62,8 +62,8 @@ def test_time_series_roundtrip():
     series = TimeSeries("t")
     series.append(1.0, 10.0)
     series.append(2.0, 20.0)
-    assert len(series) == 2
-    assert list(series) == [(1.0, 10.0), (2.0, 20.0)]
+    assert series.times == [1.0, 2.0]
+    assert series.values == [10.0, 20.0]
 
 
 def test_confidence_interval_empty_and_single():

@@ -63,8 +63,8 @@ def _goal_pairs(**kwargs):
 
 def _sharing(**kwargs):
     return multiclass.run_sharing_sweep(
-        sharings=(0.0, 0.5), config=multiclass.doubled_cache_config(CONFIG),
-        seed=3, intervals=3, tail=2, warmup_ms=WARMUP_MS, **kwargs,
+        sharings=(0.0, 0.5), seed=3, intervals=3, tail=2,
+        warmup_ms=WARMUP_MS, **kwargs,
     ).points
 
 
@@ -178,10 +178,13 @@ def test_every_sweep_is_pinned():
 
 @pytest.mark.parametrize("name,runner,jobs", CASES)
 def test_sweep_digest_unchanged(tmp_path, monkeypatch, name, runner, jobs):
-    # The pins were recorded with two figure2 replicates and a 2-interval
-    # multiclass tail.
+    # The pins were recorded with two figure2 replicates, a 2-interval
+    # multiclass tail and the sharing sweep on CONFIG's doubled cache.
     monkeypatch.setattr(figure2, "SWEEP_REPLICATES", 2)
     monkeypatch.setattr(multiclass, "GOAL_SWEEP_TAIL", 2)
+    monkeypatch.setattr(
+        multiclass, "SHARING_CONFIG", multiclass.doubled_cache_config(CONFIG)
+    )
     if runner == "cold":
         monkeypatch.setattr(forkserver, "supports_fork", lambda: False)
     outdir = str(tmp_path / "telemetry")

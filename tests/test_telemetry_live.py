@@ -32,6 +32,7 @@ from tests.golden_trace import (
     INTERVALS,
     SEED,
     WARMUP_MS,
+    load_trace,
     recording,
 )
 
@@ -188,7 +189,7 @@ def test_snapshot_samplers_leave_the_exported_registry_alone(tmp_path):
     # renders did not gain it.
     [snapshot] = _lines(tmp_path / "snapshots.jsonl")
     assert [s["name"] for s in snapshot["samples"]] == ["repro_pool_pages"]
-    assert len(tel.registry) == 0
+    assert list(tel.registry.samples()) == []
 
 
 # -- following a run ---------------------------------------------------
@@ -220,7 +221,7 @@ def test_live_streaming_run_matches_golden_trace(tmp_path):
         follower.join(timeout=60)
     finally:
         service.stop()
-    golden = TraceRecorder.load(GOLDEN_PATH).records
+    golden = load_trace(GOLDEN_PATH).records
     assert recorder.records == golden
     events = follower.events()
     assert events[0] == "run_start" and events[-1] == "end"

@@ -62,9 +62,9 @@ def _evolve(generator):
         # faster arrivals, same pages
         ClassSpec(class_id=0, goal_ms=None, pages=old.classes[0].pages,
                   skew=0.8, pages_per_op=4, arrival_rate_per_node=0.025),
-        # new page set (shared with class 0), skew and run length
-        ClassSpec(class_id=1, goal_ms=25.0, pages=tuple(range(50, 180)),
-                  skew=0.2, pages_per_op=5, arrival_rate_per_node=0.01),
+        # same pages and skew, new goal and run length
+        ClassSpec(class_id=1, goal_ms=25.0, pages=old.classes[1].pages,
+                  skew=0.5, pages_per_op=5, arrival_rate_per_node=0.01),
         old.classes[2],
     ])
 
@@ -114,7 +114,7 @@ def _run(fast_config, reference, faults, monkeypatch, pushes):
             generator.operations_started, generator.operations_completed,
         ),
         "txn": (manager.committed, manager.aborted),
-        "disk_reads": [node.disk.reads for node in cluster.nodes],
+        "disk_busy": [node.disk.utilization() for node in cluster.nodes],
     }
     return outcome, cluster.env._seq
 
@@ -150,8 +150,7 @@ def test_handler_front_end_matches_process_reference(
         assert not stalls
     assert new["txn"][0] > 0, "the writing class committed nothing"
     assert any(
-        set(r.pages) & set(range(50, 180))
-        for r in new["trace"] if r.class_id == 1
+        len(r.pages) == 5 for r in new["trace"] if r.class_id == 1
     ), "the evolved class 1 spec never took effect"
     # Reads in the mix: completions of all three classes.
     assert {c for _, c, _, _ in new["completions"]} == {0, 1, 2}

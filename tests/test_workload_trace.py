@@ -6,7 +6,7 @@ from repro.cluster.cluster import Cluster
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.trace import TraceRecord, TraceRecorder, TraceReplayer
 
-from tests.golden_trace import save_trace
+from tests.golden_trace import load_trace, save_trace
 
 
 def test_recorder_collects_operations(fast_config, fast_workload):
@@ -28,7 +28,7 @@ def test_save_and_load_roundtrip(tmp_path):
     recorder.record(2.5, 2, 0, (30,))
     path = tmp_path / "trace.jsonl"
     save_trace(recorder, str(path))
-    loaded = TraceRecorder.load(str(path))
+    loaded = load_trace(str(path))
     assert loaded.records == recorder.records
 
 

@@ -8,6 +8,8 @@ with it.
 ``zipf_sample``: the sequential Zipf draw the block-drawing front-end
 is checked against.
 
+``zipf_probability``: the exact Zipf law the alias tables must realise.
+
 ``vose_alias_lists``: Vose's alias construction over plain lists, the
 oracle the typed tables of :class:`repro.workload.zipf.ZipfSampler`
 must equal element for element.
@@ -65,6 +67,15 @@ def zipf_sample(sampler, rng) -> int:
     if scaled - column < sampler._accept[column]:
         return column
     return sampler._alias[column]
+
+
+def zipf_probability(sampler, rank: int) -> float:
+    """Exact access probability of ``rank`` (0-based) under ``sampler``."""
+    if not 0 <= rank < sampler.num_items:
+        raise ValueError("rank out of range")
+    theta = sampler.theta
+    total = sum(r ** (-theta) for r in range(1, sampler.num_items + 1))
+    return (rank + 1) ** (-theta) / total
 
 
 def vose_alias_lists(num_items: int, theta: float):
