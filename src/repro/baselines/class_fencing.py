@@ -21,9 +21,9 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-import numpy as np
-
+from repro.baselines.fragment_fencing import arrival_weights
 from repro.core.coordinator import Coordinator
+from repro.core.measure import same_allocation
 
 
 class ClassFencingCoordinator(Coordinator):
@@ -48,7 +48,7 @@ class ClassFencingCoordinator(Coordinator):
         if total_accesses == 0:
             return
         hit_rate = hits / total_accesses
-        total_buffer = float(np.sum(self.current_allocation))
+        total_buffer = float(sum(self.current_allocation))
         if self._hit_points and abs(
             self._hit_points[-1][0] - total_buffer
         ) < 1.0:
@@ -62,11 +62,16 @@ class ClassFencingCoordinator(Coordinator):
 
     def _propose(self, rt_goal, upper, now):
         self._observe_hit_rate()
-        total = float(np.sum(self.current_allocation))
+        total = float(sum(self.current_allocation))
         if total <= 0 or len(self._hit_points) < 2:
-            proposal = np.minimum(self.seed_fraction * upper, upper)
-            if total > 0 and np.allclose(proposal, self.current_allocation):
-                proposal = np.minimum(proposal * 1.5 + self.page_size, upper)
+            proposal = [min(self.seed_fraction * u, u) for u in upper]
+            if total > 0 and same_allocation(
+                proposal, self.current_allocation
+            ):
+                proposal = [
+                    min(p * 1.5 + self.page_size, u)
+                    for p, u in zip(proposal, upper)
+                ]
             return proposal, "class-fencing", False
 
         buffer_now, hit_now = self._hit_points[-1]
@@ -81,15 +86,16 @@ class ClassFencingCoordinator(Coordinator):
         if slope <= self.min_slope:
             # Flat measurement: fall back to a multiplicative probe.
             factor = 1.5 if rt_goal > self.goal_ms else 0.75
-            proposal = np.minimum(
-                self.current_allocation * factor, upper
-            )
+            proposal = [
+                min(c * factor, u)
+                for c, u in zip(self.current_allocation, upper)
+            ]
             return self._damp_shrink(proposal), "class-fencing", False
 
         new_total = buffer_now + (target_hit - hit_now) / slope
         new_total = max(new_total, 0.0)
-        weights = self._arrival_weights()
-        proposal = np.minimum(new_total * weights, upper)
+        weights = arrival_weights(self.goal_reports, self.num_nodes)
+        proposal = [min(new_total * w, u) for w, u in zip(weights, upper)]
         return self._damp_shrink(proposal), "class-fencing", False
 
     def _hit_slope(self) -> float:
@@ -98,12 +104,3 @@ class ClassFencingCoordinator(Coordinator):
         if abs(b2 - b1) < 1.0:
             return 0.0
         return max((h2 - h1) / (b2 - b1), 0.0)
-
-    def _arrival_weights(self) -> np.ndarray:
-        rates = np.zeros(self.num_nodes)
-        for node_id, report in self.goal_reports.items():
-            rates[node_id] = report.arrival_rate
-        total = rates.sum()
-        if total <= 0:
-            return np.full(self.num_nodes, 1.0 / self.num_nodes)
-        return rates / total

@@ -18,7 +18,7 @@ This implementation performs one greedy step per feedback iteration:
 
 from __future__ import annotations
 
-import numpy as np
+from typing import List
 
 from repro.core.coordinator import Coordinator
 
@@ -33,9 +33,10 @@ class DynamicTuningCoordinator(Coordinator):
 
     def _propose(self, rt_goal, upper, now):
         index = rt_goal / self.goal_ms
-        step = self.step_fraction * float(self.node_sizes.max())
-        proposal = self.current_allocation.copy()
-        order = np.argsort(-self._arrival_rates())
+        step = self.step_fraction * max(self.node_sizes)
+        proposal = list(self.current_allocation)
+        rates = self._arrival_rates()
+        order = sorted(range(self.num_nodes), key=lambda i: -rates[i])
         if index > 1.0:
             for node_id in order:
                 headroom = upper[node_id] - proposal[node_id]
@@ -52,8 +53,8 @@ class DynamicTuningCoordinator(Coordinator):
                     return proposal, "dynamic-tuning", False
         return proposal, "dynamic-tuning", False
 
-    def _arrival_rates(self) -> np.ndarray:
-        rates = np.zeros(self.num_nodes)
+    def _arrival_rates(self) -> List[float]:
+        rates = [0.0] * self.num_nodes
         for node_id, report in self.goal_reports.items():
             rates[node_id] = report.arrival_rate
         return rates

@@ -14,9 +14,23 @@ proportion to the class's arrival rates.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import Dict, List
 
+from repro.core.agent import AgentReport
 from repro.core.coordinator import Coordinator
+
+
+def arrival_weights(
+    reports: Dict[int, AgentReport], num_nodes: int
+) -> List[float]:
+    """Per-node shares of the class's arrival rate (even when none)."""
+    rates = [0.0] * num_nodes
+    for node_id, report in reports.items():
+        rates[node_id] = report.arrival_rate
+    total = sum(rates)
+    if total <= 0:
+        return [1.0 / num_nodes] * num_nodes
+    return [rate / total for rate in rates]
 
 
 class FragmentFencingCoordinator(Coordinator):
@@ -30,23 +44,14 @@ class FragmentFencingCoordinator(Coordinator):
     max_scale = 3.0
 
     def _propose(self, rt_goal, upper, now):
-        total = float(np.sum(self.current_allocation))
+        total = float(sum(self.current_allocation))
         if total <= 0:
-            proposal = self.seed_fraction * upper
+            proposal = [self.seed_fraction * u for u in upper]
             return proposal, "fragment-fencing", False
         rho = rt_goal / self.goal_ms
         rho = min(max(rho, self.min_scale), self.max_scale)
         new_total = total * rho
-        weights = self._arrival_weights()
-        proposal = np.minimum(new_total * weights, upper)
+        weights = arrival_weights(self.goal_reports, self.num_nodes)
+        proposal = [min(new_total * w, u) for w, u in zip(weights, upper)]
         proposal = self._damp_shrink(proposal)
         return proposal, "fragment-fencing", False
-
-    def _arrival_weights(self) -> np.ndarray:
-        rates = np.zeros(self.num_nodes)
-        for node_id, report in self.goal_reports.items():
-            rates[node_id] = report.arrival_rate
-        total = rates.sum()
-        if total <= 0:
-            return np.full(self.num_nodes, 1.0 / self.num_nodes)
-        return rates / total

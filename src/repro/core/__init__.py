@@ -1,6 +1,10 @@
 """Goal-oriented distributed buffer partitioning — the paper's core
-contribution: measure points, hyperplane approximation, the simplex LP,
-and the distributed feedback loop of agents and coordinators."""
+contribution: measure points, hyperplane approximation, the Section-4
+LP, and the distributed feedback loop of agents and coordinators.
+
+Nothing imported here needs numpy; the §8 variance objective
+(:mod:`repro.core.variance`, on the simplex of :mod:`repro.core.simplex`)
+is imported only where it is used."""
 
 from repro.core.agent import AgentReport, ClassAgent
 from repro.core.controller import ClassSeries, GoalOrientedController
@@ -16,19 +20,9 @@ from repro.core.hyperplane import (
 from repro.core.lp import (
     PartitioningProblem,
     PartitioningSolution,
-    VarianceProblem,
     solve_partitioning,
-    solve_variance_partitioning,
 )
 from repro.core.measure import MeasurePoint, MeasureWindow
-from repro.core.simplex import (
-    INFEASIBLE,
-    ITERATION_LIMIT,
-    OPTIMAL,
-    UNBOUNDED,
-    SimplexResult,
-    solve_lp,
-)
 from repro.core.tolerance import GoalTolerance
 
 __all__ = [
@@ -40,23 +34,15 @@ __all__ = [
     "GoalOrientedController",
     "GoalTolerance",
     "Hyperplane",
-    "INFEASIBLE",
-    "ITERATION_LIMIT",
     "IndependenceTracker",
     "MeasurePoint",
     "MeasureWindow",
-    "OPTIMAL",
     "PartitioningProblem",
     "PartitioningSolution",
-    "SimplexResult",
     "SingularFitError",
-    "UNBOUNDED",
-    "VarianceProblem",
     "fit_hyperplane",
     "regularize_plane",
     "select_independent",
-    "solve_lp",
     "solve_partitioning",
-    "solve_variance_partitioning",
     "weighted_mean_response_time",
 ]

@@ -36,8 +36,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.bufmgr.manager import NO_GOAL_CLASS
 from repro.cluster.cluster import Cluster
 from repro.cluster.messages import MessageKind
@@ -699,6 +697,6 @@ class GoalOrientedController:
             series.nogoal_rt.append(now, decision.observed_nogoal_rt)
         series.goal.append(now, coordinator.goal_ms)
         series.dedicated_bytes.append(
-            now, float(np.sum(coordinator.current_allocation))
+            now, float(sum(coordinator.current_allocation))
         )
         series.satisfied.append(decision.satisfied)

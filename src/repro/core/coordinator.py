@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.core.agent import AgentReport
 from repro.core.hyperplane import (
     Hyperplane,
@@ -32,7 +30,7 @@ from repro.core.hyperplane import (
     weighted_mean_response_time,
 )
 from repro.core.lp import PartitioningProblem, solve_partitioning
-from repro.core.measure import SAME_ALLOCATION_ATOL, MeasureWindow
+from repro.core.measure import MeasureWindow, same_allocation
 from repro.core.tolerance import GoalTolerance
 from repro.telemetry.ring import RingLog
 
@@ -55,7 +53,7 @@ class CoordinatorDecision:
     #: True when the goal was met within tolerance (no action taken).
     satisfied: bool
     #: Requested new per-node allocation in bytes, or None.
-    new_allocation: Optional[np.ndarray] = None
+    new_allocation: Optional[List[float]] = None
     #: Which mechanism produced the allocation: 'lp', 'warmup', or None.
     mechanism: Optional[str] = None
     #: True if the LP needed the relaxed (minimum-deviation) fallback.
@@ -99,7 +97,7 @@ class Coordinator:
         if class_id <= 0:
             raise ValueError("coordinators exist for goal classes only")
         self.class_id = class_id
-        self.node_sizes = np.asarray(node_sizes, dtype=float)
+        self.node_sizes = [float(size) for size in node_sizes]
         self.num_nodes = len(node_sizes)
         self.goal_ms = goal_ms
         self.page_size = page_size
@@ -110,7 +108,7 @@ class Coordinator:
         #: Most recent report per no-goal agent.
         self.nogoal_reports: Dict[int, AgentReport] = {}
         #: Granted allocation currently in force (bytes per node).
-        self.current_allocation = np.zeros(self.num_nodes)
+        self.current_allocation = [0.0] * self.num_nodes
         #: Per-node (hits, misses) of the last interval (for baselines).
         self.hit_info: Dict[int, tuple] = {}
         self._warmup = _WarmupState()
@@ -157,7 +155,7 @@ class Coordinator:
             if decision.new_allocation is not None
             else self.current_allocation
         )
-        allocation_total = float(np.sum(allocation))
+        allocation_total = float(sum(allocation))
         self.decision_log.append(
             DecisionRecord(
                 time=now,
@@ -205,7 +203,7 @@ class Coordinator:
         updates its information and lets the next feedback iteration
         react.
         """
-        self.current_allocation = np.asarray(granted, dtype=float)
+        self.current_allocation = [float(b) for b in granted]
 
     def set_goal(self, goal_ms: float) -> None:
         """Install a new response time goal (dynamic goal adjustment)."""
@@ -262,7 +260,7 @@ class Coordinator:
         pre-crash ALLOCATION message permanently rejectable.
         """
         self.epoch += 1
-        self.current_allocation = np.asarray(granted, dtype=float)
+        self.current_allocation = [float(b) for b in granted]
 
     def record_outage(self, now: float) -> CoordinatorDecision:
         """Log a coordinator-dark interval.
@@ -337,33 +335,32 @@ class Coordinator:
             ))
 
         self.optimizations += 1
-        upper = np.maximum(
-            self.node_sizes - np.asarray(other_dedicated, dtype=float), 0.0
-        )
+        upper = [
+            max(size - float(other), 0.0)
+            for size, other in zip(self.node_sizes, other_dedicated)
+        ]
         allocation, mechanism, relaxed = self._propose(rt_goal, upper, now)
         if allocation is None:
             mechanism = "warmup"
             allocation = self._warmup_proposal(rt_goal, upper)
-        allocation = self._round_to_pages(np.clip(allocation, 0.0, upper))
-        if np.allclose(allocation, self.current_allocation,
-                       atol=SAME_ALLOCATION_ATOL):
+        allocation = self._round_to_pages(allocation, upper)
+        if same_allocation(allocation, self.current_allocation):
             # Proposal equals the current state: nudge along the warm-up
             # axis so the next interval still yields a new, linearly
             # independent measure point.
             allocation = self._round_to_pages(
-                np.clip(self._warmup_proposal(rt_goal, upper), 0.0, upper)
+                self._warmup_proposal(rt_goal, upper), upper
             )
             mechanism = "warmup"
-            if np.allclose(allocation, self.current_allocation,
-                           atol=SAME_ALLOCATION_ATOL):
+            if same_allocation(allocation, self.current_allocation):
                 return self._log_decision(now, CoordinatorDecision(
                     observed_rt=rt_goal,
                     observed_nogoal_rt=rt_nogoal,
                     satisfied=False,
                 ))
         self.tolerance.reset()
-        if mechanism == "lp" and float(np.sum(allocation)) > float(
-            np.sum(self.current_allocation)
+        if mechanism == "lp" and sum(allocation) > sum(
+            self.current_allocation
         ):
             # Growth needs cache refill time before measurements mean
             # anything; a pure shrink takes effect immediately (pages
@@ -420,9 +417,9 @@ class Coordinator:
         """Per-interval local hit/miss counts (used by baselines)."""
         self.hit_info[node_id] = (hits, misses)
 
-    def _per_node_rts(self, fallback: float) -> np.ndarray:
+    def _per_node_rts(self, fallback: float) -> List[float]:
         """Per-node mean RTs from the latest reports (fallback fills)."""
-        rts = np.full(self.num_nodes, fallback)
+        rts = [fallback] * self.num_nodes
         for node_id, report in self.goal_reports.items():
             if report.completions > 0:
                 rts[node_id] = report.mean_response_ms
@@ -481,9 +478,11 @@ class Coordinator:
         if nogoal_plane is None:
             # Degenerate no-goal fit: minimize total dedicated memory
             # instead (frees as much as possible for the no-goal class).
-            scale = float(np.abs(goal_plane.coefficients).mean())
+            scale = sum(abs(c) for c in goal_plane.coefficients) / len(
+                goal_plane.coefficients
+            )
             nogoal_plane = Hyperplane(
-                coefficients=np.full(self.num_nodes, scale),
+                coefficients=[scale] * self.num_nodes,
                 intercept=0.0,
             )
         problem = PartitioningProblem(
@@ -493,13 +492,6 @@ class Coordinator:
             upper_bounds=upper,
         )
         solution = solve_partitioning(problem)
-        if solution is None:
-            if telemetry is not None:
-                telemetry.emit(
-                    "lp_solve", now, class_id=self.class_id,
-                    status="infeasible",
-                )
-            return None, False
         self.lp_solves += 1
         if telemetry is not None:
             telemetry.emit(
@@ -507,13 +499,16 @@ class Coordinator:
                 status="relaxed" if solution.relaxed else "optimal",
                 objective=float(solution.predicted_nogoal_rt),
                 predicted_goal_rt=float(solution.predicted_goal_rt),
-                allocation=[float(b) for b in solution.allocation],
+                allocation=solution.allocation,
             )
         return solution.allocation, solution.relaxed
 
     def _optimize_variance(self, upper, now):
         """Phase (d), §8 extension: minimize cross-node RT deviation."""
-        from repro.core.lp import VarianceProblem, solve_variance_partitioning
+        from repro.core.variance import (
+            VarianceProblem,
+            solve_variance_partitioning,
+        )
 
         try:
             node_planes = self.window.fit_node_planes(now)
@@ -523,7 +518,7 @@ class Coordinator:
         regularized = []
         for i, plane in enumerate(node_planes):
             anchor_rt = (
-                float(newest.per_node_rt[i])
+                newest.per_node_rt[i]
                 if newest.per_node_rt is not None else newest.rt_goal
             )
             fixed = regularize_plane(
@@ -532,13 +527,13 @@ class Coordinator:
             if fixed is None:
                 return None, False
             regularized.append(fixed)
-        weights = np.array([
+        weights = [
             self.goal_reports[i].arrival_rate
             if i in self.goal_reports else 0.0
             for i in range(self.num_nodes)
-        ])
-        if weights.sum() <= 0:
-            weights = np.ones(self.num_nodes)
+        ]
+        if sum(weights) <= 0:
+            weights = [1.0] * self.num_nodes
         problem = VarianceProblem(
             node_planes=tuple(regularized),
             weights=weights,
@@ -551,17 +546,19 @@ class Coordinator:
         self.lp_solves += 1
         return solution.allocation, solution.relaxed
 
-    def _warmup_proposal(self, rt_goal: float, upper: np.ndarray) -> np.ndarray:
+    def _warmup_proposal(
+        self, rt_goal: float, upper: List[float]
+    ) -> List[float]:
         """Exploratory allocations until N + 1 measure points exist."""
         if not self._warmup.started:
             self._warmup.started = True
-            return WARMUP_FRACTION * upper
-        proposal = self.current_allocation.copy()
+            return [WARMUP_FRACTION * u for u in upper]
+        proposal = list(self.current_allocation)
         too_slow = rt_goal > self.goal_ms
         for _ in range(self.num_nodes):
             axis = self._warmup.axis % self.num_nodes
             self._warmup.axis += 1
-            step = WARMUP_STEP * max(upper[axis], float(self.node_sizes[axis]))
+            step = WARMUP_STEP * max(upper[axis], self.node_sizes[axis])
             delta = step if too_slow else -step
             candidate = min(max(proposal[axis] + delta, 0.0), upper[axis])
             if abs(candidate - proposal[axis]) >= self.page_size:
@@ -574,14 +571,21 @@ class Coordinator:
                 return proposal
         return proposal
 
-    def _damp_shrink(self, proposal: np.ndarray) -> np.ndarray:
+    def _damp_shrink(self, proposal: List[float]) -> List[float]:
         """Apply only part of a proposed reduction (see shrink_damping)."""
-        if float(np.sum(proposal)) >= float(np.sum(self.current_allocation)):
+        current = self.current_allocation
+        if sum(proposal) >= sum(current):
             return proposal
-        return (
-            self.current_allocation
-            + self.shrink_damping * (proposal - self.current_allocation)
-        )
+        damping = self.shrink_damping
+        return [c + damping * (p - c) for p, c in zip(proposal, current)]
 
-    def _round_to_pages(self, allocation: np.ndarray) -> np.ndarray:
-        return np.round(allocation / self.page_size) * self.page_size
+    def _round_to_pages(
+        self, allocation: List[float], upper: List[float]
+    ) -> List[float]:
+        """Clip ``allocation`` into ``[0, upper]``, then round each
+        entry to whole pages (half to even)."""
+        page = self.page_size
+        return [
+            float(round(min(max(b, 0.0), u) / page) * page)
+            for b, u in zip(allocation, upper)
+        ]

@@ -12,9 +12,8 @@ elimination (§5, "incremental Gauss algorithm" after [14]).
 
 from __future__ import annotations
 
-from typing import List, Optional
-
-import numpy as np
+import math
+from typing import List, Optional, Sequence
 
 #: A residual this small relative to the vector's norm counts as zero.
 RTOL = 1e-9
@@ -28,7 +27,7 @@ class IndependenceTracker:
             raise ValueError("dimension must be >= 1")
         self.dim = dim
         #: Eliminated rows; ``_pivots[i]`` is the pivot column of row i.
-        self._rows: List[np.ndarray] = []
+        self._rows: List[List[float]] = []
         self._pivots: List[int] = []
 
     @property
@@ -41,27 +40,26 @@ class IndependenceTracker:
         """True once dim vectors are stored (the set spans R^dim)."""
         return self.rank >= self.dim
 
-    def residual(self, vector) -> np.ndarray:
+    def residual(self, vector: Sequence[float]) -> List[float]:
         """``vector`` after elimination against the stored rows."""
-        v = np.asarray(vector, dtype=float)
-        if v.shape != (self.dim,):
-            raise ValueError(f"expected shape ({self.dim},), got {v.shape}")
-        v = v.copy()
+        v = [float(x) for x in vector]
+        if len(v) != self.dim:
+            raise ValueError(f"expected {self.dim} entries, got {len(v)}")
         for row, pivot in zip(self._rows, self._pivots):
             if v[pivot] != 0.0:
-                v = v - (v[pivot] / row[pivot]) * row
+                factor = v[pivot] / row[pivot]
+                v = [x - factor * r for x, r in zip(v, row)]
         return v
 
-    def add(self, vector) -> bool:
+    def add(self, vector: Sequence[float]) -> bool:
         """Add ``vector`` if it is independent; return success."""
         if self.full:
             return False
-        v = np.asarray(vector, dtype=float)
-        norm = float(np.linalg.norm(v))
+        norm = math.hypot(*vector)
         if norm == 0.0:
             return False
-        residual = self.residual(v)
-        pivot = int(np.abs(residual).argmax())
+        residual = self.residual(vector)
+        pivot = max(range(self.dim), key=lambda j: abs(residual[j]))
         if abs(residual[pivot]) <= RTOL * norm:
             return False
         self._rows.append(residual)
@@ -70,8 +68,8 @@ class IndependenceTracker:
 
 
 def select_independent(
-    reference: np.ndarray,
-    candidates: List[np.ndarray],
+    reference: Sequence[float],
+    candidates: Sequence[Sequence[float]],
     limit: Optional[int] = None,
 ) -> List[int]:
     """Greedy selection of candidates with independent differences.
@@ -83,15 +81,15 @@ def select_independent(
     paper's rule of retaining the most recent measure points whose
     difference vectors to the newest point stay independent.
     """
-    reference = np.asarray(reference, dtype=float)
-    dim = reference.shape[0]
+    reference = [float(x) for x in reference]
+    dim = len(reference)
     limit = dim if limit is None else min(limit, dim)
     tracker = IndependenceTracker(dim)
     chosen: List[int] = []
     for index, candidate in enumerate(candidates):
         if len(chosen) >= limit:
             break
-        diff = np.asarray(candidate, dtype=float) - reference
+        diff = [float(c) - r for c, r in zip(candidate, reference)]
         if tracker.add(diff):
             chosen.append(index)
     return chosen

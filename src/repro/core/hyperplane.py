@@ -6,20 +6,16 @@ buffer sizes ``(LM_1, ..., LM_N)``:
 
     RT(LM) = sum_i kappa_i * LM_i + kappa
 
-The coefficients are determined from ``N + 1`` measure points whose
-difference vectors are linearly independent (exact interpolation); with
-more points a least-squares fit is used.
+The coefficients are determined from exactly ``N + 1`` measure points
+whose difference vectors are linearly independent (exact
+interpolation).  Vectors are plain lists of floats: N is at most a few
+dozen, so a Python loop beats an array library's call overhead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
-
-import numpy as np
-
-#: Cut-off ratio for small singular values in the least-squares fit.
-RCOND = 1e-12
+from typing import List, Optional, Sequence, Tuple
 
 
 class SingularFitError(Exception):
@@ -30,52 +26,71 @@ class SingularFitError(Exception):
 class Hyperplane:
     """``predict(x) = coefficients . x + intercept``."""
 
-    coefficients: np.ndarray
+    coefficients: Sequence[float]
     intercept: float
 
     @property
     def dim(self) -> int:
         """Number of input dimensions (nodes)."""
-        return self.coefficients.shape[0]
+        return len(self.coefficients)
 
     def predict(self, x) -> float:
         """Evaluate the plane at allocation vector ``x``."""
-        x = np.asarray(x, dtype=float)
-        return float(self.coefficients @ x + self.intercept)
+        return dot(self.coefficients, x) + self.intercept
+
+
+def dot(a, b) -> float:
+    """``sum(a_i * b_i)``, accumulated left to right."""
+    total = 0.0
+    for ai, bi in zip(a, b):
+        total += ai * bi
+    return float(total)
 
 
 def fit_hyperplane(
-    points: Sequence[Tuple[np.ndarray, float]],
+    points: Sequence[Tuple[Sequence[float], float]],
 ) -> Hyperplane:
-    """Fit a hyperplane through ``(allocation, response_time)`` points.
+    """Interpolate a hyperplane through ``dim + 1`` ``(allocation, RT)``
+    points.
 
-    With exactly ``dim + 1`` points the plane interpolates them (this is
-    the paper's case: phase (b) guarantees a unique solution); with more
-    points the least-squares plane is returned.  Raises
-    :class:`SingularFitError` when the system is rank-deficient.
+    Phase (b) guarantees the paper's case, a unique solution, so the
+    fit is one Gaussian elimination with partial pivoting of the
+    ``(dim + 1) x (dim + 1)`` system ``[x 1] . (kappa, kappa_0) = y``.
+    Raises :class:`SingularFitError` for any other point count and
+    when a pivot is exactly zero (a rank-deficient system).
     """
     if not points:
         raise ValueError("need at least one point")
-    xs = np.asarray([np.asarray(x, dtype=float) for x, _ in points])
-    ys = np.asarray([float(y) for _, y in points])
-    n_points, dim = xs.shape
-    if n_points < dim + 1:
+    dim = len(points[0][0])
+    if len(points) != dim + 1:
         raise SingularFitError(
-            f"{n_points} points cannot determine a {dim}-dim plane"
+            f"{len(points)} points cannot determine a {dim}-dim plane"
         )
-    design = np.hstack([xs, np.ones((n_points, 1))])
-    if n_points == dim + 1:
-        try:
-            solution = np.linalg.solve(design, ys)
-        except np.linalg.LinAlgError as exc:
-            raise SingularFitError(str(exc)) from None
-    else:
-        solution, _, rank, _ = np.linalg.lstsq(design, ys, rcond=RCOND)
-        if rank < dim + 1:
-            raise SingularFitError(
-                f"design matrix rank {rank} < {dim + 1}"
-            )
-    return Hyperplane(coefficients=solution[:dim], intercept=float(solution[dim]))
+    rows = [[float(v) for v in x] + [1.0, float(y)] for x, y in points]
+    size = dim + 1
+    for col in range(size):
+        pivot = max(range(col, size), key=lambda r: abs(rows[r][col]))
+        if rows[pivot][col] == 0.0:
+            raise SingularFitError(f"singular design matrix (column {col})")
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        lead = rows[col]
+        head = lead[col]
+        tail = lead[col + 1:]
+        for r in range(col + 1, size):
+            row = rows[r]
+            factor = row[col] / head
+            if factor != 0.0:
+                row[col + 1:] = [
+                    v - factor * w for v, w in zip(row[col + 1:], tail)
+                ]
+    solution: List[float] = [0.0] * size
+    for col in range(size - 1, -1, -1):
+        row = rows[col]
+        acc = row[size]
+        for j in range(col + 1, size):
+            acc -= row[j] * solution[j]
+        solution[col] = acc / row[col]
+    return Hyperplane(coefficients=solution[:dim], intercept=solution[dim])
 
 
 def weighted_mean_response_time(
@@ -100,7 +115,7 @@ def weighted_mean_response_time(
 def regularize_plane(
     plane: Hyperplane,
     sign: int,
-    anchor: Tuple[np.ndarray, float],
+    anchor: Tuple[Sequence[float], float],
     min_ratio: float = 0.05,
 ) -> Optional[Hyperplane]:
     """Clamp a fitted plane's gradients to the theoretically valid sign.
@@ -121,16 +136,12 @@ def regularize_plane(
     """
     if sign not in (-1, 1):
         raise ValueError("sign must be -1 or +1")
-    coeffs = plane.coefficients.copy()
-    correct = coeffs[sign * coeffs > 0]
-    if correct.shape[0] == 0:
+    coeffs = [float(c) for c in plane.coefficients]
+    correct = [abs(c) for c in coeffs if sign * c > 0]
+    if not correct:
         return None
-    magnitude = float(np.abs(correct).mean()) * min_ratio
-    clamped = np.where(
-        sign * coeffs > 0, coeffs, sign * magnitude
-    )
+    magnitude = sum(correct) / len(correct) * min_ratio
+    clamped = [c if sign * c > 0 else sign * magnitude for c in coeffs]
     anchor_x, anchor_y = anchor
-    intercept = float(anchor_y) - float(
-        clamped @ np.asarray(anchor_x, dtype=float)
-    )
+    intercept = float(anchor_y) - dot(clamped, anchor_x)
     return Hyperplane(coefficients=clamped, intercept=intercept)

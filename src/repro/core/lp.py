@@ -7,22 +7,34 @@ class, the coordinator solves::
     subject to  sum_i kappa_i * LM_i + kappa = RT_goal  (eq. 5)
                 0 <= LM_i <= SIZE_i - sum_{l != k} LM_l,i   (eq. 6)
 
+One equality over a box is a continuous knapsack, which Dantzig's
+greedy solves exactly: start every variable at the bound its cost
+prefers, then move variables toward the equality, cheapest objective
+cost per unit of constraint progress (``|eta_i| / |kappa_i|``) first;
+the last one moves fractionally.
+
 If the equality cannot be met inside the box (the goal is out of reach
-of the current approximation), the solver falls back to minimizing the
-distance ``|predicted - goal|`` — the feedback loop then refines the
-approximation on the next iteration.  The paper notes such states are
-transient and irrelevant once goals are satisfiable [16].
+of the current approximation), the same greedy runs to the end and
+lands on the reachable allocation nearest the goal — the feedback loop
+then refines the approximation on the next iteration.  The paper notes
+such states are transient and irrelevant once goals are satisfiable
+[16].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from typing import List, Sequence
 
 from repro.core.hyperplane import Hyperplane
-from repro.core.simplex import OPTIMAL, solve_lp
+
+#: A residual of the equality at most this fraction of
+#: ``max(1, |RT_goal - kappa|)`` counts as met (the simplex oracle's
+#: phase-1 feasibility threshold).
+FEASIBILITY_TOL = 1e-9
+
+#: Cost ratios within this relative distance of a smaller one tie.
+TIE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -37,15 +49,14 @@ class PartitioningProblem:
     rt_goal: float
     #: Per-node upper bounds: reserved memory minus other classes'
     #: dedicated pools (eq. 6), in bytes.
-    upper_bounds: np.ndarray
+    upper_bounds: Sequence[float]
 
     def __post_init__(self):
         if self.rt_goal <= 0:
             raise ValueError("response time goal must be positive")
-        ub = np.asarray(self.upper_bounds, dtype=float)
-        if ub.shape != (self.goal_plane.dim,):
+        if len(self.upper_bounds) != self.goal_plane.dim:
             raise ValueError("one upper bound per node required")
-        if np.any(ub < 0):
+        if any(ub < 0 for ub in self.upper_bounds):
             raise ValueError("upper bounds must be non-negative")
 
 
@@ -53,7 +64,7 @@ class PartitioningProblem:
 class PartitioningSolution:
     """The new per-node allocation for the goal class."""
 
-    allocation: np.ndarray
+    allocation: List[float]
     #: Predicted goal-class RT at the allocation.
     predicted_goal_rt: float
     #: Predicted no-goal RT at the allocation.
@@ -63,173 +74,56 @@ class PartitioningSolution:
     relaxed: bool
 
 
-def solve_partitioning(
-    problem: PartitioningProblem,
-) -> Optional[PartitioningSolution]:
-    """Solve the Section-4 LP; None only if even the relaxation fails.
+def solve_partitioning(problem: PartitioningProblem) -> PartitioningSolution:
+    """Solve the Section-4 LP by the fractional-knapsack greedy.
 
-    Variables are scaled to the box ``[0, 1]`` before solving to keep
-    the tableau well conditioned (allocations are ~10^6 bytes while the
-    plane gradients are ~10^-6 ms/byte).
+    Variables are scaled to the box ``[0, 1]`` (``LM_i = z_i * SIZE_i``)
+    so costs compare per unit of the box, as the allocations are ~10^6
+    bytes while the plane gradients are ~10^-6 ms/byte.
     """
-    ub = np.asarray(problem.upper_bounds, dtype=float)
-    n = ub.shape[0]
-    scale = np.where(ub > 0, ub, 1.0)  # x = scale * z with z in [0, 1]
-
-    eta = problem.nogoal_plane.coefficients * scale
-    kappa = problem.goal_plane.coefficients * scale
+    ub = [float(u) for u in problem.upper_bounds]
+    scale = [u if u > 0 else 1.0 for u in ub]
+    box = [1.0 if u > 0 else 0.0 for u in ub]
+    eta = [c * s for c, s in zip(problem.nogoal_plane.coefficients, scale)]
+    kappa = [c * s for c, s in zip(problem.goal_plane.coefficients, scale)]
     rhs = problem.rt_goal - problem.goal_plane.intercept
 
-    box_a = np.eye(n)
-    box_b = np.where(ub > 0, 1.0, 0.0)
-
-    result = solve_lp(
-        c=eta,
-        a_ub=box_a,
-        b_ub=box_b,
-        a_eq=kappa.reshape(1, -1),
-        b_eq=np.array([rhs]),
-    )
-    relaxed = False
-    if result.status == OPTIMAL:
-        z = result.x
-    else:
-        # Relaxation: minimize t with |kappa . z - rhs| <= t, breaking
-        # ties slightly toward a low no-goal response time.
-        z = _solve_relaxed(eta, kappa, rhs, box_b, n)
-        relaxed = True
-        if z is None:
-            return None
-    allocation = np.clip(z, 0.0, box_b) * scale
+    z = [b if e < 0 else 0.0 for e, b in zip(eta, box)]
+    gap = rhs
+    for k, zi in zip(kappa, z):
+        gap -= k * zi
+    # Full moves of z_i across its box, as (cost per unit of progress,
+    # index, step); only moves that shrink the gap qualify.
+    moves = []
+    for i, (e, k, b) in enumerate(zip(eta, kappa, box)):
+        step = -b if z[i] else b
+        if k * step * gap > 0:
+            moves.append((abs(e) / abs(k), i, step))
+    moves.sort()
+    # Tied ratios (equal up to rounding, as when regularize_plane clamps
+    # both planes alike) move in index order: the vertex the simplex
+    # reaches first and keeps, since a tie never improves its objective.
+    order = []
+    for ratio, i, step in moves:
+        if not order or ratio > order[-1][0] * (1.0 + TIE_RTOL):
+            lead = ratio
+        order.append((lead, i, step))
+    order.sort()
+    for _, i, step in order:
+        progress = kappa[i] * step
+        if abs(progress) >= abs(gap):
+            z[i] += gap / kappa[i]
+            gap = 0.0
+            break
+        z[i] += step
+        gap -= progress
+    relaxed = abs(gap) > FEASIBILITY_TOL * max(1.0, abs(rhs))
+    allocation = [
+        min(max(zi, 0.0), b) * s for zi, b, s in zip(z, box, scale)
+    ]
     return PartitioningSolution(
         allocation=allocation,
         predicted_goal_rt=problem.goal_plane.predict(allocation),
         predicted_nogoal_rt=problem.nogoal_plane.predict(allocation),
         relaxed=relaxed,
     )
-
-
-@dataclass(frozen=True)
-class VarianceProblem:
-    """The §8 future-work objective: even response times across nodes.
-
-    Instead of minimizing the no-goal class's mean response time, pick
-    the allocation that minimizes the *maximum deviation* of any node's
-    goal-class response time from the goal, while the weighted mean
-    still meets the goal exactly.  Applications with per-node fairness
-    requirements (a goal plus a bounded coefficient of variation, as §8
-    sketches) need this objective — the default one would happily leave
-    one node far slower than the rest.
-    """
-
-    #: One plane per node: RT_{k,i} as a function of the LM vector.
-    node_planes: tuple
-    #: Arrival-rate weights per node (need not be normalized).
-    weights: np.ndarray
-    rt_goal: float
-    upper_bounds: np.ndarray
-
-    def __post_init__(self):
-        if self.rt_goal <= 0:
-            raise ValueError("response time goal must be positive")
-        n = len(self.node_planes)
-        if np.asarray(self.weights).shape != (n,):
-            raise ValueError("one weight per node required")
-        if np.asarray(self.upper_bounds).shape != (n,):
-            raise ValueError("one upper bound per node required")
-
-
-def solve_variance_partitioning(
-    problem: VarianceProblem,
-) -> Optional[PartitioningSolution]:
-    """Minimize ``max_i |RT_i(LM) - goal|`` subject to eqs. 5/6.
-
-    Linear program in ``(z_1..z_n, t)`` with the allocation scaled to
-    the unit box: minimize t subject to ``|plane_i(z) - goal| <= t``
-    for every node, the weighted-mean equality, and the box bounds.
-    Falls back to dropping the equality when it is unreachable.
-    """
-    ub = np.asarray(problem.upper_bounds, dtype=float)
-    n = ub.shape[0]
-    scale = np.where(ub > 0, ub, 1.0)
-    box_b = np.where(ub > 0, 1.0, 0.0)
-
-    weights = np.asarray(problem.weights, dtype=float)
-    total_weight = float(weights.sum())
-    if total_weight <= 0:
-        return None
-    weights = weights / total_weight
-
-    coeffs = np.array(
-        [plane.coefficients * scale for plane in problem.node_planes]
-    )
-    intercepts = np.array(
-        [plane.intercept for plane in problem.node_planes]
-    )
-    mean_coeffs = weights @ coeffs
-    mean_intercept = float(weights @ intercepts)
-
-    # Variables: z_1..z_n, t.
-    c = np.zeros(n + 1)
-    c[n] = 1.0
-    rows_ub = []
-    rhs_ub = []
-    for i in range(n):
-        # plane_i(z) - goal <= t
-        rows_ub.append(np.concatenate([coeffs[i], [-1.0]]))
-        rhs_ub.append(problem.rt_goal - intercepts[i])
-        # goal - plane_i(z) <= t
-        rows_ub.append(np.concatenate([-coeffs[i], [-1.0]]))
-        rhs_ub.append(intercepts[i] - problem.rt_goal)
-    for i in range(n):
-        row = np.zeros(n + 1)
-        row[i] = 1.0
-        rows_ub.append(row)
-        rhs_ub.append(box_b[i])
-    a_eq = np.concatenate([mean_coeffs, [0.0]]).reshape(1, -1)
-    b_eq = np.array([problem.rt_goal - mean_intercept])
-
-    result = solve_lp(
-        c=c, a_ub=np.array(rows_ub), b_ub=np.array(rhs_ub),
-        a_eq=a_eq, b_eq=b_eq,
-    )
-    if result.status != OPTIMAL:
-        # Unreachable goal: just minimize the spread inside the box.
-        result = solve_lp(
-            c=c, a_ub=np.array(rows_ub), b_ub=np.array(rhs_ub)
-        )
-        if result.status != OPTIMAL:
-            return None
-        relaxed = True
-    else:
-        relaxed = False
-    z = np.clip(result.x[:n], 0.0, box_b)
-    allocation = z * scale
-    predicted_mean = float(mean_coeffs @ z + mean_intercept)
-    return PartitioningSolution(
-        allocation=allocation,
-        predicted_goal_rt=predicted_mean,
-        predicted_nogoal_rt=float("nan"),
-        relaxed=relaxed,
-    )
-
-
-def _solve_relaxed(eta, kappa, rhs, box_b, n):
-    """min t + eps*eta.z  s.t.  |kappa.z - rhs| <= t, 0 <= z <= box."""
-    eta_norm = float(np.abs(eta).max())
-    eps = 1e-6 / eta_norm if eta_norm > 0 else 0.0
-    c = np.concatenate([eps * eta, [1.0]])
-    a_ub = np.zeros((2 + n, n + 1))
-    b_ub = np.zeros(2 + n)
-    a_ub[0, :n] = kappa
-    a_ub[0, n] = -1.0
-    b_ub[0] = rhs
-    a_ub[1, :n] = -kappa
-    a_ub[1, n] = -1.0
-    b_ub[1] = -rhs
-    a_ub[2:, :n] = np.eye(n)
-    b_ub[2:] = box_b
-    result = solve_lp(c=c, a_ub=a_ub, b_ub=b_ub)
-    if result.status != OPTIMAL:
-        return None
-    return result.x[:n]

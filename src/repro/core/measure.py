@@ -14,9 +14,7 @@ between "creation of a new" and "update of the last measure point").
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
-
-import numpy as np
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.gauss import select_independent
 from repro.core.hyperplane import Hyperplane, fit_hyperplane
@@ -26,12 +24,19 @@ from repro.core.hyperplane import Hyperplane, fit_hyperplane
 SAME_ALLOCATION_ATOL = 0.5
 
 
+def same_allocation(a: Sequence[float], b: Sequence[float]) -> bool:
+    """True if ``a`` and ``b`` differ by at most ``SAME_ALLOCATION_ATOL``
+    bytes on every node (an absolute rule: one page apart is a move at
+    any node size)."""
+    return all(abs(x - y) <= SAME_ALLOCATION_ATOL for x, y in zip(a, b))
+
+
 @dataclass(frozen=True)
 class MeasurePoint:
     """One (partitioning, observation) pair."""
 
     #: Per-node dedicated buffer bytes of the goal class (as granted).
-    allocation: np.ndarray
+    allocation: List[float]
     #: Weighted mean response time of the goal class (eq. 4).
     rt_goal: float
     #: Weighted mean response time of the no-goal class.
@@ -40,15 +45,12 @@ class MeasurePoint:
     time: float
     #: Per-node goal-class response times (only needed by the §8
     #: variance-objective extension; None otherwise).
-    per_node_rt: Optional[np.ndarray] = None
+    per_node_rt: Optional[List[float]] = None
 
-    def same_allocation(self, other_alloc) -> bool:
+    def same_allocation(self, other_alloc: Sequence[float]) -> bool:
         """True if ``other_alloc`` equals this point's allocation to
         within ``SAME_ALLOCATION_ATOL`` bytes per node."""
-        return bool(
-            np.allclose(self.allocation, np.asarray(other_alloc, float),
-                        atol=SAME_ALLOCATION_ATOL)
-        )
+        return same_allocation(self.allocation, other_alloc)
 
 
 class MeasureWindow:
@@ -70,6 +72,11 @@ class MeasureWindow:
         #: Optional absolute age bound (simulation time units).
         self.max_age = max_age
         self._history: List[MeasurePoint] = []
+        #: Bumped by every history mutation; with the fresh prefix's
+        #: length it keys the cached phase-(b) selection.
+        self._version = 0
+        self._selection_key: Optional[Tuple[int, int]] = None
+        self._selection: List[MeasurePoint] = []
 
     # -- recording ----------------------------------------------------
 
@@ -82,24 +89,26 @@ class MeasureWindow:
         per_node_rt=None,
     ) -> None:
         """Fold one observation in (new point or update of the newest)."""
-        allocation = np.asarray(allocation, dtype=float)
-        if allocation.shape != (self.num_nodes,):
+        allocation = [float(b) for b in allocation]
+        if len(allocation) != self.num_nodes:
             raise ValueError("one allocation entry per node required")
         if per_node_rt is not None:
-            per_node_rt = np.asarray(per_node_rt, dtype=float)
-            if per_node_rt.shape != (self.num_nodes,):
+            per_node_rt = [float(rt) for rt in per_node_rt]
+            if len(per_node_rt) != self.num_nodes:
                 raise ValueError("one per-node RT per node required")
+        self._version += 1
         if self._history and self._history[0].same_allocation(allocation):
             newest = self._history[0]
             alpha = self.smoothing
             smoothed_nodes = newest.per_node_rt
             if per_node_rt is not None:
                 if smoothed_nodes is None:
-                    smoothed_nodes = per_node_rt.copy()
+                    smoothed_nodes = per_node_rt
                 else:
-                    smoothed_nodes = (
-                        (1 - alpha) * smoothed_nodes + alpha * per_node_rt
-                    )
+                    smoothed_nodes = [
+                        (1 - alpha) * old + alpha * new
+                        for old, new in zip(smoothed_nodes, per_node_rt)
+                    ]
             self._history[0] = replace(
                 newest,
                 rt_goal=(1 - alpha) * newest.rt_goal + alpha * rt_goal,
@@ -111,14 +120,11 @@ class MeasureWindow:
             self._history.insert(
                 0,
                 MeasurePoint(
-                    allocation=allocation.copy(),
+                    allocation=allocation,
                     rt_goal=rt_goal,
                     rt_nogoal=rt_nogoal,
                     time=time,
-                    per_node_rt=(
-                        per_node_rt.copy() if per_node_rt is not None
-                        else None
-                    ),
+                    per_node_rt=per_node_rt,
                 ),
             )
             del self._history[self.history_limit:]
@@ -134,6 +140,7 @@ class MeasureWindow:
         prescribes.
         """
         before = len(self._history)
+        self._version += 1
         self._history = [p for p in self._history if p.time >= time]
         return before - len(self._history)
 
@@ -145,28 +152,46 @@ class MeasureWindow:
         coordinator rebuilds it from post-restart agent re-reports.
         """
         count = len(self._history)
+        self._version += 1
         self._history = []
         return count
 
-    def _fresh_history(self, now: Optional[float]) -> List[MeasurePoint]:
-        if self.max_age is None or now is None:
-            return self._history
-        return [p for p in self._history if now - p.time <= self.max_age]
+    def _fresh_count(self, now: Optional[float]) -> int:
+        """Length of the history prefix no older than ``max_age``.
+
+        History is newest first and observation times never decrease,
+        so the points within ``max_age`` of ``now`` form a prefix.
+        """
+        if self.max_age is not None and now is not None:
+            for count, point in enumerate(self._history):
+                if now - point.time > self.max_age:
+                    return count
+        return len(self._history)
 
     # -- selection (phase (b)) -----------------------------------------
 
     def selected_points(self, now: Optional[float] = None) -> List[MeasurePoint]:
-        """Newest point plus up to N older, independent-difference points."""
-        history = self._fresh_history(now)
-        if not history:
-            return []
-        newest = history[0]
-        chosen = select_independent(
-            newest.allocation,
-            [p.allocation for p in history[1:]],
-            limit=self.num_nodes,
-        )
-        return [newest] + [history[1 + i] for i in chosen]
+        """Newest point plus up to N older, independent-difference points.
+
+        The Gauss selection runs once per window state: the result is
+        cached under the mutation counter and the fresh prefix length.
+        """
+        fresh = self._fresh_count(now)
+        key = (self._version, fresh)
+        if key != self._selection_key:
+            history = self._history[:fresh]
+            selection = []
+            if history:
+                newest = history[0]
+                chosen = select_independent(
+                    newest.allocation,
+                    [p.allocation for p in history[1:]],
+                    limit=self.num_nodes,
+                )
+                selection = [newest] + [history[1 + i] for i in chosen]
+            self._selection_key = key
+            self._selection = selection
+        return list(self._selection)
 
     def ready(self, now: Optional[float] = None) -> bool:
         """True once N + 1 usable points exist (unique plane fit)."""
@@ -203,7 +228,7 @@ class MeasureWindow:
             raise ValueError("points lack per-node response times")
         return [
             fit_hyperplane(
-                [(p.allocation, float(p.per_node_rt[i])) for p in points]
+                [(p.allocation, p.per_node_rt[i]) for p in points]
             )
             for i in range(self.num_nodes)
         ]

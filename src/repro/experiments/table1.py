@@ -8,8 +8,9 @@ for different numbers of nodes N:
   Gauss);
 * **Approximation** — determining the hyperplane coefficients from the
   retained points;
-* **Optimization** — solving the linear program with the simplex
-  method.
+* **Optimization** — solving the linear program (the paper uses the
+  simplex method; :mod:`repro.core.lp` solves the same one-equality LP
+  by its exact fractional-knapsack greedy).
 
 Absolute milliseconds are hardware-bound; the reproduction measures the
 same three tasks on the present machine and checks the paper's *shape*:
@@ -20,13 +21,12 @@ Run it with ``python -m repro table1``.
 
 from __future__ import annotations
 
+import random
 import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
-import numpy as np
-
-from repro.core.hyperplane import fit_hyperplane
+from repro.core.hyperplane import dot, fit_hyperplane
 from repro.core.lp import PartitioningProblem, solve_partitioning
 from repro.core.measure import MeasureWindow
 from repro.experiments.reporting import format_table
@@ -78,15 +78,15 @@ def synthetic_points(
     random within the node bounds — shaped exactly like the points a
     coordinator accumulates.
     """
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     count = count if count is not None else num_nodes + 1
-    kappa = -rng.uniform(0.5, 1.5, num_nodes) * 1e-6
-    eta = rng.uniform(0.5, 1.5, num_nodes) * 1e-6
+    kappa = [-rng.uniform(0.5, 1.5) * 1e-6 for _ in range(num_nodes)]
+    eta = [rng.uniform(0.5, 1.5) * 1e-6 for _ in range(num_nodes)]
     points = []
     for _ in range(count):
-        alloc = rng.uniform(0, NODE_SIZE, num_nodes)
-        rt_goal = 20.0 + kappa @ alloc + rng.normal(0, 0.05)
-        rt_nogoal = 2.0 + eta @ alloc + rng.normal(0, 0.05)
+        alloc = [rng.uniform(0, NODE_SIZE) for _ in range(num_nodes)]
+        rt_goal = 20.0 + dot(kappa, alloc) + rng.gauss(0, 0.05)
+        rt_nogoal = 2.0 + dot(eta, alloc) + rng.gauss(0, 0.05)
         points.append((alloc, max(rt_goal, 0.1), max(rt_nogoal, 0.1)))
     return points
 
@@ -116,7 +116,7 @@ def task_approximation(window: MeasureWindow):
 
 
 def task_optimization(problem: PartitioningProblem):
-    """One phase-(d) simplex solve."""
+    """One phase-(d) LP solve."""
     return solve_partitioning(problem)
 
 
@@ -125,13 +125,13 @@ def build_problem(num_nodes: int, seed: int = 0) -> PartitioningProblem:
     window = build_window(num_nodes, seed)
     goal_plane, nogoal_plane = window.fit_planes()
     # Pin the goal to a reachable value in the plane's range.
-    mid_alloc = np.full(num_nodes, 1 * 1024 * 1024)
+    mid_alloc = [1 * 1024 * 1024] * num_nodes
     rt_goal = max(goal_plane.predict(mid_alloc), 0.5)
     return PartitioningProblem(
         goal_plane=goal_plane,
         nogoal_plane=nogoal_plane,
         rt_goal=rt_goal,
-        upper_bounds=np.full(num_nodes, NODE_SIZE),
+        upper_bounds=[NODE_SIZE] * num_nodes,
     )
 
 

@@ -110,7 +110,7 @@ def test_lp_used_once_window_ready():
     decision = coordinator.evaluate(now=5.0, other_dedicated=[0, 0, 0])
     assert decision.mechanism == "lp"
     # Goal 10 needs 3 MB total under the surface rt = 25 - 5*total.
-    assert decision.new_allocation.sum() == pytest.approx(
+    assert sum(decision.new_allocation) == pytest.approx(
         3 * MB, rel=0.01
     )
 

@@ -46,16 +46,48 @@ def test_degenerate_points_rejected():
         fit_hyperplane(points)
 
 
-def test_least_squares_with_extra_points():
+def test_extra_points_rejected():
+    """Phase (b) hands over exactly dim + 1 points; more is an error,
+    not a least-squares fit."""
     coeffs = np.array([1.0, -1.0])
     rng = np.random.default_rng(0)
     points = []
     for _ in range(20):
         x = rng.uniform(-5, 5, 2)
         points.append((x, float(coeffs @ x + 2.0)))
-    plane = fit_hyperplane(points)
-    assert plane.coefficients == pytest.approx(coeffs, abs=1e-9)
-    assert plane.intercept == pytest.approx(2.0, abs=1e-9)
+    with pytest.raises(SingularFitError):
+        fit_hyperplane(points)
+
+
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=10_000),
+)
+@settings(max_examples=100)
+def test_property_fit_matches_numpy_solve(dim, seed):
+    """The elimination agrees with ``numpy.linalg.solve`` (the oracle)
+    on allocation-scaled systems; a repeated point is singular.
+
+    numpy is no oracle for the repeated point: its LU multiplies by
+    the pivot's reciprocal, leaves a residue of one rounding error
+    where the pivot should be zero, and returns a huge plane."""
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(0, 4e6, (dim + 1, dim))
+    ys = rng.uniform(0.1, 100.0, dim + 1)
+    if seed % 5 == 0:
+        xs[-1] = xs[0]
+        with pytest.raises(SingularFitError):
+            fit_hyperplane(list(zip(xs, ys)))
+        return
+    design = np.hstack([xs, np.ones((dim + 1, 1))])
+    expected = np.linalg.solve(design, ys)
+    plane = fit_hyperplane(list(zip(xs, ys)))
+    for x, y in zip(xs, ys):
+        assert plane.predict(x) == pytest.approx(y, rel=1e-6, abs=1e-6)
+    got = np.append(np.asarray(plane.coefficients), plane.intercept)
+    residual = np.abs(design @ got - ys).max()
+    oracle_residual = np.abs(design @ expected - ys).max()
+    assert residual <= max(1e-6, 100 * oracle_residual)
 
 
 @given(

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.agent import AgentReport
 from repro.core.measure import MeasurePoint, MeasureWindow
 
 
@@ -117,3 +118,43 @@ def test_same_allocation_tolerance():
     )
     assert point.same_allocation([4096.2])
     assert not point.same_allocation([8192.0])
+
+
+def test_one_page_apart_is_a_new_point_at_any_node_size():
+    """The rule is absolute: at a 1 GiB node a one-page move is a new
+    partitioning (a relative tolerance would call it unchanged)."""
+    gib = float(2**30)
+    point = MeasurePoint(
+        allocation=[gib], rt_goal=1.0, rt_nogoal=1.0, time=0.0
+    )
+    assert not point.same_allocation([gib + 4096.0])
+    assert point.same_allocation([gib + 0.5])
+    window = MeasureWindow(num_nodes=2)
+    window.observe([gib, gib], rt_goal=10.0, rt_nogoal=2.0, time=0.0)
+    window.observe([gib + 4096.0, gib], rt_goal=9.0, rt_nogoal=2.0,
+                   time=1.0)
+    assert len(window) == 2
+    assert window.newest.rt_goal == 9.0
+
+
+def test_coordinator_takes_a_one_page_move_at_1gib():
+    """A proposal one page from the current allocation is a move, not
+    "no change" (which would force a warm-up nudge instead)."""
+    from repro.core.coordinator import Coordinator
+
+    gib = 2**30
+    coordinator = Coordinator(
+        class_id=1, node_sizes=[2 * gib], goal_ms=10.0, page_size=4096,
+        settle_intervals=0,
+    )
+    coordinator.receive_granted([gib])
+    coordinator._propose = lambda rt_goal, upper, now: (
+        [gib + 4096.0], "lp", False
+    )
+    coordinator.receive_goal_report(AgentReport(
+        node_id=0, class_id=1, arrivals=50, completions=50,
+        mean_response_ms=20.0, arrival_rate=0.01, time=0.0,
+    ))
+    decision = coordinator.evaluate(now=0.0, other_dedicated=[0])
+    assert decision.mechanism == "lp"
+    assert decision.new_allocation == [gib + 4096.0]

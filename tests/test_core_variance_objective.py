@@ -5,13 +5,9 @@ import pytest
 
 from repro.core.coordinator import Coordinator
 from repro.core.hyperplane import Hyperplane
-from repro.core.lp import (
-    PartitioningProblem,
-    VarianceProblem,
-    solve_partitioning,
-    solve_variance_partitioning,
-)
+from repro.core.lp import PartitioningProblem, solve_partitioning
 from repro.core.measure import MeasureWindow
+from repro.core.variance import VarianceProblem, solve_variance_partitioning
 
 MB = 1024 * 1024
 
@@ -88,10 +84,9 @@ def test_variance_lp_respects_bounds():
         upper_bounds=np.array([1.0 * MB, 0.5 * MB]),
     )
     solution = solve_variance_partitioning(problem)
-    assert np.all(solution.allocation >= -1e-6)
-    assert np.all(
-        solution.allocation <= problem.upper_bounds + 1e-6
-    )
+    allocation = np.asarray(solution.allocation)
+    assert np.all(allocation >= -1e-6)
+    assert np.all(allocation <= problem.upper_bounds + 1e-6)
 
 
 def test_variance_lp_unreachable_goal_relaxes():

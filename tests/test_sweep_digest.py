@@ -98,6 +98,10 @@ SWEEPS = {
     "scaling": (_scaling, (None,)),
 }
 
+#: The two resilience pins were re-recorded when the Section-4 LP and
+#: the plane fit moved to plain-float code: the last digit of a few
+#: ``plane_fit``/``lp_solve`` telemetry fields changed; ``repr`` of the
+#: points did not.
 DIGESTS = {
     "figure2-goals": (
         "56f13caa0236ae2752c76bb727e39411"
@@ -112,12 +116,12 @@ DIGESTS = {
         "89d9b8775aa1fd32c6b5af3c7bff7965"
     ),
     "resilience-goals": (
-        "4b358be6c4957505c8db8f693a2718d8"
-        "031cd38b97a08fec6377ad511168db38"
+        "3f35e4b43c7a77f9e4b87de7b3ba14ad"
+        "0eeb42c0e573da4c8a8895a9c3cd9f29"
     ),
     "resilience": (
-        "10e85daee66c39f3b11bafa3cc75b092"
-        "f0a5fb217f81b326fd6c19e65cdbae84"
+        "6069bb81890ca5da6fec75d795d3ae62"
+        "15ebab27b4868bd5625239e7a44e8fbe"
     ),
     "scaling": (
         "ff45fc027750acc0484d4227a4b7a7d9"
